@@ -224,8 +224,10 @@ class SimulationEngine:
         """Advance a functional mode through run-length batches.
 
         FUNC_FAST consumes whole runs with no per-event work at all;
-        FUNC_WARM replays each run's events through the warmer (state is
-        order-dependent) but skips per-event stream dispatch.  BBV
+        FUNC_WARM hands each run to :meth:`FunctionalWarmer.execute_run`,
+        which applies its branch outcomes in bulk, credits the silent
+        instruction fetches after iteration 0 as one counter add, and
+        skips probe-verified net-silent data iterations.  BBV
         accumulation is a single vectorised call per batch.  Both land in
         byte-identical stream/tracker/machine state to the scalar loop.
         """

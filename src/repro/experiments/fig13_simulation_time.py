@@ -83,9 +83,11 @@ def _cached_rates(ctx: ExperimentContext) -> Dict[str, float]:
     measurement means every consumer (serial or parallel, any job count)
     reads the same numbers.
     """
+    # The engine tag names the code whose speed is measured: bump it when
+    # a mode's rate changes, or a warm cache keeps serving stale rates.
     return ctx.cache.json(
         {"kind": "rates", "scale": ctx.scale.name, "ops": RATE_OPS,
-         "engine": "batched"},
+         "engine": "batched-bulk-warm"},
         lambda: measure_rates(ctx),
     )
 

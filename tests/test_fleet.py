@@ -8,6 +8,7 @@ checkpointed resume, and the `jobs`/`worker` CLI wiring.
 """
 
 import json
+import os
 import threading
 import time
 
@@ -160,6 +161,45 @@ class TestJobQueue:
         state = queue.status(job)
         assert state.state == "failed"
         assert "lease expired" in list(state.failures.values())[0]
+
+    def test_claim_still_being_written_is_not_reaped(self, tmp_path):
+        """A claim file exists but holds no document yet: its holder is
+        between creating and writing it.  Another worker's scan must not
+        reap it as torn and take the task."""
+        queue = make_queue(tmp_path)
+        submit_traces(queue, tmp_path / "cache", benchmarks=["164.gzip"])
+        [task_path] = (queue.root / "tasks").glob("*.json")
+        claim = queue.root / "claims" / task_path.name
+        claim.touch()
+        assert queue.claim_next("w2") is None
+        assert claim.exists()
+        # Left behind by a writer that died, it expires like a lease.
+        stamp = time.time() - 2 * queue.lease_s
+        os.utime(claim, (stamp, stamp))
+        assert queue.claim_next("w2") is not None
+
+    def test_task_finished_before_claim_is_not_run_again(
+        self, tmp_path, monkeypatch
+    ):
+        """w2 scans the task while it is unclaimed; before w2 claims it,
+        w1 claims, runs and finalises it.  w2 then wins the (released)
+        claim, and must drop it rather than re-create and rerun the task."""
+        queue = make_queue(tmp_path)
+        job = submit_traces(queue, tmp_path / "cache", benchmarks=["164.gzip"])
+        other = JobQueue(queue.root)
+        try_claim = queue._try_claim
+
+        def finish_then_claim(name, worker):
+            other.claim_next("w1").complete({"seconds": 0.1})
+            return try_claim(name, worker)
+
+        monkeypatch.setattr(queue, "_try_claim", finish_then_claim)
+        assert queue.claim_next("w2") is None
+        assert list((queue.root / "tasks").glob("*.json")) == []
+        assert queue.active_claims() == 0
+        [outcome] = queue.outcomes(job)
+        assert (outcome["worker"], outcome["attempts"]) == ("w1", 1)
+        assert queue.status(job).state == "done"
 
     def test_heartbeat_keeps_lease_alive(self, tmp_path):
         queue = make_queue(tmp_path, lease_s=0.1)
