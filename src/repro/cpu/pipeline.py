@@ -283,22 +283,10 @@ class InOrderPipeline:
             and pat.span > l1d_size
             for pat in patterns
         )
-        # Multi-pattern all-strided blocks take the joint net-silence
-        # probe, which also covers patterns that share cache sets
-        # (program-order tuple); the two-access case gets the unrolled
-        # pair walk; single-pattern blocks use the leaner per-pattern
-        # walks directly.
-        joint = pair = None
-        if len(patterns) > 1 and all(
-            pat.kind in (PatternKind.STREAM, PatternKind.REUSE) for pat in patterns
-        ):
-            progs = tuple(
-                (pat.base, pat.stride, pat.span, pat.is_write) for pat in patterns
-            )
-            if len(progs) == 2:
-                pair = progs
-            else:
-                joint = progs
+        # All-strided blocks take the bound L1D net-silence probe (the
+        # joint walk also covers patterns that share cache sets); blocks
+        # with a hashed pattern probe per pattern below.
+        probe = self.hierarchy.data_silence_probe(patterns)
         # Every pattern's address generator is unpacked so the hot loop
         # computes addresses inline instead of calling into it: strided
         # patterns carry (True, base, stride, span, is_write), hashed ones
@@ -324,8 +312,7 @@ class InOrderPipeline:
         return (
             paw,
             probe_pats,
-            joint,
-            pair,
+            probe,
             pinfo,
             lat_pairs,
             p0,
@@ -337,6 +324,7 @@ class InOrderPipeline:
             block.div_fus,
             block.branch_address,
             len(block.inst_lines),
+            self.hierarchy.inst_lines_pinned(block.inst_lines),
         )
 
     def _intern_context(
@@ -530,12 +518,6 @@ class InOrderPipeline:
             self.execute_event(BlockEvent(block, run.taken_at(0), run.k_start))
             return
         hierarchy = self.hierarchy
-        if len(block.inst_lines) > hierarchy.l1i.n_sets:
-            # Degenerate geometry: the block's own fetch lines collide
-            # within a set, so iteration 0 does not pin them all at MRU.
-            for event in run.events():
-                self.execute_event(event)
-            return
 
         if len(self._chain) >= _MEMO_CAP:
             self._chain.clear()
@@ -551,8 +533,7 @@ class InOrderPipeline:
         (
             paw,
             probe_pats,
-            joint,
-            pair,
+            probe,
             pinfo,
             lat_pairs,
             p0,
@@ -564,7 +545,14 @@ class InOrderPipeline:
             div_fus,
             branch_address,
             n_lines,
+            inst_pinned,
         ) = plan
+        if not inst_pinned:
+            # Degenerate geometry: the block's own fetch lines collide
+            # within a set, so iteration 0 does not pin them all at MRU.
+            for event in run.events():
+                self.execute_event(event)
+            return
 
         predictor = self.predictor
         predict_update = predictor.predict_update
@@ -577,12 +565,7 @@ class InOrderPipeline:
         l2_lat = l1_hit + hierarchy.l2.hit_latency
         mem_lat = l2_lat + self.machine.memory_latency
         silent_span = hierarchy.silent_data_span
-        joint_span = l1d.silent_block_span
-        pair_span = l1d.silent_block_pair_span
-        span_strided = l1d.silent_span_strided
         span_hashed = l1d.silent_span_hashed
-        if pair is not None:
-            pr1, pr2 = pair
         chain = self._chain
         chain_get = chain.get
         paths = self._paths
@@ -925,15 +908,10 @@ class InOrderPipeline:
                     if span_hint >= 0:
                         m = span_hint if span_hint < lim else lim
                         span_hint = -1
+                    elif probe is not None:
+                        m = probe(k, lim)
                     elif single:
-                        if strided0:
-                            m = span_strided(b0, x0, sp0, k, lim, w0, salt)
-                        else:
-                            m = span_hashed(f0, k, lim, w0, salt)
-                    elif pair is not None:
-                        m = pair_span(pr1, pr2, k, lim, salt)
-                    elif joint is not None:
-                        m = joint_span(joint, k, lim, salt)
+                        m = span_hashed(f0, k, lim, w0, salt)
                     else:
                         m = lim
                         for pat in probe_pats:

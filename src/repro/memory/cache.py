@@ -9,7 +9,7 @@ State is snapshotable for checkpoint/livepoint support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from ..config import CacheConfig
 from ..errors import SnapshotError
@@ -190,6 +190,16 @@ class Cache:
         if self._tags[base] != line:
             return False
         return not is_write or self._dirty[base]
+
+    def distinct_sets(self, addrs: Iterable[int], salt: int = 0) -> bool:
+        """Do the lines holding *addrs* fall in pairwise distinct sets?
+
+        Addresses sharing a line count once, so the answer holds for any
+        line size, including lines smaller than the spacing of *addrs*.
+        """
+        shift = self._line_shift
+        lines = {(addr ^ salt) >> shift for addr in addrs}
+        return len({self._set_index(line) for line in lines}) == len(lines)
 
     def silent_span_strided(
         self,

@@ -8,7 +8,8 @@ and an L2 miss additionally pays the memory latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..config import MachineConfig
 from ..program.mem_patterns import PatternKind
@@ -169,6 +170,53 @@ class CacheHierarchy:
         return l1d.silent_span_hashed(
             pattern.address, k_start, limit, pattern.is_write, self._salt
         )
+
+    def inst_lines_pinned(self, inst_lines: Sequence[int]) -> bool:
+        """Does one pass over a block's *inst_lines* pin them all at MRU?
+
+        True when the L1I lines holding them fall in distinct sets.  Then,
+        while nothing else touches the L1I, every later fetch of them is a
+        silent hit — the instruction side of a run after its first
+        iteration.  Counted in L1I lines, so it holds for any L1I line
+        size, not only the program's 64-byte fetch lines.
+        """
+        return self.l1i.distinct_sets(inst_lines, self._salt)
+
+    def data_silence_probe(
+        self, patterns: Sequence["MemPattern"]
+    ) -> Optional[Callable[[int, int], int]]:
+        """Bind the L1D net-silence probe for one block's data accesses.
+
+        Returns ``probe(k, limit)``: the largest ``m <= limit`` such that
+        iterations ``k .. k + m - 1`` of the block would make only silent
+        L1 hits against the current state.  One strided access walks
+        :meth:`Cache.silent_span_strided`, two the unrolled
+        :meth:`Cache.silent_block_pair_span`, three or more the joint
+        :meth:`Cache.silent_block_span` (which also covers accesses that
+        share sets).  ``None`` when a hashed (RANDOM/CHASE) pattern rules
+        out the strided walks; such blocks probe per pattern, if at all.
+        """
+        if not patterns or any(
+            pat.kind is not PatternKind.STREAM and pat.kind is not PatternKind.REUSE
+            for pat in patterns
+        ):
+            return None
+        l1d = self.l1d
+        salt = self._salt
+        progs = tuple((p.base, p.stride, p.span, p.is_write) for p in patterns)
+        if len(progs) == 1:
+            base, stride, span, is_write = progs[0]
+            return partial(
+                l1d.silent_span_strided,
+                base,
+                stride,
+                span,
+                is_write=is_write,
+                salt=salt,
+            )
+        if len(progs) == 2:
+            return partial(l1d.silent_block_pair_span, *progs, salt=salt)
+        return partial(l1d.silent_block_span, progs, salt=salt)
 
     def warm_data(self, addr: int, is_write: bool = False) -> None:
         """Touch the data side without caring about latency (warming mode)."""
