@@ -48,7 +48,7 @@ def _rate_once(ctx, mode, with_bbv, batched):
     program = ctx.program(RATE_BENCHMARK)
     tracker = BbvTracker() if with_bbv else None
     engine = SimulationEngine(
-        program, machine=ctx.machine, bbv_tracker=tracker,
+        program, machine=ctx.machine, signal_tracker=tracker,
         batched=None if batched else False,
     )
     # Warm the interpreter before timing.

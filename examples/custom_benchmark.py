@@ -71,7 +71,7 @@ def main() -> None:
     print(f"true phase script: {[(s.behavior, s.ops) for s in program.script]}\n")
 
     tracker = BbvTracker()
-    engine = SimulationEngine(program, bbv_tracker=tracker)
+    engine = SimulationEngine(program, signal_tracker=tracker)
     classifier = OnlinePhaseClassifier(threshold=0.05 * math.pi)
 
     print(f"{'ops':>10}  {'true behavior':<14} {'detected phase':>14}")

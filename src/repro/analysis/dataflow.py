@@ -889,8 +889,8 @@ def _load_modules(
         todo.append(path)
     stats.modules_extracted = len(todo)
     if jobs > 1 and len(todo) > 1:
-        # Mirrors the ParallelRunner fan-out: pure per-item workers, a
-        # bounded pool, results folded back on the driver side.
+        # Pure per-item workers in a bounded pool, results folded back
+        # on the driver side.
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(jobs, len(todo))
         ) as pool:

@@ -19,22 +19,18 @@ HYG004  frozen-dataclass mutation via ``object.__setattr__`` on a
 HYG005  literal engine-mode scheduling (``.run(Mode.X, ...)`` /
         ``.run_to_end(Mode.X, ...)``) outside the sampling-session
         kernel
-HYG006  direct figure entry-point call (``figXX.run(ctx)``) outside the
-        experiment service's sanctioned assembly paths
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from typing import Dict, Iterator, List, Optional, Set, Type
+from typing import Iterator, List, Optional, Type
 
 from .core import Finding, ModuleContext, Rule, Severity, dotted_name
 
 __all__ = [
     "HYGIENE_RULES",
     "EngineModeEscapeRule",
-    "FigureEntrypointRule",
     "ForeignFrozenMutationRule",
     "MissingAllRule",
     "MutableDefaultRule",
@@ -252,86 +248,10 @@ class EngineModeEscapeRule(Rule):
             )
 
 
-class FigureEntrypointRule(Rule):
-    """HYG006: figure ``run()`` entry points go through the service.
-
-    Direct ``figXX.run(ctx)`` calls bypass
-    :class:`repro.fleet.ExperimentService` — they neither participate in
-    the job queue's retry/lease accounting nor in cell-level caching
-    decisions, and the runtime shim already deprecates them
-    (:func:`repro.experiments.runner.figure_entry`).  This is the static
-    counterpart: it flags calls to a figure module's ``run`` reached via
-    any import spelling.  The ``experiments`` package itself (report
-    assembly, cell execution) and the ``fleet`` package are the
-    sanctioned in-scope callers and are exempt.
-    """
-
-    rule_id = "HYG006"
-    severity = Severity.WARNING
-    summary = "direct figure entry-point call outside the experiment service"
-
-    #: Experiments modules exposing a deprecated ``run(ctx)`` entry point.
-    _FIGURE_MODULE = re.compile(r"^(fig\d{2}_\w+|tradeoff|stratification_gain)$")
-
-    def _collect_aliases(
-        self, tree: ast.AST
-    ) -> "tuple[Set[str], Dict[str, str]]":
-        """Local names bound to figure modules / their ``run`` functions."""
-        module_aliases: Set[str] = set()
-        run_aliases: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    base = alias.name.split(".")[-1]
-                    if self._FIGURE_MODULE.match(base) and alias.asname:
-                        module_aliases.add(alias.asname)
-            elif isinstance(node, ast.ImportFrom):
-                from_figure = bool(
-                    node.module
-                    and self._FIGURE_MODULE.match(node.module.split(".")[-1])
-                )
-                for alias in node.names:
-                    if self._FIGURE_MODULE.match(alias.name):
-                        module_aliases.add(alias.asname or alias.name)
-                    elif from_figure and alias.name == "run":
-                        local = alias.asname or alias.name
-                        run_aliases[local] = node.module.split(".")[-1]
-        return module_aliases, run_aliases
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if ctx.in_subpackage("experiments") or ctx.in_subpackage("fleet"):
-            return
-        module_aliases, run_aliases = self._collect_aliases(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            target: Optional[str] = None
-            if isinstance(func, ast.Attribute) and func.attr == "run":
-                owner = dotted_name(func.value)
-                if owner is None:
-                    continue
-                base = owner.split(".")[-1]
-                if base in module_aliases or self._FIGURE_MODULE.match(base):
-                    target = f"{base}.run"
-            elif isinstance(func, ast.Name) and func.id in run_aliases:
-                target = f"{run_aliases[func.id]}.run"
-            if target is not None:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"direct figure entry-point call {target}(); submit the "
-                    "figure through repro.fleet.ExperimentService "
-                    "(service.submit/fetch) so it runs under the job "
-                    "service's caching, retry, and lease accounting",
-                )
-
-
 HYGIENE_RULES: List[Type[Rule]] = [
     NonReproRaiseRule,
     MutableDefaultRule,
     MissingAllRule,
     ForeignFrozenMutationRule,
     EngineModeEscapeRule,
-    FigureEntrypointRule,
 ]

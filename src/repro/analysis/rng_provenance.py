@@ -17,8 +17,8 @@ about *where seeds come from*:
   class attributes): a shared generator couples the draw sequence of
   every experiment cell that imports it, breaking per-cell replay.
 * **DET103** — drawing from a module-global RNG inside the measured
-  layers (``repro.cpu``, ``repro.program``, ``repro.signals``, and the
-  legacy ``repro.bbv`` facade) perturbs the instruction stream that
+  layers (``repro.cpu``, ``repro.program`` and ``repro.signals``)
+  perturbs the instruction stream that
   ``SegmentRole.MEASURE`` segments account, so snapshot byte-identity no
   longer holds between runs.
 
@@ -72,11 +72,8 @@ _SEED_PRESERVING_CALLS: FrozenSet[str] = frozenset(
 _SEED_LITERALS: FrozenSet[str] = frozenset({"int", "str", "bytes"})
 
 #: Packages whose code executes inside measured segments.  ``signals``
-#: is the phase-signal layer (BBV/MAV trackers attached to the engine);
-#: ``bbv`` is its legacy re-export facade.
-_MEASURE_PACKAGES: FrozenSet[str] = frozenset(
-    {"cpu", "program", "bbv", "signals"}
-)
+#: is the phase-signal layer (BBV/MAV trackers attached to the engine).
+_MEASURE_PACKAGES: FrozenSet[str] = frozenset({"cpu", "program", "signals"})
 
 _SEED_MEMO = "rng:seed_analysis"
 
@@ -305,9 +302,8 @@ class GlobalRngRule(ProjectRule):
 class MeasurePathDrawRule(ProjectRule):
     """DET103: no draws from global RNGs in measured-layer code.
 
-    ``repro.cpu``, ``repro.program``, ``repro.signals`` (and the legacy
-    ``repro.bbv`` facade) execute inside
-    the segments that ``SegmentRole.MEASURE`` accounts.  A draw from a
+    ``repro.cpu``, ``repro.program`` and ``repro.signals`` execute
+    inside the segments that ``SegmentRole.MEASURE`` accounts.  A draw from a
     module-global generator there depends on whatever ran before the
     segment, so the measured (ops, cycles) — and any snapshot taken at a
     segment boundary — loses byte-identity between runs.

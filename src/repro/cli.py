@@ -15,7 +15,7 @@ Subcommands::
 
 Every experiment-running command is a thin client of
 :class:`repro.fleet.ExperimentService`; ``run-all`` is the compat alias
-for ``jobs submit`` + wait + ``jobs fetch`` on the in-process backend
+for ``jobs submit`` + wait + ``jobs fetch`` on the local backend
 (or on a shared queue with ``--queue``).  All subcommands accept
 ``--scale {quick,scaled,paper}``.
 """
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         "parallel), then assemble the full report",
         description="Compatibility alias for the job-service API: "
         "equivalent to `jobs submit` + wait + `jobs fetch` on the "
-        "in-process backend, or — with --queue — on a shared queue "
+        "local backend, or — with --queue — on a shared queue "
         "directory that `pgss-sim worker` processes execute. Results "
         "are byte-identical either way.",
     )
@@ -131,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the cell fan-out (default: 1 = serial; "
-        "results are byte-identical for any job count)",
+        help="local workers draining the job's cells (default: 1 = all "
+        "in this process; results are byte-identical for any job count)",
     )
     p_runall.add_argument(
         "--figures",
@@ -453,7 +453,7 @@ def _run_local_job(
     jobs: int = 1,
     quiet: bool = True,
 ) -> "tuple[int, Optional[str]]":
-    """Submit + wait + fetch on the in-process service backend."""
+    """Submit + wait + fetch on the local service backend."""
     from .experiments import ExperimentContext
     from .fleet import LocalService
 

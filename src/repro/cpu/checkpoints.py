@@ -35,6 +35,11 @@ __all__ = ["Checkpoint", "CheckpointFile", "CheckpointStore"]
 #: read each other's checkpoints).
 _PICKLE_PROTOCOL = 4
 
+#: Version of the checkpoint payload.  Version 2 engine states carry the
+#: pipeline's relative timing state (``pipeline_timing``); a payload of
+#: an earlier version cannot resume byte-identically and is discarded.
+_FORMAT = 2
+
 
 @dataclass(frozen=True)
 class Checkpoint:
@@ -127,9 +132,9 @@ class CheckpointFile:
     (including a worker that claims the cell after this one died) only
     ever observes the previous complete snapshot or the new one, never a
     torn file.  An unreadable file (killed mid-``os.replace`` on a
-    non-atomic filesystem, bad blocks) is deleted and treated as absent:
-    the computation restarts from op 0, which is slower but still
-    byte-identical.
+    non-atomic filesystem, bad blocks), or one written in an earlier
+    payload format, is deleted and treated as absent: the computation
+    restarts from op 0, which is slower but still byte-identical.
     """
 
     def __init__(self, path: Path) -> None:
@@ -145,7 +150,11 @@ class CheckpointFile:
         try:
             with self.path.open("rb") as fh:
                 payload = pickle.load(fh)
-            if not isinstance(payload, dict) or "state" not in payload:
+            if (
+                not isinstance(payload, dict)
+                or payload.get("format") != _FORMAT
+                or "state" not in payload
+            ):
                 raise SimulationError("malformed checkpoint payload")
         except Exception:
             # A corrupt checkpoint must not wedge the cell forever; the
@@ -162,6 +171,7 @@ class CheckpointFile:
     ) -> None:
         """Persist a snapshot taken at *op_offset*, replacing any prior one."""
         payload = {
+            "format": _FORMAT,
             "op_offset": int(op_offset),
             "state": state,
             "extras": dict(extras or {}),

@@ -117,9 +117,7 @@ class SimulationEngine:
             :class:`~repro.signals.SignalTracker`: any object with a
             ``record(block, taken, k)`` method); when attached it
             observes every event in every mode, mirroring the paper's
-            always-on profiling hardware.  ``bbv_tracker`` is the
-            historical alias for the same parameter (the BBV was the
-            only signal before :mod:`repro.signals` existed).
+            always-on profiling hardware.
         hierarchy: optional pre-built cache hierarchy — the injection
             point for chip-multiprocessor configurations where several
             engines share one L2 (see :mod:`repro.cpu.multicore`).
@@ -145,7 +143,6 @@ class SimulationEngine:
         machine: MachineConfig = DEFAULT_MACHINE,
         predictor: str = "gshare",
         signal_tracker: Optional[Any] = None,
-        bbv_tracker: Optional[Any] = None,
         hierarchy: Optional[CacheHierarchy] = None,
         stream: Optional[Any] = None,
         batched: Optional[bool] = None,
@@ -157,13 +154,7 @@ class SimulationEngine:
         self.predictor = _make_predictor(predictor, machine.branch_history_bits)
         self.pipeline = InOrderPipeline(machine, self.hierarchy, self.predictor)
         self.warmer = FunctionalWarmer(self.hierarchy, self.predictor)
-        if signal_tracker is not None and bbv_tracker is not None:
-            raise ConfigurationError(
-                "pass signal_tracker or its alias bbv_tracker, not both"
-            )
-        self.signal_tracker = (
-            signal_tracker if signal_tracker is not None else bbv_tracker
-        )
+        self.signal_tracker = signal_tracker
         self.accounting = ModeAccounting()
         if batched and not hasattr(self.stream, "next_events"):
             raise ConfigurationError(
@@ -171,15 +162,6 @@ class SimulationEngine:
                 f"(got {type(self.stream).__name__})"
             )
         self.batched = batched
-
-    @property
-    def bbv_tracker(self) -> Optional[Any]:
-        """Historical alias of :attr:`signal_tracker`."""
-        return self.signal_tracker
-
-    @bbv_tracker.setter
-    def bbv_tracker(self, tracker: Optional[Any]) -> None:
-        self.signal_tracker = tracker
 
     @property
     def ops_completed(self) -> int:
@@ -315,6 +297,7 @@ class SimulationEngine:
             "hierarchy": self.hierarchy.snapshot(),
             "predictor": self.predictor.snapshot(),
             "pipeline_cycle": self.pipeline.cycle,
+            "pipeline_timing": self.pipeline.timing_snapshot(),
         }
         if self.signal_tracker is not None and hasattr(
             self.signal_tracker, "snapshot"
@@ -329,7 +312,8 @@ class SimulationEngine:
         self.stream.restore(state["stream"])
         self.hierarchy.restore(state["hierarchy"])
         self.predictor.restore(state["predictor"])
-        self.pipeline.reset_timing()
-        self.pipeline.cycle = state["pipeline_cycle"]
+        self.pipeline.restore_timing(
+            state["pipeline_cycle"], state["pipeline_timing"]
+        )
         if "bbv" in state and self.signal_tracker is not None:
             self.signal_tracker.restore(state["bbv"])

@@ -98,7 +98,7 @@ class MultiCoreEngine:
                 SimulationEngine(
                     program,
                     machine=machine,
-                    bbv_tracker=tracker,
+                    signal_tracker=tracker,
                     hierarchy=hierarchy,
                 )
             )

@@ -142,6 +142,37 @@ class InOrderPipeline:
         self._class_used = [0] * _N_FU
         self._mshrs = []
 
+    def timing_snapshot(self) -> Dict[str, Any]:
+        """The scoreboard state, relative to the current cycle.
+
+        Same form as :meth:`_intern_context`: every ready time is an
+        offset from :attr:`cycle`, and times in the past clamp to zero,
+        because every consumer compares them against times at or beyond
+        the current cycle.  The relative form is also what the scalar and
+        batched paths agree on, so a snapshot of either restores the same
+        timing.
+        """
+        cycle = self.cycle
+        return {
+            "width_used": self._width_used,
+            "class_used": list(self._class_used),
+            "fetch_ready": max(self._fetch_ready - cycle, 0),
+            "fu_busy": [max(v - cycle, 0) for v in self._fu_busy],
+            "reg_ready": [max(v - cycle, 0) for v in self._reg_ready],
+            "mshrs": sorted(t - cycle for t in self._mshrs if t > cycle),
+        }
+
+    def restore_timing(self, cycle: int, timing: Dict[str, Any]) -> None:
+        """Re-anchor a :meth:`timing_snapshot` on *cycle*."""
+        self.cycle = cycle
+        self._width_used = timing["width_used"]
+        self._class_used = list(timing["class_used"])
+        self._fetch_ready = cycle + timing["fetch_ready"]
+        self._fu_busy = [cycle + rel for rel in timing["fu_busy"]]
+        self._reg_ready = [cycle + rel for rel in timing["reg_ready"]]
+        # A sorted ascending list is already a valid heap.
+        self._mshrs = [cycle + rel for rel in timing["mshrs"]]
+
     def execute_event(self, event: BlockEvent) -> None:
         """Run one dynamic basic-block execution through the pipeline."""
         block, taken, k = event

@@ -90,14 +90,13 @@ class CacheError(ReproError):
 
 
 class OrchestrationError(ReproError):
-    """The parallel experiment driver was configured or driven incorrectly."""
+    """The experiment service was configured or driven incorrectly."""
 
 
 class FleetError(OrchestrationError):
     """The distributed job queue or a fleet worker was misused.
 
-    Subclasses :class:`OrchestrationError` because the fleet is the
-    multi-host generalisation of the in-process parallel driver; callers
-    that already handle orchestration failures handle fleet failures
-    for free.
+    Subclasses :class:`OrchestrationError` because the queue is the
+    experiment service's one execution path; callers that already handle
+    orchestration failures handle fleet failures for free.
     """

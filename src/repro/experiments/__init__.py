@@ -7,30 +7,28 @@ tables).  Each ``figNN_*`` module exposes:
 * ``format_result(result)`` — render the same rows/series the paper
   reports, as text;
 * ``cells(ctx)`` — the figure's independent cacheable work units, for
-  the parallel driver (plus ``run_cell`` where the units are more than
-  trace warming).
+  the experiment service (plus ``run_cell`` where the units are more
+  than trace warming).
 
 All experiments share an :class:`ExperimentContext`, which owns the scale
 configuration and an on-disk result cache (reference traces are expensive;
 one full-detail pass per benchmark powers many figures).  The cache is
 safe for concurrent writers, so independent cells can be fanned out over
-worker processes with :class:`ParallelRunner` / :func:`run_cells`
-(``pgss-sim run-all --jobs N``).
+worker processes: :class:`repro.fleet.LocalService` drains them with
+local workers (``pgss-sim run-all --jobs N``) and
+:class:`repro.fleet.QueueService` with fleet workers, both through the
+one cell executor in :mod:`repro.experiments.parallel`.
 """
 
 from .cache import ResultCache
 from .cells import ExperimentCell, enumerate_cells, run_cell, trace_cell
-from .parallel import CellOutcome, ParallelRunner, run_cells
 from .runner import ExperimentContext
 
 __all__ = [
     "ExperimentContext",
     "ResultCache",
     "ExperimentCell",
-    "CellOutcome",
-    "ParallelRunner",
     "enumerate_cells",
     "run_cell",
-    "run_cells",
     "trace_cell",
 ]

@@ -1,19 +1,18 @@
-"""Experiment cells: the unit of work shared by the serial and parallel drivers.
+"""Experiment cells: the unit of work the experiment service schedules.
 
 A *cell* is one independent, deterministic, cacheable computation — a
 (figure, benchmark, parameters) triple such as "fig11, 164.gzip, period
 20k at .05 pi".  Figure modules enumerate their cells via a module-level
 ``cells(ctx)`` hook and execute a single one via ``run_cell(ctx,
-benchmark, params)``; the serial figure ``run()`` functions are built on
-the same per-cell units, so either driver produces byte-identical cache
-entries.
+benchmark, params)``; the figure ``run()`` functions are built on the
+same per-cell units, so they read exactly the cache entries the cells
+wrote.
 
 Cells publish exclusively through the concurrency-safe
 :class:`~repro.experiments.cache.ResultCache`; running a cell returns
-nothing of interest to the driver.  That is what makes the fan-out
-trivially correct: the parallel driver only *warms the cache*, and the
-figure assembly afterwards is always the same serial code reading pure
-hits.
+nothing of interest to the worker.  That is what makes the fan-out
+trivially correct: workers only *warm the cache*, and the figure
+assembly afterwards is always the same serial code reading pure hits.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import OrchestrationError
-from .runner import ExperimentContext, service_scope
+from .runner import ExperimentContext
 
 __all__ = [
     "ExperimentCell",
@@ -91,7 +90,7 @@ def trace_cell(benchmark: str) -> ExperimentCell:
 
 
 def run_cell(ctx: ExperimentContext, cell: ExperimentCell) -> Any:
-    """Execute one cell against *ctx* — identical for both drivers.
+    """Execute one cell against *ctx* — the same on every worker.
 
     The only observable effect is cache warming; the return value exists
     for in-process callers and is never shipped between processes.
@@ -104,10 +103,7 @@ def run_cell(ctx: ExperimentContext, cell: ExperimentCell) -> Any:
         raise OrchestrationError(
             f"figure module {cell.figure!r} does not define run_cell()"
         )
-    # Cell execution is part of the service; figure helpers that compose
-    # other figures' entry points must not trip the deprecation shim.
-    with service_scope():
-        return runner(ctx, cell.benchmark, cell.kwargs())
+    return runner(ctx, cell.benchmark, cell.kwargs())
 
 
 def enumerate_cells(

@@ -18,7 +18,7 @@ from ..sampling.pgss import Pgss, PgssConfig, PgssController
 from ..sampling.simpoint import SimPoint, SimPointConfig
 from ..sampling.smarts import Smarts, SmartsConfig
 from .cells import ExperimentCell, trace_cell
-from .runner import ExperimentContext, figure_entry
+from .runner import ExperimentContext
 
 __all__ = ["run", "format_result", "cells", "BENCHMARK", "TIMELINE_COLS"]
 
@@ -64,7 +64,6 @@ def cells(ctx: ExperimentContext) -> List[ExperimentCell]:
     return [trace_cell(BENCHMARK)]
 
 
-@figure_entry
 def run(ctx: ExperimentContext, benchmark: str = BENCHMARK) -> Dict[str, Any]:
     """Collect real sample positions for the three techniques."""
     scale = ctx.scale
@@ -109,7 +108,7 @@ def run(ctx: ExperimentContext, benchmark: str = BENCHMARK) -> Dict[str, Any]:
     engine = SimulationEngine(
         ctx.program(benchmark),
         machine=ctx.machine,
-        bbv_tracker=pgss_tech._make_tracker(),
+        signal_tracker=pgss_tech._make_tracker(),
     )
     controller = PgssController(engine, pgss_tech.config, bus=pgss_bus)
     controller.run()

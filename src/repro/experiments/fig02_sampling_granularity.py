@@ -19,7 +19,7 @@ import numpy as np
 
 from .cells import ExperimentCell, trace_cell
 from .formatting import fmt_ops, table
-from .runner import ExperimentContext, figure_entry
+from .runner import ExperimentContext
 
 __all__ = ["run", "format_result", "cells", "BENCHMARK"]
 
@@ -35,7 +35,6 @@ def cells(ctx: ExperimentContext) -> List[ExperimentCell]:
     return [trace_cell(BENCHMARK)]
 
 
-@figure_entry
 def run(ctx: ExperimentContext, benchmark: str = BENCHMARK) -> Dict[str, Any]:
     """Compute the per-period IPC series and their dispersion."""
     trace = ctx.trace(benchmark)

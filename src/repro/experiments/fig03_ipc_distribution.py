@@ -17,7 +17,7 @@ import numpy as np
 from ..stats.distributions import bimodality_coefficient, histogram, modality_peaks
 from .cells import ExperimentCell, trace_cell
 from .formatting import table
-from .runner import ExperimentContext, figure_entry
+from .runner import ExperimentContext
 
 __all__ = ["run", "format_result", "cells", "BENCHMARK", "GAUSSIAN_BC", "UNIFORM_BC"]
 
@@ -34,7 +34,6 @@ def cells(ctx: ExperimentContext) -> List[ExperimentCell]:
     return [trace_cell(BENCHMARK)]
 
 
-@figure_entry
 def run(ctx: ExperimentContext, benchmark: str = BENCHMARK, bins: int = 28) -> Dict[str, Any]:
     """Compute the IPC time series and its cycle-weighted distribution."""
     trace = ctx.trace(benchmark)

@@ -22,7 +22,7 @@ import numpy as np
 from ..phase.threshold import ChangePair, consecutive_changes, region_counts
 from .cells import ExperimentCell, trace_cell
 from .formatting import table
-from .runner import ExperimentContext, figure_entry
+from .runner import ExperimentContext
 
 __all__ = [
     "run",
@@ -58,7 +58,6 @@ def change_pairs_per_benchmark(
     return pairs
 
 
-@figure_entry
 def run(
     ctx: ExperimentContext,
     period_factor: int = DEFAULT_PERIOD_FACTOR,

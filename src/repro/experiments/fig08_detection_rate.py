@@ -17,7 +17,7 @@ from ..phase.threshold import detection_rate
 from .cells import ExperimentCell, trace_cell
 from .fig07_change_distribution import DEFAULT_PERIOD_FACTOR, change_pairs_per_benchmark
 from .formatting import table
-from .runner import ExperimentContext, figure_entry
+from .runner import ExperimentContext
 
 __all__ = ["run", "format_result", "cells", "THRESHOLDS_PI", "SIGMA_LEVELS"]
 
@@ -33,7 +33,6 @@ def cells(ctx: ExperimentContext) -> List[ExperimentCell]:
     return [trace_cell(name) for name in ctx.benchmarks]
 
 
-@figure_entry
 def run(
     ctx: ExperimentContext, period_factor: int = DEFAULT_PERIOD_FACTOR
 ) -> Dict[str, Any]:

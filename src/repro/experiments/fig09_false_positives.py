@@ -19,7 +19,7 @@ from .cells import ExperimentCell, trace_cell
 from .fig07_change_distribution import DEFAULT_PERIOD_FACTOR, change_pairs_per_benchmark
 from .fig08_detection_rate import SIGMA_LEVELS, THRESHOLDS_PI
 from .formatting import table
-from .runner import ExperimentContext, figure_entry
+from .runner import ExperimentContext
 
 __all__ = ["run", "format_result", "cells"]
 
@@ -29,7 +29,6 @@ def cells(ctx: ExperimentContext) -> List[ExperimentCell]:
     return [trace_cell(name) for name in ctx.benchmarks]
 
 
-@figure_entry
 def run(
     ctx: ExperimentContext, period_factor: int = DEFAULT_PERIOD_FACTOR
 ) -> Dict[str, Any]:

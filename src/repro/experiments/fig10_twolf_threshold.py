@@ -16,7 +16,7 @@ from ..phase.threshold import phase_statistics
 from .cells import ExperimentCell, trace_cell
 from .fig07_change_distribution import DEFAULT_PERIOD_FACTOR
 from .formatting import fmt_ops, table
-from .runner import ExperimentContext, figure_entry
+from .runner import ExperimentContext
 
 __all__ = ["run", "format_result", "cells", "BENCHMARK", "THRESHOLDS_PI"]
 
@@ -31,7 +31,6 @@ def cells(ctx: ExperimentContext) -> List[ExperimentCell]:
     return [trace_cell(BENCHMARK)]
 
 
-@figure_entry
 def run(
     ctx: ExperimentContext,
     benchmark: str = BENCHMARK,

@@ -20,7 +20,7 @@ from ..sampling.pgss import Pgss, PgssConfig
 from ..stats.errors_metrics import arithmetic_mean, geometric_mean
 from .cells import ExperimentCell, trace_cell
 from .formatting import fmt_ops, fmt_pct, table
-from .runner import ExperimentContext, figure_entry
+from .runner import ExperimentContext
 
 __all__ = ["run", "format_result", "cells", "run_cell", "run_single", "best_configs"]
 
@@ -74,7 +74,6 @@ def run_cell(ctx: ExperimentContext, benchmark: str, params: Dict[str, Any]) -> 
     return run_single(ctx, benchmark, params["period"], params["threshold_pi"])
 
 
-@figure_entry
 def run(ctx: ExperimentContext) -> Dict[str, Any]:
     """The full period x threshold sweep over the benchmark suite."""
     grid: List[Dict[str, Any]] = []

@@ -44,7 +44,7 @@ from .cells import ExperimentCell, trace_cell
 from .fig11_pgss_sweep import cells as fig11_cells
 from .fig11_pgss_sweep import run as run_fig11
 from .formatting import fmt_ops, fmt_pct, table
-from .runner import ExperimentContext, figure_entry
+from .runner import ExperimentContext
 
 __all__ = ["run", "format_result", "cells", "run_cell", "OLSP_THRESHOLDS_PI"]
 
@@ -269,7 +269,6 @@ def _grid_views(
     }
 
 
-@figure_entry
 def run(ctx: ExperimentContext) -> Dict[str, Any]:
     """Run every technique on every benchmark (cached)."""
     result: Dict[str, Any] = {"benchmarks": list(ctx.benchmarks)}

@@ -30,7 +30,7 @@ from .fig11_pgss_sweep import run_single as pgss_run_single
 from .fig12_technique_comparison import cells as fig12_cells
 from .fig12_technique_comparison import run as run_fig12
 from .formatting import table
-from .runner import ExperimentContext, figure_entry
+from .runner import ExperimentContext
 
 __all__ = ["run", "format_result", "cells", "run_cell", "measure_rates"]
 
@@ -52,7 +52,7 @@ def measure_rates(ctx: ExperimentContext) -> Dict[str, float]:
         program = ctx.program(RATE_BENCHMARK)
         tracker = BbvTracker() if with_bbv else None
         engine = SimulationEngine(
-            program, machine=ctx.machine, bbv_tracker=tracker,
+            program, machine=ctx.machine, signal_tracker=tracker,
             batched=None if batched else False,
         )
         # Warm the interpreter and caches briefly before timing.
@@ -207,7 +207,6 @@ def _technique_times(
     return times
 
 
-@figure_entry
 def run(ctx: ExperimentContext) -> Dict[str, Any]:
     """Measure rates and compose suite-level simulation times."""
     rates = _cached_rates(ctx)

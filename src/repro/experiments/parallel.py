@@ -1,75 +1,42 @@
-"""Parallel experiment orchestration over a process pool.
+"""The cell executor: run one experiment cell under a time budget.
 
 Every paper figure decomposes into independent, deterministic
 :class:`~repro.experiments.cells.ExperimentCell` units that publish only
-through the concurrency-safe result cache.  This module fans those cells
-out over a :class:`~concurrent.futures.ProcessPoolExecutor`:
-
-* ``--jobs 1`` runs the cells in-process, in order — the exact serial
-  path, and the baseline any parallel run must match byte-for-byte;
-* ``--jobs N`` runs up to N cells at a time in worker processes, each of
-  which rebuilds the experiment context from a picklable spec and
-  executes the cell for its cache-warming side effect only (no payloads
-  travel back over the pipe);
-* a per-cell timeout (enforced inside the worker via ``SIGALRM``) and a
-  bounded retry budget contain hung or faulted cells, including workers
-  that die outright (``BrokenProcessPool`` rebuilds the pool and retries
-  the in-flight cells);
-* a progress reporter emits ``[done/total] cell: status (1.2s) ETA 42s``
-  lines while the fan-out runs.
+through the concurrency-safe result cache.  :func:`_execute_cell` is the
+one place a cell is executed: a :class:`~repro.fleet.worker.Worker`
+calls it for every task it claims, whether that worker is a fleet
+process on another host or one of the local workers behind
+:class:`~repro.fleet.LocalService`.  It rebuilds the experiment context
+from a picklable spec, runs the cell for its cache-warming side effect
+only, and returns a small status record.  A per-cell timeout is enforced
+with ``SIGALRM``; retries, worker death and progress lines are the
+queue's and the worker's business.
 
 Because the figure assembly afterwards is always the same serial code
-reading pure cache hits, ``--jobs N`` and ``--jobs 1`` produce identical
-results by construction; the test suite and the parallel-runner bench
-verify the byte equality end to end.
+reading pure cache hits, any number of workers produces the same report
+bytes as one.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import signal
 import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from ..errors import OrchestrationError
 from .cells import ExperimentCell, run_cell
 from .runner import ExperimentContext
 
-__all__ = ["CellOutcome", "ParallelRunner", "run_cells"]
+__all__ = ["DEFAULT_RETRIES", "DEFAULT_TIMEOUT_S"]
 
 #: Default per-cell wall-clock budget inside a worker.
 DEFAULT_TIMEOUT_S = 600.0
 
 #: Default number of retries after a failed or timed-out attempt.
 DEFAULT_RETRIES = 1
-
-CellRunner = Callable[[ExperimentContext, ExperimentCell], Any]
-
-
-@dataclass
-class CellOutcome:
-    """Final disposition of one cell after all attempts.
-
-    Attributes:
-        cell: the work unit.
-        status: ``ok`` | ``error`` | ``timeout``.
-        seconds: wall time of the last attempt.
-        attempts: attempts consumed (1 = first try succeeded).
-        error: diagnostic for non-ok statuses.
-    """
-
-    cell: ExperimentCell
-    status: str
-    seconds: float
-    attempts: int
-    error: str = ""
 
 
 class _CellTimeout(OrchestrationError):
@@ -110,18 +77,17 @@ def _execute_cell(
     spec: Dict[str, Any],
     cell: ExperimentCell,
     timeout_s: Optional[float],
-    runner: Optional[CellRunner],
 ) -> Dict[str, Any]:
-    """Worker entry point: run one cell in a freshly rebuilt context.
+    """Run one cell in a freshly rebuilt context.
 
     Returns a small status record; results stay in the on-disk cache.
-    The timeout is enforced with ``SIGALRM`` (worker processes execute
-    tasks on their main thread), so a hung cell cannot wedge the pool
-    slot forever.
+    The timeout is enforced with ``SIGALRM``, so a hung cell cannot hold
+    its worker forever.  :func:`run_cell` is looked up at call time, so
+    a wrapper installed on this module sees every cell.
     """
     ctx = _context_from_spec(spec)
-    # SIGALRM can only be armed on the main thread; a fleet worker driven
-    # from a helper thread (tests, embedders) runs without the in-process
+    # SIGALRM can only be armed on the main thread; a worker driven from
+    # a helper thread (tests, embedders) runs without the in-process
     # timeout and relies on the queue's lease expiry instead.
     use_alarm = (
         bool(timeout_s)
@@ -136,7 +102,7 @@ def _execute_cell(
         if use_alarm:
             previous_handler = signal.signal(signal.SIGALRM, _on_alarm)
             signal.alarm(max(int(math.ceil(timeout_s or 0.0)), 1))
-        (runner or run_cell)(ctx, cell)
+        run_cell(ctx, cell)
         status, error = "ok", ""
     except _CellTimeout:
         status, error = "timeout", f"exceeded {timeout_s:.0f}s budget"
@@ -145,9 +111,9 @@ def _execute_cell(
     finally:
         if use_alarm:
             signal.alarm(0)
-            # The wrapper also runs in-process (jobs=1 retries, custom
-            # runners, tests); leaving _on_alarm installed would turn any
-            # later alarm in the host into a stray _CellTimeout.
+            # Workers also run in the caller's process (LocalService's
+            # last worker, tests); leaving _on_alarm installed would turn
+            # any later alarm in the host into a stray _CellTimeout.
             if previous_handler is not None:
                 signal.signal(signal.SIGALRM, previous_handler)
     elapsed = time.perf_counter() - start  # simlint: disable=DET005
@@ -157,209 +123,3 @@ def _execute_cell(
         "error": error,
         "cache": ctx.cache.stats(),
     }
-
-
-class _ProgressReporter:
-    """Emits one line per finished cell with a completion ETA."""
-
-    def __init__(self, total: int, emit: Optional[Callable[[str], None]]) -> None:
-        self.total = total
-        self.finished = 0
-        self.emit = emit
-        self.start = time.perf_counter()  # simlint: disable=DET005
-
-    def retry(self, cell: ExperimentCell, record: Dict[str, Any], attempt: int) -> None:
-        if self.emit:
-            self.emit(
-                f"retrying {cell.cell_id} (attempt {attempt} "
-                f"{record['status']}: {record['error']})"
-            )
-
-    def done(self, outcome: CellOutcome) -> None:
-        self.finished += 1
-        if not self.emit:
-            return
-        elapsed = time.perf_counter() - self.start  # simlint: disable=DET005
-        eta = elapsed / self.finished * (self.total - self.finished)
-        self.emit(
-            f"[{self.finished}/{self.total}] {outcome.cell.cell_id}: "
-            f"{outcome.status} ({outcome.seconds:.1f}s) ETA {eta:,.0f}s"
-        )
-
-
-class ParallelRunner:
-    """Fans independent experiment cells out over worker processes.
-
-    Args:
-        ctx: experiment context; workers rebuild an equivalent one from
-            its (scale, machine, cache directory, benchmarks) spec.
-        jobs: worker process count; 1 runs the cells in-process.
-        timeout_s: per-cell wall-clock budget (None disables it).
-        retries: additional attempts after a failed/timed-out one.
-        progress: callable receiving progress lines (None = silent).
-        cell_runner: override of :func:`run_cell`, mainly for tests; must
-            be picklable when ``jobs > 1``.
-    """
-
-    def __init__(
-        self,
-        ctx: ExperimentContext,
-        jobs: int = 1,
-        timeout_s: Optional[float] = DEFAULT_TIMEOUT_S,
-        retries: int = DEFAULT_RETRIES,
-        progress: Optional[Callable[[str], None]] = None,
-        cell_runner: Optional[CellRunner] = None,
-    ) -> None:
-        if jobs < 1:
-            raise OrchestrationError(f"jobs must be >= 1, got {jobs}")
-        self.ctx = ctx
-        self.jobs = jobs
-        self.timeout_s = timeout_s
-        self.retries = max(int(retries), 0)
-        self.progress = progress
-        self.cell_runner = cell_runner
-
-    def run(self, cells: Sequence[ExperimentCell]) -> List[CellOutcome]:
-        """Run every cell to completion; outcomes in input order."""
-        if self.jobs == 1:
-            return self._run_serial(cells)
-        return self._run_pool(cells)
-
-    # ------------------------------------------------------------------
-
-    def _run_serial(self, cells: Sequence[ExperimentCell]) -> List[CellOutcome]:
-        """In-process execution against the caller's own context.
-
-        This is the byte-identity baseline: the exact code path the
-        figure modules use when run directly (no timeout signal is
-        installed in the caller's process).
-        """
-        reporter = _ProgressReporter(len(cells), self.progress)
-        runner = self.cell_runner or run_cell
-        outcomes = []
-        for cell in cells:
-            attempts = 0
-            while True:
-                attempts += 1
-                start = time.perf_counter()  # simlint: disable=DET005
-                try:
-                    runner(self.ctx, cell)
-                    status, error = "ok", ""
-                except Exception as exc:
-                    status, error = "error", f"{type(exc).__name__}: {exc}"
-                seconds = time.perf_counter() - start  # simlint: disable=DET005
-                if status == "ok" or attempts > self.retries:
-                    break
-                reporter.retry(
-                    cell, {"status": status, "error": error}, attempts
-                )
-            outcome = CellOutcome(cell, status, seconds, attempts, error)
-            reporter.done(outcome)
-            outcomes.append(outcome)
-        return outcomes
-
-    def _run_pool(self, cells: Sequence[ExperimentCell]) -> List[CellOutcome]:
-        spec = _context_spec(self.ctx)
-        reporter = _ProgressReporter(len(cells), self.progress)
-        attempts: Dict[ExperimentCell, int] = {cell: 0 for cell in cells}
-        outcomes: Dict[ExperimentCell, CellOutcome] = {}
-        queue: "deque[ExperimentCell]" = deque(cells)
-        in_flight: Dict["Future[Dict[str, Any]]", ExperimentCell] = {}
-        executor: Optional[ProcessPoolExecutor] = None
-        try:
-            while queue or in_flight:
-                if executor is None:
-                    executor = ProcessPoolExecutor(max_workers=self.jobs)
-                # Keep a modest backlog so workers never idle between
-                # cells without queueing the whole fan-out at once.
-                while queue and len(in_flight) < self.jobs * 2:
-                    cell = queue.popleft()
-                    attempts[cell] += 1
-                    future = executor.submit(
-                        _execute_cell, spec, cell, self.timeout_s, self.cell_runner
-                    )
-                    in_flight[future] = cell
-                done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
-                pool_broken = False
-                for future in done:
-                    cell = in_flight.pop(future)
-                    try:
-                        record = future.result()
-                    except BrokenProcessPool:
-                        pool_broken = True
-                        record = {
-                            "status": "error",
-                            "seconds": 0.0,
-                            "error": "worker process died",
-                        }
-                    except Exception as exc:
-                        record = {
-                            "status": "error",
-                            "seconds": 0.0,
-                            "error": f"{type(exc).__name__}: {exc}",
-                        }
-                    self._settle(cell, record, attempts, outcomes, queue, reporter)
-                if pool_broken:
-                    # The pool is unusable once any worker dies: fail or
-                    # requeue everything in flight and start a fresh pool.
-                    for future, cell in list(in_flight.items()):
-                        record = {
-                            "status": "error",
-                            "seconds": 0.0,
-                            "error": "worker process died",
-                        }
-                        self._settle(
-                            cell, record, attempts, outcomes, queue, reporter
-                        )
-                    in_flight.clear()
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    executor = None
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True, cancel_futures=True)
-        return [outcomes[cell] for cell in cells]
-
-    def _settle(
-        self,
-        cell: ExperimentCell,
-        record: Dict[str, Any],
-        attempts: Dict[ExperimentCell, int],
-        outcomes: Dict[ExperimentCell, CellOutcome],
-        queue: "deque[ExperimentCell]",
-        reporter: _ProgressReporter,
-    ) -> None:
-        """Record one attempt's result: retry, or finalise the outcome."""
-        if record["status"] != "ok" and attempts[cell] <= self.retries:
-            reporter.retry(cell, record, attempts[cell])
-            queue.append(cell)
-            return
-        outcome = CellOutcome(
-            cell,
-            record["status"],
-            record["seconds"],
-            attempts[cell],
-            record["error"],
-        )
-        outcomes[cell] = outcome
-        reporter.done(outcome)
-
-
-def run_cells(
-    ctx: ExperimentContext,
-    cells: Sequence[ExperimentCell],
-    jobs: int = 1,
-    timeout_s: Optional[float] = DEFAULT_TIMEOUT_S,
-    retries: int = DEFAULT_RETRIES,
-    progress: Optional[Callable[[str], None]] = None,
-    cell_runner: Optional[CellRunner] = None,
-) -> List[CellOutcome]:
-    """Convenience wrapper: build a :class:`ParallelRunner` and run."""
-    runner = ParallelRunner(
-        ctx,
-        jobs=jobs,
-        timeout_s=timeout_s,
-        retries=retries,
-        progress=progress,
-        cell_runner=cell_runner,
-    )
-    return runner.run(cells)

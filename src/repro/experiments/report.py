@@ -11,7 +11,7 @@ import importlib
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..errors import OrchestrationError
-from .runner import ExperimentContext, service_scope
+from .runner import ExperimentContext
 
 __all__ = ["FIGURE_MODULES", "generate_report", "resolve_figure_ids"]
 
@@ -76,10 +76,9 @@ def generate_report(
 ) -> str:
     """Run the selected figures (default: all) and return the report text.
 
-    This is the sanctioned figure-assembly path (it enters the service
-    scope, so the figure modules' deprecated direct entry points do not
-    warn); user code should reach it through
-    :class:`repro.fleet.ExperimentService.fetch`.
+    This is the figure-assembly path; user code should reach it through
+    :class:`repro.fleet.ExperimentService.fetch`, which runs the cells
+    first so every figure reads a warm cache.
 
     Args:
         ctx: experiment context (results come from its cache when warm).
@@ -99,8 +98,7 @@ def generate_report(
         module = importlib.import_module(
             f".{module_name}", "repro.experiments"
         )
-        with service_scope():
-            result = module.run(ctx)
+        result = module.run(ctx)
         sections.append(module.format_result(result))
         sections.append("-" * 72)
     return "\n\n".join(sections)

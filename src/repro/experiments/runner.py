@@ -1,27 +1,17 @@
-"""The shared experiment context and the sanctioned-entry machinery.
+"""The shared experiment context.
 
 Owns the scale configuration, machine model, and result cache, and
 provides the primitives every figure module needs: fresh programs, cached
-reference traces, true IPCs, and cached technique runs.
-
-This module is also where the experiment API's front door is enforced.
-Figure modules decorate their ``run()`` with :func:`figure_entry`; a
-direct call from user code raises a :class:`DeprecationWarning` steering
-it to :class:`repro.fleet.ExperimentService`, while the sanctioned paths
-(report assembly, cell execution, the service itself) run inside
-:func:`service_scope` and stay silent.  The simlint rule HYG006 flags
-the same direct calls statically.
+reference traces, true IPCs, and cached technique runs.  Figures are run
+through :class:`repro.fleet.ExperimentService`, which executes their
+cells first and then assembles each figure from the warm cache.
 """
 
 from __future__ import annotations
 
-import contextvars
-import functools
-import warnings
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, TypeVar, cast
+from typing import Any, Callable, Dict, List, Optional
 
 from ..config import DEFAULT_MACHINE, MachineConfig, Scale, ScaleConfig
 from ..cpu.checkpoints import CheckpointFile
@@ -30,61 +20,7 @@ from ..sampling.base import SamplingResult, SamplingTechnique
 from ..sampling.full import ReferenceTrace, collect_reference_trace
 from .cache import ResultCache
 
-__all__ = [
-    "ExperimentContext",
-    "figure_entry",
-    "in_service_scope",
-    "service_scope",
-]
-
-F = TypeVar("F", bound=Callable[..., Any])
-
-#: True while executing inside the experiment service (report assembly,
-#: cell execution, service fetch); direct figure entry points only warn
-#: when this is unset.
-_SERVICE_SCOPE: "contextvars.ContextVar[bool]" = contextvars.ContextVar(
-    "pgss_service_scope", default=False
-)
-
-
-@contextmanager
-def service_scope() -> Iterator[None]:
-    """Mark the enclosed block as running inside the experiment service."""
-    token = _SERVICE_SCOPE.set(True)
-    try:
-        yield
-    finally:
-        _SERVICE_SCOPE.reset(token)
-
-
-def in_service_scope() -> bool:
-    """True when called from a sanctioned experiment-service path."""
-    return _SERVICE_SCOPE.get()
-
-
-def figure_entry(func: F) -> F:
-    """Deprecation shim for direct figure-module ``run(ctx)`` calls.
-
-    The figure modules remain importable and callable (existing
-    notebooks and tests keep working), but a call from outside the
-    service emits a :class:`DeprecationWarning` pointing at the
-    supported API: ``ExperimentService.submit`` / ``fetch``.
-    """
-
-    @functools.wraps(func)
-    def wrapper(*args: Any, **kwargs: Any) -> Any:
-        if not _SERVICE_SCOPE.get():
-            warnings.warn(
-                f"direct call to {func.__module__}.{func.__name__}() is "
-                "deprecated; submit the figure through "
-                "repro.fleet.ExperimentService (pgss-sim jobs submit) and "
-                "assemble it with fetch()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return func(*args, **kwargs)
-
-    return cast(F, wrapper)
+__all__ = ["ExperimentContext"]
 
 
 class ExperimentContext:

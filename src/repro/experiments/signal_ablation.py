@@ -36,7 +36,7 @@ from ..sampling.session import (
 from ..signals import PHASE_SIGNALS, make_signal_tracker
 from .cells import ExperimentCell, trace_cell
 from .formatting import fmt_ops, table
-from .runner import ExperimentContext, figure_entry
+from .runner import ExperimentContext
 
 __all__ = ["run", "format_result", "cells", "run_cell", "THRESHOLD_PI"]
 
@@ -64,6 +64,24 @@ def _pgss_run(
 
 
 def _detection_stats(
+    ctx: ExperimentContext, benchmark: str, signal: str
+) -> Dict[str, Any]:
+    """Cached classifier-vs-ground-truth bookkeeping for one
+    (workload, signal); see :func:`_detect`."""
+    payload = {
+        "kind": "signal_detection",
+        "benchmark": benchmark,
+        "signal": signal,
+        "threshold": THRESHOLD_PI,
+        "period": ctx.scale.pgss_best_period,
+        "scale": ctx.scale.name,
+        "ops": ctx.scale.benchmark_ops,
+        "machine": ctx._machine_key(),
+    }
+    return ctx.cache.json(payload, lambda: _detect(ctx, benchmark, signal))
+
+
+def _detect(
     ctx: ExperimentContext, benchmark: str, signal: str
 ) -> Dict[str, Any]:
     """Classifier-vs-ground-truth bookkeeping for one (workload, signal).
@@ -139,11 +157,11 @@ def cells(ctx: ExperimentContext) -> List[ExperimentCell]:
 def run_cell(
     ctx: ExperimentContext, benchmark: str, params: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """Parallel-driver entry: one cached per-signal PGSS run."""
+    """Service entry: one per-signal PGSS run and detection pass, cached."""
+    _detection_stats(ctx, benchmark, params["signal"])
     return _pgss_run(ctx, benchmark, params["signal"])
 
 
-@figure_entry
 def run(ctx: ExperimentContext) -> Dict[str, Any]:
     """Detection rate and PGSS error per signal on adversarial subjects."""
     detection: Dict[str, Dict[str, Any]] = {}

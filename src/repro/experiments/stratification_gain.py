@@ -24,7 +24,7 @@ from ..sampling.full import ReferenceTrace
 from ..stats.sampling_theory import required_samples_comparison
 from .cells import ExperimentCell, trace_cell
 from .formatting import table
-from .runner import ExperimentContext, figure_entry
+from .runner import ExperimentContext
 
 __all__ = ["run", "format_result", "cells"]
 
@@ -59,7 +59,6 @@ def cells(ctx: ExperimentContext) -> List[ExperimentCell]:
     return [trace_cell(name) for name in ctx.benchmarks]
 
 
-@figure_entry
 def run(ctx: ExperimentContext) -> Dict[str, Any]:
     """Compute per-benchmark stratification gains."""
     rows = {}

@@ -27,7 +27,7 @@ from ..sampling.stratified import TwoPhaseStratified, TwoPhaseStratifiedConfig
 from ..stats.errors_metrics import arithmetic_mean
 from .cells import ExperimentCell, trace_cell
 from .formatting import fmt_ops, fmt_pct, table
-from .runner import ExperimentContext, figure_entry
+from .runner import ExperimentContext
 
 __all__ = ["run", "format_result", "cells", "run_cell"]
 
@@ -209,7 +209,6 @@ def run_cell(ctx: ExperimentContext, benchmark: str, params: Dict[str, Any]) -> 
     raise OrchestrationError(f"unknown tradeoff cell technique {technique!r}")
 
 
-@figure_entry
 def run(ctx: ExperimentContext) -> Dict[str, Any]:
     """Sweep both techniques' budget knobs; include the warming ablation."""
     smarts_curve: List[Dict[str, float]] = []

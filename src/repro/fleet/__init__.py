@@ -5,12 +5,13 @@ The package behind ``pgss-sim jobs`` and ``pgss-sim worker``:
 * :mod:`repro.fleet.queue` — the shared-directory :class:`JobQueue`
   (O_EXCL claims, leases with heartbeats, priorities, retry budgets).
 * :mod:`repro.fleet.worker` — the :class:`Worker` loop that claims
-  cells, executes them with mid-cell checkpointing, and publishes
-  through the result cache.
+  cells, executes them (fleet workers with mid-cell checkpointing), and
+  publishes through the result cache.
 * :mod:`repro.fleet.service` — the :class:`ExperimentService` facade
   (``submit`` / ``status`` / ``fetch`` / ``cancel``), the one supported
-  way to run experiments, with :class:`LocalService` (in-process) and
-  :class:`QueueService` (fleet) backends.
+  way to run experiments, with :class:`QueueService` (fleet) and
+  :class:`LocalService` (a private queue drained by local workers)
+  backends.
 """
 
 from .queue import (

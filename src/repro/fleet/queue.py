@@ -17,12 +17,18 @@ The claim protocol mirrors the result cache's ``.claim`` files
 (DESIGN.md §12): ``O_EXCL`` creation is the atomic test-and-set, so any
 number of workers on any number of hosts sharing the directory claim
 each task exactly once.  Unlike cache claims, queue claims are *leases*:
-the claim file records a wall-clock expiry that the executing worker
-refreshes by heartbeat, and an expired lease is reaped by whichever
-worker scans the task next — the task's attempt count is charged and the
-cell is retried (resuming from its latest checkpoint) or, with the retry
-budget exhausted, failed.  A claim file that is created but not yet
-written is dated by its mtime, so a scan does not reap it as torn.
+the claim file records the attempt it runs and a wall-clock expiry that
+the executing worker refreshes by heartbeat, and an expired lease is
+reaped by whichever worker scans the task next — the attempt is charged
+to the task file and the cell is retried (resuming from its latest
+checkpoint) or, with the retry budget exhausted, failed.  A claim file
+that is created but not yet written is dated by its mtime, so a scan
+does not reap it as torn.
+
+The task file holds the attempts that ended without finishing the cell,
+so it is rewritten only when one does (a failed attempt within budget,
+a reaped lease); a claim that completes its cell leaves it untouched
+until it is removed.
 
 Everything a worker needs to execute a cell travels in the task file:
 the serialized cell plus a JSON rendering of the experiment-context spec
@@ -73,10 +79,10 @@ _TERMINAL_STATUSES = ("ok", "error", "timeout", "failed", "cancelled")
 def spec_to_doc(spec: Dict[str, Any]) -> Dict[str, Any]:
     """JSON-able rendering of a picklable experiment-context spec.
 
-    The spec is the same shape :func:`repro.experiments.parallel`
-    ships to pool workers (scale, machine, cache_dir, benchmarks, and
-    optionally checkpoint fields); this flattens the config dataclasses
-    so the document survives a JSON round trip.
+    The spec is the shape :mod:`repro.experiments.parallel` rebuilds a
+    context from (scale, machine, cache_dir, benchmarks, and optionally
+    checkpoint fields); this flattens the config dataclasses so the
+    document survives a JSON round trip.
     """
     doc: Dict[str, Any] = {
         "scale": asdict(spec["scale"]),
@@ -242,7 +248,7 @@ class ClaimedTask:
 
     def heartbeat(self) -> None:
         """Refresh the lease expiry; call at least every ``lease_s / 3``."""
-        self.queue._write_claim(self.name, self.worker)
+        self.queue._write_claim(self.name, self.worker, self.attempts)
 
     def complete(self, record: Dict[str, Any]) -> None:
         """Publish a successful outcome and retire the task."""
@@ -251,9 +257,10 @@ class ClaimedTask:
     def fail(self, record: Dict[str, Any]) -> None:
         """Record a failed attempt: requeue within budget, else finalise."""
         if self.attempts <= self.retries:
-            # Leave the task file (already stamped with this attempt) and
-            # release the lease so any worker can retry; checkpoints are
-            # kept so the retry resumes mid-cell.
+            # Charge this attempt to the task file, then release the lease
+            # so any worker can retry; checkpoints are kept so the retry
+            # resumes mid-cell.
+            self.queue._charge_attempt(self.name, self.attempts)
             self.queue._release_claim(self.name)
             return
         self.queue._finalize(self, dict(record, status="failed"))
@@ -384,8 +391,14 @@ class JobQueue:
         (charging an attempt), retires tasks of cancelled jobs, and
         otherwise attempts the ``O_EXCL`` claim.
         """
-        for task_path in sorted((self.root / "tasks").glob("*.json")):
-            name = task_path.stem
+        tasks = self.root / "tasks"
+        # Sort plain names: every claim sorts the whole directory, and
+        # comparing Path objects cost more than the rest of the scan.
+        for entry in sorted(os.listdir(tasks)):
+            if not entry.endswith(".json"):
+                continue
+            name = entry[: -len(".json")]
+            task_path = tasks / entry
             doc = _read_json(task_path)
             if doc is None:
                 continue  # torn write in progress; next scan sees it
@@ -399,7 +412,8 @@ class JobQueue:
                 doc = _read_json(task_path)
                 if doc is None:
                     continue  # reap exhausted the retry budget
-            if not self._try_claim(name, worker):
+            attempt = int(doc.get("attempts", 0)) + 1
+            if not self._try_claim(name, worker, attempt):
                 continue
             # The task may have been finished (or claimed, failed and
             # requeued) between reading its doc and winning the claim:
@@ -408,16 +422,18 @@ class JobQueue:
             if doc is None or (self.root / "done" / f"{name}.json").exists():
                 self._release_claim(name)
                 continue
-            # Stamp the attempt we are about to consume.
-            doc["attempts"] = int(doc.get("attempts", 0)) + 1
-            _write_json_atomic(task_path, doc)
+            # An attempt that failed in that window moved the count on.
+            charged = int(doc.get("attempts", 0))
+            if charged + 1 != attempt:
+                attempt = charged + 1
+                self._write_claim(name, worker, attempt)
             return ClaimedTask(
                 queue=self,
                 name=name,
                 cell=_cell_from_doc(doc["cell"]),
                 job_id=doc["job"],
                 spec_doc=doc["spec"],
-                attempts=int(doc["attempts"]),
+                attempts=attempt,
                 retries=int(doc.get("retries", 0)),
                 worker=worker,
             )
@@ -586,15 +602,16 @@ class JobQueue:
     def _claim_path(self, name: str) -> Path:
         return self.root / "claims" / f"{name}.json"
 
-    def _claim_doc(self, worker: str) -> Dict[str, Any]:
+    def _claim_doc(self, worker: str, attempt: int) -> Dict[str, Any]:
         return {
             "worker": worker,
+            "attempt": attempt,
             "pid": os.getpid(),
             "host": socket.gethostname(),
             "expires": _now() + self.lease_s,
         }
 
-    def _try_claim(self, name: str, worker: str) -> bool:
+    def _try_claim(self, name: str, worker: str, attempt: int) -> bool:
         try:
             fd = os.open(
                 self._claim_path(name), os.O_CREAT | os.O_EXCL | os.O_WRONLY
@@ -604,14 +621,24 @@ class JobQueue:
         except OSError:
             # No O_EXCL semantics: accept the (harmless, deterministic)
             # risk of duplicated work rather than wedging the queue.
-            self._write_claim(name, worker)
+            self._write_claim(name, worker, attempt)
             return True
         with os.fdopen(fd, "w") as fh:
-            json.dump(self._claim_doc(worker), fh)
+            json.dump(self._claim_doc(worker, attempt), fh)
         return True
 
-    def _write_claim(self, name: str, worker: str) -> None:
-        _write_json_atomic(self._claim_path(name), self._claim_doc(worker))
+    def _write_claim(self, name: str, worker: str, attempt: int) -> None:
+        _write_json_atomic(
+            self._claim_path(name), self._claim_doc(worker, attempt)
+        )
+
+    def _charge_attempt(self, name: str, attempt: int) -> None:
+        """Record in the task file that *attempt* ended unfinished."""
+        task_path = self.root / "tasks" / f"{name}.json"
+        doc = _read_json(task_path)
+        if doc is not None:
+            doc["attempts"] = attempt
+            _write_json_atomic(task_path, doc)
 
     def _release_claim(self, name: str) -> None:
         try:
@@ -661,26 +688,32 @@ class JobQueue:
             return True
         if not self._lease_stale(claim_doc):
             return False
-        self._release_claim(name)
-        # The dead holder consumed its attempt when it claimed; if the
-        # budget is gone, finalise now so the job can reach a terminal
-        # state without the cell ever succeeding.
-        attempts = int(task_doc.get("attempts", 0))
-        retries = int(task_doc.get("retries", 0))
-        if attempts > retries:
-            self._finalize_name(
-                name,
-                task_doc,
-                {
-                    "status": "failed",
-                    "seconds": 0.0,
-                    "error": (
-                        f"lease expired after {attempts} attempt(s); "
-                        f"last holder {claim_doc.get('worker', '?')} died"
-                    ),
-                    "worker": str(claim_doc.get("worker", "?")),
-                },
-            )
+        # The dead holder's attempt is used up.  Within budget, charge it
+        # to the task file before releasing the lease, so the next claim
+        # runs the following attempt; otherwise finalise now so the job
+        # can reach a terminal state without the cell ever succeeding.
+        try:
+            attempt = int(claim_doc["attempt"])
+        except (KeyError, TypeError, ValueError):
+            attempt = int(task_doc.get("attempts", 0)) + 1
+        if attempt <= int(task_doc.get("retries", 0)):
+            self._charge_attempt(name, attempt)
+            self._release_claim(name)
+            return True
+        self._finalize_name(
+            name,
+            task_doc,
+            {
+                "status": "failed",
+                "seconds": 0.0,
+                "attempts": attempt,
+                "error": (
+                    f"lease expired after {attempt} attempt(s); "
+                    f"last holder {claim_doc.get('worker', '?')} died"
+                ),
+                "worker": str(claim_doc.get("worker", "?")),
+            },
+        )
         return True
 
     def _retire_cancelled(self, name: str, task_doc: Dict[str, Any]) -> None:
@@ -696,10 +729,9 @@ class JobQueue:
         )
 
     def _finalize(self, task: ClaimedTask, record: Dict[str, Any]) -> None:
-        task_doc = _read_json(self.root / "tasks" / f"{task.name}.json")
         self._finalize_name(
             task.name,
-            task_doc or {"job": task.job_id, "cell": _cell_to_doc(task.cell)},
+            {"job": task.job_id, "cell": _cell_to_doc(task.cell)},
             dict(record, worker=task.worker, attempts=task.attempts),
         )
 

@@ -10,17 +10,18 @@ facade::
     text    = service.fetch(handle)              # assemble the report
     service.cancel(handle)                       # abandon pending work
 
-Two backends implement the interface:
+Two backends implement the interface, over one execution path:
 
-* :class:`LocalService` — the single-host backend.  ``wait()`` executes
-  the job's cells through :class:`~repro.experiments.parallel
-  .ParallelRunner` (``jobs=1`` is the exact serial path), so the old
-  ``run-all --jobs N`` behaviour is literally ``submit`` + ``wait`` +
-  ``fetch`` on this backend.
 * :class:`QueueService` — the fleet backend.  ``submit()`` writes tasks
   into a shared :class:`~repro.fleet.queue.JobQueue` directory and
   returns immediately; any number of ``pgss-sim worker`` processes on
   any number of hosts execute them, and ``wait()`` just polls the queue.
+* :class:`LocalService` — the single-host backend: a
+  :class:`QueueService` over a private temporary queue.  ``wait()``
+  starts ``jobs - 1`` local :class:`~repro.fleet.worker.Worker`
+  processes and drains the queue in the calling process as the last
+  worker, so ``jobs=1`` runs every cell in-process.  ``run-all --jobs
+  N`` is literally ``submit`` + ``wait`` + ``fetch`` on this backend.
 
 Both publish results exclusively through the content-addressed
 :class:`~repro.experiments.cache.ResultCache`, so a report fetched after
@@ -30,24 +31,24 @@ a fleet run is byte-identical to one fetched after a serial run.
 from __future__ import annotations
 
 import abc
+import multiprocessing
+import tempfile
+import threading
 import time
-import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from ..errors import FleetError
+from ..errors import FleetError, OrchestrationError
 from ..experiments.cells import ExperimentCell, enumerate_cells
 from ..experiments.parallel import (
     DEFAULT_RETRIES,
     DEFAULT_TIMEOUT_S,
-    CellOutcome,
-    ParallelRunner,
     _context_from_spec,
     _context_spec,
 )
 from ..experiments.report import generate_report, resolve_figure_ids
-from ..experiments.runner import ExperimentContext, service_scope
+from ..experiments.runner import ExperimentContext
 from .queue import (
     DEFAULT_LEASE_S,
     JobQueue,
@@ -55,6 +56,7 @@ from .queue import (
     spec_from_doc,
     spec_to_doc,
 )
+from .worker import Worker
 
 __all__ = [
     "ExperimentService",
@@ -134,8 +136,7 @@ class ExperimentService(abc.ABC):
                 f"(counts: {state.counts}, failures: {state.failures})"
             )
         numbers = self._fetch_figures(handle, figures)
-        with service_scope():
-            return generate_report(self.ctx, figures=numbers)
+        return generate_report(self.ctx, figures=numbers)
 
     def _fetch_figures(
         self, handle: Union[JobHandle, str], figures: FigureSpec
@@ -150,117 +151,6 @@ class ExperimentService(abc.ABC):
     @staticmethod
     def _job_id(handle: Union[JobHandle, str]) -> str:
         return handle.job_id if isinstance(handle, JobHandle) else str(handle)
-
-
-@dataclass
-class _LocalJob:
-    cells: List[ExperimentCell]
-    figures: Optional[Tuple[str, ...]]
-    state: str = "pending"
-    outcomes: List[CellOutcome] = field(default_factory=list)
-
-
-class LocalService(ExperimentService):
-    """In-process backend over :class:`ParallelRunner`.
-
-    ``submit`` only records the job; ``wait`` executes it (the runner
-    fans cells out over *jobs* worker processes and retries failures).
-    Handles live in this service instance — a local job cannot be
-    polled from another process, which is exactly what
-    :class:`QueueService` exists for.
-    """
-
-    def __init__(
-        self,
-        ctx: ExperimentContext,
-        jobs: int = 1,
-        timeout_s: Optional[float] = DEFAULT_TIMEOUT_S,
-        retries: int = DEFAULT_RETRIES,
-        progress: Optional[object] = None,
-    ) -> None:
-        super().__init__(ctx)
-        self.runner = ParallelRunner(
-            ctx,
-            jobs=jobs,
-            timeout_s=timeout_s,
-            retries=retries,
-            progress=progress,  # type: ignore[arg-type]
-        )
-        self._jobs: Dict[str, _LocalJob] = {}
-
-    def submit(
-        self,
-        figures: FigureSpec = None,
-        cells: Optional[Sequence[ExperimentCell]] = None,
-    ) -> JobHandle:
-        numbers, modules = resolve_figure_ids(figures)
-        if cells is None:
-            cells = enumerate_cells(self.ctx, figures=modules)
-        if not cells:
-            raise FleetError("job has no cells to run")
-        job_id = uuid.uuid4().hex[:12]
-        handle = JobHandle(job_id, tuple(numbers) if numbers else None)
-        self._jobs[job_id] = _LocalJob(list(cells), handle.figures)
-        return handle
-
-    def _job(self, handle: Union[JobHandle, str]) -> _LocalJob:
-        job_id = self._job_id(handle)
-        try:
-            return self._jobs[job_id]
-        except KeyError:
-            raise FleetError(
-                f"unknown local job {job_id!r}; local handles only resolve "
-                "inside the submitting process (use a queue for detached jobs)"
-            ) from None
-
-    def status(self, handle: Union[JobHandle, str]) -> JobState:
-        job = self._job(handle)
-        counts = {k: 0 for k in ("pending", "running", "ok", "failed", "cancelled")}
-        failures: Dict[str, str] = {}
-        if job.state in ("pending", "running"):
-            counts[job.state if job.state == "pending" else "running"] = len(
-                job.cells
-            )
-        elif job.state == "cancelled":
-            counts["cancelled"] = len(job.cells)
-        else:
-            for outcome in job.outcomes:
-                if outcome.status == "ok":
-                    counts["ok"] += 1
-                else:
-                    counts["failed"] += 1
-                    failures[outcome.cell.cell_id] = (
-                        f"{outcome.status}: {outcome.error}"
-                    )
-        return JobState(
-            job_id=self._job_id(handle),
-            state=job.state,
-            counts=counts,
-            total=len(job.cells),
-            failures=failures,
-        )
-
-    def wait(
-        self,
-        handle: Union[JobHandle, str],
-        timeout_s: Optional[float] = None,
-    ) -> JobState:
-        """Execute the job in-process (the local backend's "wait")."""
-        job = self._job(handle)
-        if job.state == "pending":
-            job.state = "running"
-            with service_scope():
-                job.outcomes = self.runner.run(job.cells)
-            failed = [o for o in job.outcomes if o.status != "ok"]
-            job.state = "failed" if failed else "done"
-        return self.status(handle)
-
-    def cancel(self, handle: Union[JobHandle, str]) -> bool:
-        job = self._job(handle)
-        if job.state == "pending":
-            job.state = "cancelled"
-            return True
-        return False
 
 
 class QueueService(ExperimentService):
@@ -293,7 +183,7 @@ class QueueService(ExperimentService):
         queue = JobQueue(Path(queue_dir))
         manifest = queue.manifest(job_id)
         ctx = _context_from_spec(spec_from_doc(manifest["spec"]))
-        return cls(ctx, Path(queue_dir))
+        return QueueService(ctx, Path(queue_dir))
 
     def handle(self, job_id: str) -> JobHandle:
         """A full handle (with figure ids) for an existing job."""
@@ -352,3 +242,96 @@ class QueueService(ExperimentService):
         if figures is None and not isinstance(handle, JobHandle):
             handle = self.handle(str(handle))
         return super().fetch(handle, figures=figures)
+
+
+#: Idle sleep between queue scans of local workers: a scan of a private
+#: local directory is cheap, and the last worker notices the end of the
+#: job at most this long after it.
+_LOCAL_POLL_S = 0.05
+
+
+class LocalService(QueueService):
+    """Single-host backend: a private :class:`JobQueue` drained locally.
+
+    ``submit`` enqueues the cells into a temporary queue directory owned
+    by this service instance; ``wait`` starts ``jobs - 1`` worker
+    processes and drains the queue in the calling process as the last
+    worker.  The workers are ordinary :class:`Worker` loops without
+    mid-cell checkpoints, so timeouts, retries and a worker that dies
+    (its lease is reaped by the dead-pid check) are handled by the queue
+    exactly as on a fleet.  Handles live in this service instance — a
+    local job cannot be polled from another process, which is exactly
+    what :class:`QueueService` exists for.
+
+    Args:
+        ctx: experiment context; workers rebuild an equivalent one from
+            its (scale, machine, cache directory, benchmarks) spec.
+        jobs: worker count; 1 runs every cell in the calling process.
+        timeout_s: per-cell wall-clock budget (None disables it).
+        retries: additional attempts after a failed/timed-out one.
+        progress: callable receiving the workers' per-cell lines.
+    """
+
+    def __init__(
+        self,
+        ctx: ExperimentContext,
+        jobs: int = 1,
+        timeout_s: Optional[float] = DEFAULT_TIMEOUT_S,
+        retries: int = DEFAULT_RETRIES,
+        progress: Optional[Callable[[str], None]] = None,
+    ) -> None:
+        if jobs < 1:
+            raise OrchestrationError(f"jobs must be >= 1, got {jobs}")
+        self._queue_dir = tempfile.TemporaryDirectory(prefix="pgss-local-queue-")
+        super().__init__(
+            ctx,
+            Path(self._queue_dir.name),
+            retries=max(int(retries), 0),
+            poll_s=_LOCAL_POLL_S,
+        )
+        self.jobs = jobs
+        self.timeout_s = timeout_s
+        self.progress = progress
+
+    def _drain(self) -> None:
+        Worker(
+            self.queue,
+            timeout_s=self.timeout_s,
+            poll_s=self.poll_s,
+            drain=True,
+            checkpoint_windows=0,
+            progress=self.progress,
+        ).run()
+
+    def wait(
+        self,
+        handle: Union[JobHandle, str],
+        timeout_s: Optional[float] = None,
+    ) -> JobState:
+        """Run the queue dry with local workers (*timeout_s* is unused)."""
+        state = self.status(handle)
+        if state.finished:
+            return state
+        fork = multiprocessing.get_context("fork")
+        workers = [
+            fork.Process(target=self._drain, daemon=True)
+            for _ in range(self.jobs - 1)
+        ]
+        for proc in workers:
+            proc.start()
+        # Join each worker as soon as it exits: a dead worker's pid must
+        # not linger as a zombie, or the dead-pid lease check would see
+        # it alive and its cell would wait for the lease to expire.
+        reapers = [threading.Thread(target=proc.join, daemon=True) for proc in workers]
+        for reaper in reapers:
+            reaper.start()
+        try:
+            self._drain()
+        except BaseException:
+            for proc in workers:
+                proc.terminate()
+            raise
+        finally:
+            for reaper in reapers:
+                reaper.join()
+        return self.status(handle)

@@ -1,20 +1,24 @@
-"""The fleet worker: claims cells from a queue and executes them.
+"""The worker: claims cells from a queue and executes them.
 
-``pgss-sim worker --queue DIR`` runs this loop.  Each claimed task is
-executed through the exact same entry point the in-process pool uses
+``pgss-sim worker --queue DIR`` runs this loop on a fleet, and
+:class:`~repro.fleet.LocalService` runs the same loop in its local
+worker processes and in the calling process.  Each claimed task is
+executed through the one cell executor
 (:func:`repro.experiments.parallel._execute_cell`), against a context
 rebuilt from the spec embedded in the task — so a cell produces the
-same cache bytes whether it runs serially, in a local pool, or on a
-fleet worker three hosts away.  Results never travel through the queue:
-they are published into the shared :class:`ResultCache`, and the queue
-only records small outcome documents.
+same cache bytes whether it runs on a laptop or on a fleet worker three
+hosts away.  Results never travel through the queue: they are published
+into the shared :class:`ResultCache`, and the queue only records small
+outcome documents.
 
 While a cell runs, a daemon heartbeat thread refreshes the task's lease
 at a third of the lease interval.  If this process dies, the heartbeats
-stop, the lease expires, and the next worker to scan the queue reaps
-the claim and retries the cell — resuming mid-cell from the checkpoint
-the dead worker left behind (long DETAIL cells checkpoint periodically;
-see DESIGN.md §17).
+stop, and the next worker to scan the queue reaps the claim — at once
+when the dead worker ran on its own host (the dead-pid check), after
+the lease expires otherwise — and retries the cell.  Fleet workers
+checkpoint long DETAIL cells periodically, so the retry resumes
+mid-cell (DESIGN.md §17); local workers run with
+``checkpoint_windows=0`` and restart the cell.
 """
 
 from __future__ import annotations
@@ -48,13 +52,14 @@ class Worker:
         worker_id: stable identity recorded in leases and outcomes;
             defaults to ``<host>:<pid>:<token>``.
         timeout_s: per-cell wall-clock budget (enforced in-process via
-            ``SIGALRM``, exactly like the pool runner).
+            ``SIGALRM``).
         poll_s: idle sleep between scans when no task is claimable.
         drain: exit once the queue has no pending tasks and no active
             leases, instead of waiting for new work forever.
         max_cells: stop after executing this many cells (0 = unlimited);
             mainly for tests and batch-scheduler time slicing.
-        checkpoint_windows: trace-cell checkpoint interval in windows.
+        checkpoint_windows: trace-cell checkpoint interval in windows
+            (0 disables mid-cell checkpoints).
         progress: callable receiving one line per claimed/finished cell.
     """
 
@@ -120,7 +125,7 @@ class Worker:
         )
         beat.start()
         try:
-            record = _execute_cell(spec, task.cell, self.timeout_s, None)
+            record = _execute_cell(spec, task.cell, self.timeout_s)
         except Exception as exc:  # _execute_cell is defensive; belt+braces
             record = {
                 "status": "error",

@@ -196,7 +196,7 @@ def collect_reference_trace(
     if window_ops <= 0:
         raise SamplingError("window_ops must be positive")
     tracker = BbvTracker(ReducedBbvHash(seed=hash_seed))
-    engine = SimulationEngine(program, machine=machine, bbv_tracker=tracker)
+    engine = SimulationEngine(program, machine=machine, signal_tracker=tracker)
     session = SamplingSession(engine, bus=bus)
     ops_list: List[int] = []
     cycles_list: List[int] = []

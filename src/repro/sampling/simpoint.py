@@ -104,7 +104,7 @@ class SimPoint(SamplingTechnique):
         """
         cfg = self.config
         tracker = BbvTracker(ReducedBbvHash(seed=cfg.hash_seed))
-        engine = SimulationEngine(program, machine=self.machine, bbv_tracker=tracker)
+        engine = SimulationEngine(program, machine=self.machine, signal_tracker=tracker)
         session = SamplingSession(engine, bus=bus)
         ops_list: List[int] = []
         bbv_list: List[np.ndarray] = []

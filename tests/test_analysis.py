@@ -35,7 +35,6 @@ from repro.analysis.determinism import (
 )
 from repro.analysis.hygiene import (
     EngineModeEscapeRule,
-    FigureEntrypointRule,
     ForeignFrozenMutationRule,
     MissingAllRule,
     MutableDefaultRule,
@@ -372,52 +371,6 @@ class TestHygieneRules:
         assert rule_ids(
             findings_for(EngineModeEscapeRule, src, "repro/sampling/smarts.py")
         ) == ["HYG005"]
-
-    def test_hyg006_fires_on_direct_figure_run_calls(self):
-        src = """
-            from repro.experiments import fig11_pgss_sweep
-            from repro.experiments import fig12_technique_comparison as cmp12
-            from repro.experiments.tradeoff import run as run_tradeoff
-
-            def reproduce(ctx):
-                a = fig11_pgss_sweep.run(ctx)
-                b = cmp12.run(ctx)
-                c = run_tradeoff(ctx)
-                return a, b, c
-        """
-        assert rule_ids(findings_for(FigureEntrypointRule, src)) == [
-            "HYG006",
-            "HYG006",
-            "HYG006",
-        ]
-
-    def test_hyg006_silent_on_non_figure_run_calls(self):
-        src = """
-            from repro.sampling.stratified import TwoPhaseStratified
-
-            def drive(ctx, technique, program, session):
-                technique.run(program)
-                session.run(plan)
-                TwoPhaseStratified(cfg).run(program)
-        """
-        assert findings_for(FigureEntrypointRule, src) == []
-
-    def test_hyg006_exempts_the_service_packages(self):
-        src = """
-            from repro.experiments import fig11_pgss_sweep
-
-            def assemble(ctx):
-                return fig11_pgss_sweep.run(ctx)
-        """
-        assert findings_for(
-            FigureEntrypointRule, src, "repro/experiments/report.py"
-        ) == []
-        assert findings_for(
-            FigureEntrypointRule, src, "repro/fleet/service.py"
-        ) == []
-        assert rule_ids(
-            findings_for(FigureEntrypointRule, src, "repro/cpu/mod.py")
-        ) == ["HYG006"]
 
 
 class TestUnitsRule:

@@ -112,8 +112,8 @@ class TestEngineEquivalence:
         rng = random.Random(seed)
         t1 = BbvTracker() if with_tracker else None
         t2 = BbvTracker() if with_tracker else None
-        scalar = SimulationEngine(program, bbv_tracker=t1, batched=False)
-        batched = SimulationEngine(program, bbv_tracker=t2, batched=True)
+        scalar = SimulationEngine(program, signal_tracker=t1, batched=False)
+        batched = SimulationEngine(program, signal_tracker=t2, batched=True)
         modes = list(Mode)
         for _ in range(12):
             mode = rng.choice(modes)
@@ -171,7 +171,7 @@ class TestEngineEquivalence:
         """Period-boundary BBV vectors are bit-identical on real workloads."""
         program = _workload(name)
         engines = [
-            SimulationEngine(program, bbv_tracker=BbvTracker(), batched=batched)
+            SimulationEngine(program, signal_tracker=BbvTracker(), batched=batched)
             for batched in (False, True)
         ]
         period = 8_000
@@ -179,7 +179,7 @@ class TestEngineEquivalence:
             vecs = []
             for engine in engines:
                 engine.run(Mode.FUNC_FAST, period)
-                vecs.append(engine.bbv_tracker.take_vector(normalize=True))
+                vecs.append(engine.signal_tracker.take_vector(normalize=True))
             assert (vecs[0] == vecs[1]).all()
         assert engines[1].exhausted
 
@@ -206,7 +206,7 @@ class TestPgssEquivalence:
             engine = SimulationEngine(
                 program,
                 machine=pgss.machine,
-                bbv_tracker=pgss._make_tracker(),
+                signal_tracker=pgss._make_tracker(),
                 batched=batched,
             )
             controller = pgss.make_controller(engine)

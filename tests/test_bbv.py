@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import BbvTracker, ReducedBbvHash, WideBbvHash
-from repro.bbv.vector import (
+from repro.signals.vector import (
     angle_between,
     cosine_similarity,
     l2_norm,

@@ -99,6 +99,18 @@ class TestCheckpointFile:
         ck.clear()
         assert ck.load() is None
 
+    def test_payload_of_earlier_format_is_cleared(self, tmp_path):
+        """A checkpoint written before engine states carried the pipeline
+        timing cannot resume byte-identically: it means a cold start."""
+        path = tmp_path / "cell.ckpt"
+        state = make_engine().snapshot()
+        del state["pipeline_timing"]
+        path.write_bytes(
+            pickle.dumps({"op_offset": 0, "state": state, "extras": {}})
+        )
+        assert CheckpointFile(path).load() is None
+        assert not path.exists()
+
     def test_no_tmp_litter_after_save(self, tmp_path):
         ck = CheckpointFile(tmp_path / "cell.ckpt")
         ck.save(7, {"x": 1})
@@ -156,6 +168,32 @@ class TestResumableTrace:
         assert np.array_equal(resumed.bbvs, uninterrupted.bbvs)
         # Completion clears the checkpoint.
         assert not path.exists()
+
+    def test_resume_restores_pipeline_timing(self, tmp_path):
+        """300.twolf resumed after window 37: the snapshot must carry the
+        scoreboard, FU, fetch-stall, issue-slot and MSHR state, or the
+        first resumed window starts from an empty pipeline and its cycle
+        count differs from the uninterrupted run's."""
+        window = Scale.QUICK.trace_window
+        path = tmp_path / "trace.ckpt"
+        with pytest.raises(KeyboardInterrupt):
+            collect_reference_trace(
+                get_workload("300.twolf", Scale.QUICK),
+                window,
+                checkpoint=_DyingCheckpoint(path, allowed=1),
+                checkpoint_windows=37,
+            )
+        resumed = collect_reference_trace(
+            get_workload("300.twolf", Scale.QUICK),
+            window,
+            checkpoint=CheckpointFile(path),
+            checkpoint_windows=37,
+        )
+        uninterrupted = collect_reference_trace(
+            get_workload("300.twolf", Scale.QUICK), window
+        )
+        assert np.array_equal(resumed.cycles, uninterrupted.cycles)
+        assert resumed.true_ipc == uninterrupted.true_ipc
 
     def test_uninterrupted_checkpointed_run_matches_plain(self, tmp_path):
         path = tmp_path / "trace.ckpt"

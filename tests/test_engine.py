@@ -111,7 +111,7 @@ class TestWarmingEquivalence:
 class TestBbvIntegration:
     def test_tracker_sees_all_modes(self, two_phase_program):
         tracker = BbvTracker()
-        engine = SimulationEngine(two_phase_program, bbv_tracker=tracker)
+        engine = SimulationEngine(two_phase_program, signal_tracker=tracker)
         engine.run(Mode.FUNC_FAST, 5_000)
         engine.run(Mode.FUNC_WARM, 5_000)
         engine.run(Mode.DETAIL, 5_000)
@@ -119,7 +119,7 @@ class TestBbvIntegration:
 
     def test_no_tracker_by_default(self, two_phase_program):
         engine = SimulationEngine(two_phase_program)
-        assert engine.bbv_tracker is None
+        assert engine.signal_tracker is None
 
 
 class TestAccounting:
@@ -162,7 +162,7 @@ class TestCheckpointing:
 
     def test_snapshot_includes_tracker(self, two_phase_program):
         tracker = BbvTracker()
-        engine = SimulationEngine(two_phase_program, bbv_tracker=tracker)
+        engine = SimulationEngine(two_phase_program, signal_tracker=tracker)
         engine.run(Mode.FUNC_FAST, 10_000)
         snap = engine.snapshot()
         assert "bbv" in snap
@@ -243,13 +243,13 @@ class TestBatchedDispatch:
         trace = record_trace(two_phase_program, max_ops=20_000)
         replay = trace.as_stream(two_phase_program)
         tracker = BbvTracker()
-        engine = SimulationEngine(two_phase_program, stream=replay, bbv_tracker=tracker)
+        engine = SimulationEngine(two_phase_program, stream=replay, signal_tracker=tracker)
         assert not engine._batching(tracker)
         run = engine.run(Mode.FUNC_FAST, 10_000)
         assert run.ops >= 10_000
 
         live_tracker = BbvTracker()
-        live = SimulationEngine(two_phase_program, bbv_tracker=live_tracker)
+        live = SimulationEngine(two_phase_program, signal_tracker=live_tracker)
         live.run(Mode.FUNC_FAST, 10_000)
         assert tracker.peek_vector().tolist() == live_tracker.peek_vector().tolist()
 

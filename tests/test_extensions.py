@@ -143,7 +143,7 @@ class TestPgssController:
 
         tech = Pgss(cfg)
         engine = SimulationEngine(
-            make_two_phase_program(), bbv_tracker=tech._make_tracker()
+            make_two_phase_program(), signal_tracker=tech._make_tracker()
         )
         controller = PgssController(engine, cfg)
         steps = 0
@@ -159,7 +159,7 @@ class TestPgssController:
         from repro.sampling import Pgss
 
         engine = SimulationEngine(
-            two_phase_program, bbv_tracker=Pgss(cfg)._make_tracker()
+            two_phase_program, signal_tracker=Pgss(cfg)._make_tracker()
         )
         controller = PgssController(engine, cfg)
         for _ in range(3):
@@ -172,7 +172,7 @@ class TestPgssController:
 
         cfg = PgssConfig.from_scale(Scale.QUICK, bbv_period_ops=4_000)
         engine = SimulationEngine(
-            two_phase_program, bbv_tracker=Pgss(cfg)._make_tracker()
+            two_phase_program, signal_tracker=Pgss(cfg)._make_tracker()
         )
         controller = PgssController(engine, cfg)
         while controller.step():

@@ -9,6 +9,8 @@ checkpointed resume, and the `jobs`/`worker` CLI wiring.
 
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -189,9 +191,9 @@ class TestJobQueue:
         other = JobQueue(queue.root)
         try_claim = queue._try_claim
 
-        def finish_then_claim(name, worker):
+        def finish_then_claim(name, worker, attempt):
             other.claim_next("w1").complete({"seconds": 0.1})
-            return try_claim(name, worker)
+            return try_claim(name, worker, attempt)
 
         monkeypatch.setattr(queue, "_try_claim", finish_then_claim)
         assert queue.claim_next("w2") is None
@@ -200,6 +202,72 @@ class TestJobQueue:
         [outcome] = queue.outcomes(job)
         assert (outcome["worker"], outcome["attempts"]) == ("w1", 1)
         assert queue.status(job).state == "done"
+
+    def test_attempt_failed_before_claim_is_counted(self, tmp_path, monkeypatch):
+        """w2 scans the task at attempt 0; before w2 claims it, w1 claims
+        and fails it within budget.  w2's claim must run attempt 2."""
+        queue = make_queue(tmp_path)
+        submit_traces(
+            queue, tmp_path / "cache", benchmarks=["164.gzip"], retries=1
+        )
+        other = JobQueue(queue.root)
+        try_claim = queue._try_claim
+
+        def fail_then_claim(name, worker, attempt):
+            other.claim_next("w1").fail({"error": "boom"})
+            return try_claim(name, worker, attempt)
+
+        monkeypatch.setattr(queue, "_try_claim", fail_then_claim)
+        task = queue.claim_next("w2")
+        claim = json.loads(
+            (queue.root / "claims" / f"{task.name}.json").read_text()
+        )
+        assert (task.attempts, claim["attempt"]) == (2, 2)
+
+    def test_claim_and_complete_leave_the_task_file_untouched(self, tmp_path):
+        """The attempt lives in the claim: a claim that completes its cell
+        never rewrites the task file, it only removes it at the end."""
+        queue = make_queue(tmp_path)
+        submit_traces(queue, tmp_path / "cache", benchmarks=["164.gzip"])
+        [task_path] = (queue.root / "tasks").glob("*.json")
+        before = task_path.stat()
+        task = queue.claim_next("w1")
+        claim = json.loads((queue.root / "claims" / task_path.name).read_text())
+        assert (task.attempts, claim["attempt"]) == (1, 1)
+        task.heartbeat()
+        after = task_path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (
+            before.st_ino,
+            before.st_mtime_ns,
+        )
+        task.complete({"seconds": 0.1})
+        assert not task_path.exists()
+
+    def test_reaped_dead_lease_uses_up_its_attempt(self, tmp_path):
+        """A same-host holder whose pid is gone is reaped before its lease
+        expires, and the attempt it held still counts against the budget."""
+        queue = make_queue(tmp_path, lease_s=60.0)
+        job = submit_traces(
+            queue, tmp_path / "cache", benchmarks=["164.gzip"], retries=1
+        )
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait()
+
+        def die(task):
+            claim_path = queue.root / "claims" / f"{task.name}.json"
+            doc = json.loads(claim_path.read_text())
+            claim_path.write_text(json.dumps(dict(doc, pid=dead.pid)))
+
+        die(queue.claim_next("w1"))
+        successor = queue.claim_next("w2")
+        assert successor is not None and successor.attempts == 2
+        die(successor)
+        assert queue.claim_next("w3") is None
+        state = queue.status(job)
+        assert state.state == "failed"
+        [outcome] = queue.outcomes(job)
+        assert outcome["attempts"] == 2
+        assert "lease expired after 2 attempt(s)" in outcome["error"]
 
     def test_heartbeat_keeps_lease_alive(self, tmp_path):
         queue = make_queue(tmp_path, lease_s=0.1)
@@ -457,6 +525,82 @@ class TestLocalService:
         service = LocalService(make_ctx(tmp_path / "cache"))
         with pytest.raises(OrchestrationError):
             service.submit(figures="99")
+
+
+#: The figures of the CI ``run-all`` smoke.
+SMOKE_FIGURES = "2,10,12,ext-signals"
+
+
+@pytest.fixture(scope="module")
+def smoke_cache(tmp_path_factory):
+    """A cache warmed by a LocalService run of the smoke figures."""
+    cache_dir = tmp_path_factory.mktemp("smoke") / "cache"
+    service = LocalService(
+        ExperimentContext(Scale.QUICK, cache_dir=cache_dir, benchmarks=["164.gzip"])
+    )
+    assert service.wait(service.submit(figures=SMOKE_FIGURES)).state == "done"
+    return cache_dir
+
+
+def smoke_ctx(cache_dir):
+    return ExperimentContext(Scale.QUICK, cache_dir=cache_dir, benchmarks=["164.gzip"])
+
+
+def count_engines(monkeypatch):
+    """Count SimulationEngine constructions from now on."""
+    from repro.cpu.engine import SimulationEngine
+
+    built = []
+    init = SimulationEngine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimulationEngine, "__init__", counting_init)
+    return built
+
+
+def cache_listing(directory):
+    return {
+        path.name: (path.stat().st_size, path.stat().st_mtime_ns)
+        for path in directory.iterdir()
+    }
+
+
+class TestLocalServiceSmoke:
+    def test_fetch_simulates_nothing(self, smoke_cache, monkeypatch):
+        """Every figure of a done job, ext-signals' detection table
+        included, is assembled from cached cell results."""
+        service = LocalService(smoke_ctx(smoke_cache))
+        handle = service.submit(figures=SMOKE_FIGURES)
+        assert service.wait(handle).state == "done"
+        built = count_engines(monkeypatch)
+        text = service.fetch(handle)
+        assert "phase-signal ablation" in text
+        assert built == []
+        assert service.ctx.cache.misses == 0
+
+    def test_warm_rerun_computes_nothing(self, smoke_cache, monkeypatch):
+        """Cells run on contexts rebuilt from the task spec, so the
+        caller's cache counters cannot see a warm recompute: check the
+        cache listing and the engine count instead."""
+        listing = cache_listing(smoke_cache)
+        built = count_engines(monkeypatch)
+        service = LocalService(smoke_ctx(smoke_cache))
+        handle = service.submit(figures=SMOKE_FIGURES)
+        assert service.wait(handle).state == "done"
+        assert built == []
+        assert cache_listing(smoke_cache) == listing
+
+    def test_fig12_report_jobs1_equals_jobs2(self, smoke_cache, tmp_path):
+        service = LocalService(smoke_ctx(tmp_path / "cache"), jobs=2)
+        handle = service.submit(figures="12")
+        assert service.wait(handle).state == "done"
+        serial = LocalService(smoke_ctx(smoke_cache))
+        serial_handle = serial.submit(figures="12")
+        assert serial.wait(serial_handle).state == "done"
+        assert service.fetch(handle) == serial.fetch(serial_handle)
 
 
 class TestQueueService:

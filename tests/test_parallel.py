@@ -1,14 +1,17 @@
-"""Tests for the parallel orchestration layer and the concurrency-safe cache.
+"""Tests for the cell executor, local workers and the concurrency-safe cache.
 
 Covers the cache's atomic publication, duplicate-work suppression,
 corruption quarantine, and strict keying; cell enumeration and
-deduplication; the parallel driver's timeout/retry handling; the
-byte-identity of ``--jobs 1`` vs ``--jobs N`` figure results; and the
-``run-all`` CLI wiring.
+deduplication; timeouts, retries and worker death on the local
+backend (:class:`~repro.fleet.LocalService`, a private job queue
+drained by local workers); the byte-identity of ``--jobs 1`` vs
+``--jobs N`` figure results; and the ``run-all`` CLI wiring.
 """
 
 import json
 import multiprocessing
+import os
+import signal
 import threading
 import time
 
@@ -21,13 +24,13 @@ from repro.errors import CacheError, OrchestrationError, SamplingError
 from repro.experiments import (
     ExperimentCell,
     ExperimentContext,
-    ParallelRunner,
     ResultCache,
     enumerate_cells,
-    run_cells,
+    parallel,
     trace_cell,
 )
 from repro.experiments.cells import TRACE_FIGURE
+from repro.fleet import LocalService
 from repro.sampling.full import ReferenceTrace
 
 PAYLOAD = {"kind": "stress", "k": 1}
@@ -71,6 +74,14 @@ def _flaky_runner(ctx, cell):
 
 def _noop_runner(ctx, cell):
     return None
+
+
+def _run_local(ctx, cells, **kwargs):
+    """submit + wait on a LocalService; the final state and done-records."""
+    service = LocalService(ctx, **kwargs)
+    handle = service.submit(cells=cells)
+    state = service.wait(handle)
+    return state, service.queue.outcomes(handle.job_id)
 
 
 class TestCacheConcurrency:
@@ -253,85 +264,113 @@ class TestCells:
             run_one(ctx, bad)
 
 
-class TestParallelRunner:
+class TestLocalWorkers:
     def test_rejects_bad_jobs(self, tmp_path):
         with pytest.raises(OrchestrationError):
-            ParallelRunner(_make_ctx(tmp_path), jobs=0)
+            LocalService(_make_ctx(tmp_path), jobs=0)
 
-    def test_serial_outcomes_in_order(self, tmp_path):
+    def test_jobs1_runs_cells_in_process_in_order(self, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(
+            parallel, "run_cell", lambda ctx, cell: ran.append((os.getpid(), cell))
+        )
         ctx = _make_ctx(tmp_path)
         cells = [trace_cell(b) for b in ctx.benchmarks]
-        outcomes = run_cells(ctx, cells, jobs=1, cell_runner=_noop_runner)
-        assert [o.cell for o in outcomes] == cells
-        assert all(o.status == "ok" and o.attempts == 1 for o in outcomes)
+        state, outcomes = _run_local(ctx, cells, jobs=1)
+        assert state.state == "done"
+        assert ran == [(os.getpid(), cell) for cell in cells]
+        assert [o["attempts"] for o in outcomes] == [1] * len(cells)
 
-    def test_pool_timeout_is_reported(self, tmp_path):
-        ctx = _make_ctx(tmp_path)
-        outcomes = run_cells(
-            ctx,
+    def test_timeout_is_reported(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel, "run_cell", _sleepy_runner)
+        state, [outcome] = _run_local(
+            _make_ctx(tmp_path),
             [trace_cell("164.gzip")],
-            jobs=2,
+            jobs=1,
             timeout_s=1.0,
             retries=0,
-            cell_runner=_sleepy_runner,
         )
-        assert outcomes[0].status == "timeout"
-        assert "budget" in outcomes[0].error
+        assert state.state == "failed"
+        assert outcome["status"] == "failed"
+        assert "budget" in outcome["error"]
 
-    def test_pool_retry_recovers_transient_fault(self, tmp_path):
+    def test_retry_recovers_transient_fault(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel, "run_cell", _flaky_runner)
         ctx = _make_ctx(tmp_path)
         cells = [trace_cell(b) for b in ctx.benchmarks]
-        outcomes = run_cells(
-            ctx, cells, jobs=2, retries=1, cell_runner=_flaky_runner
-        )
-        assert all(o.status == "ok" for o in outcomes)
-        assert all(o.attempts == 2 for o in outcomes)
+        state, outcomes = _run_local(ctx, cells, jobs=2, retries=1)
+        assert state.state == "done"
+        assert [o["attempts"] for o in outcomes] == [2, 2]
 
-    def test_retries_exhausted_reports_error(self, tmp_path):
-        ctx = _make_ctx(tmp_path)
-
+    def test_retries_exhausted_reports_error(self, tmp_path, monkeypatch):
         def always_fails(ctx, cell):
             raise SamplingError("permanent fault")
 
-        outcomes = run_cells(
-            ctx,
-            [trace_cell("164.gzip")],
-            jobs=1,
-            retries=1,
-            cell_runner=always_fails,
+        monkeypatch.setattr(parallel, "run_cell", always_fails)
+        state, [outcome] = _run_local(
+            _make_ctx(tmp_path), [trace_cell("164.gzip")], jobs=1, retries=1
         )
-        assert outcomes[0].status == "error"
-        assert outcomes[0].attempts == 2
-        assert "permanent fault" in outcomes[0].error
+        assert state.state == "failed"
+        assert outcome["attempts"] == 2
+        assert "permanent fault" in state.failures[trace_cell("164.gzip").cell_id]
 
-    def test_progress_lines_emitted(self, tmp_path):
+    def test_killed_worker_lease_is_reaped_and_cell_retried(
+        self, tmp_path, monkeypatch
+    ):
+        """A local worker process dies mid-cell: the caller's worker reaps
+        its lease by the dead-pid check and reruns the cell, and wait()
+        returns instead of hanging on the lease."""
+        parent = os.getpid()
+        died = tmp_path / "died"
+
+        def killer(ctx, cell):
+            if os.getpid() != parent:
+                if not died.exists():
+                    died.write_text(cell.cell_id)
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return
+            # The caller's worker holds its first cell until the forked
+            # worker has claimed the other one and died.
+            deadline = time.monotonic() + 30
+            while not died.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+        monkeypatch.setattr(parallel, "run_cell", killer)
+        ctx = _make_ctx(tmp_path)
+        cells = [trace_cell(b) for b in ctx.benchmarks]
+        state, outcomes = _run_local(ctx, cells, jobs=2, retries=1)
+        assert died.exists()
+        assert state.state == "done"
+        by_cell = {o["cell_id"]: o["attempts"] for o in outcomes}
+        assert by_cell.pop(died.read_text()) == 2
+        assert list(by_cell.values()) == [1]
+
+    def test_progress_lines_emitted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel, "run_cell", _noop_runner)
         ctx = _make_ctx(tmp_path)
         lines = []
         cells = [trace_cell(b) for b in ctx.benchmarks]
-        run_cells(ctx, cells, jobs=1, progress=lines.append, cell_runner=_noop_runner)
-        assert len(lines) == len(cells)
-        assert lines[-1].startswith(f"[{len(cells)}/{len(cells)}]")
-        assert "ETA" in lines[0]
+        _run_local(ctx, cells, jobs=1, progress=lines.append)
+        assert len(lines) == 2 * len(cells)
+        assert f"claimed {cells[0].cell_id} (attempt 1/2)" in lines[0]
+        assert lines[-1].endswith(f"finished {cells[-1].cell_id}: ok (0.0s)")
 
 
 class TestWorkerAlarmHygiene:
-    def test_execute_cell_restores_sigalrm_handler(self, tmp_path):
+    def test_execute_cell_restores_sigalrm_handler(self, tmp_path, monkeypatch):
         """Regression: _execute_cell leaked _on_alarm into the host when
         run in-process, turning any later host alarm into a _CellTimeout."""
-        import signal
-
-        from repro.experiments.parallel import _context_spec, _execute_cell
 
         def sentinel(signum, frame):  # pragma: no cover - never fired
             raise AssertionError("sentinel alarm fired")
 
+        monkeypatch.setattr(parallel, "run_cell", _noop_runner)
         previous = signal.signal(signal.SIGALRM, sentinel)
         try:
-            record = _execute_cell(
-                _context_spec(_make_ctx(tmp_path)),
+            record = parallel._execute_cell(
+                parallel._context_spec(_make_ctx(tmp_path)),
                 trace_cell("164.gzip"),
                 5.0,
-                _noop_runner,
             )
             assert record["status"] == "ok"
             assert signal.getsignal(signal.SIGALRM) is sentinel
@@ -339,24 +378,20 @@ class TestWorkerAlarmHygiene:
         finally:
             signal.signal(signal.SIGALRM, previous)
 
-    def test_execute_cell_restores_handler_on_error(self, tmp_path):
-        import signal
-
-        from repro.experiments.parallel import _context_spec, _execute_cell
-
+    def test_execute_cell_restores_handler_on_error(self, tmp_path, monkeypatch):
         def sentinel(signum, frame):  # pragma: no cover - never fired
             raise AssertionError("sentinel alarm fired")
 
         def failing_runner(ctx, cell):
             raise SamplingError("boom")
 
+        monkeypatch.setattr(parallel, "run_cell", failing_runner)
         previous = signal.signal(signal.SIGALRM, sentinel)
         try:
-            record = _execute_cell(
-                _context_spec(_make_ctx(tmp_path)),
+            record = parallel._execute_cell(
+                parallel._context_spec(_make_ctx(tmp_path)),
                 trace_cell("164.gzip"),
                 5.0,
-                failing_runner,
             )
             assert record["status"] == "error"
             assert signal.getsignal(signal.SIGALRM) is sentinel
@@ -371,17 +406,11 @@ class TestParallelEquality:
         serial_ctx = _make_ctx(tmp_path / "serial")
         parallel_ctx = _make_ctx(tmp_path / "parallel")
 
-        serial = run_cells(
-            serial_ctx,
-            enumerate_cells(serial_ctx, figures=EQUALITY_FIGURES),
-            jobs=1,
-        )
-        parallel = run_cells(
-            parallel_ctx,
-            enumerate_cells(parallel_ctx, figures=EQUALITY_FIGURES),
-            jobs=2,
-        )
-        assert all(o.status == "ok" for o in serial + parallel)
+        for ctx, jobs in ((serial_ctx, 1), (parallel_ctx, 2)):
+            state, _ = _run_local(
+                ctx, enumerate_cells(ctx, figures=EQUALITY_FIGURES), jobs=jobs
+            )
+            assert state.state == "done"
 
         import repro.experiments.fig02_sampling_granularity as fig02
         import repro.experiments.fig07_change_distribution as fig07
@@ -391,8 +420,8 @@ class TestParallelEquality:
             b = json.dumps(module.run(parallel_ctx), sort_keys=True)
             assert a == b
         # Figure assembly after the fan-out reads pure cache hits.
-        assert serial_ctx.cache.stats()["corrupt"] == 0
-        assert parallel_ctx.cache.stats()["corrupt"] == 0
+        assert serial_ctx.cache.stats()["misses"] == 0
+        assert parallel_ctx.cache.stats()["misses"] == 0
 
 
 class TestRunAllCli:

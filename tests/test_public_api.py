@@ -14,7 +14,7 @@ SUBPACKAGES = [
     "repro.memory",
     "repro.branch",
     "repro.cpu",
-    "repro.bbv",
+    "repro.signals",
     "repro.phase",
     "repro.clustering",
     "repro.sampling",

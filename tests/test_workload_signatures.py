@@ -88,7 +88,7 @@ class TestBbvSignatures:
     def test_phased_workloads_have_distinct_bbvs(self, traces):
         """gzip's behaviours produce separable BBVs; mesa's single phase
         produces near-identical ones."""
-        from repro.bbv import angle_between
+        from repro.signals import angle_between
 
         def spread(trace):
             vecs = trace.aggregate(4).normalized_bbvs()
