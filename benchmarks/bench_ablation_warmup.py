@@ -23,11 +23,7 @@ def _run_point(ctx, warmup_ops: int):
     errors = []
     cfg = replace(SmartsConfig.from_scale(ctx.scale), warmup_ops=warmup_ops)
     for name in SUBSET:
-        res = ctx.run_cached(
-            name,
-            Smarts(cfg, ctx.machine),
-            {"warmup": warmup_ops, "sweep": "warmup_ablation"},
-        )
+        res = ctx.run_cached(name, Smarts(cfg, ctx.machine))
         true = ctx.true_ipc(name)
         errors.append(100.0 * abs(res["ipc_estimate"] - true) / true)
     return sum(errors) / len(errors)

@@ -22,18 +22,13 @@ from conftest import record
 SUBSET = ("164.gzip", "183.equake", "300.twolf")
 
 
-def _run_variant(ctx, label: str, **overrides) -> Dict[str, float]:
+def _run_variant(ctx, **overrides) -> Dict[str, float]:
     """Run a PGSS variant over the subset; returns mean error / detail."""
     errors = []
     details = []
+    config = PgssConfig.from_scale(ctx.scale, **overrides)
     for name in SUBSET:
-        config = PgssConfig.from_scale(ctx.scale, **overrides)
-        technique = Pgss(config, machine=ctx.machine)
-        res = ctx.run_cached(
-            name,
-            technique,
-            {"ablation": label, **{k: str(v) for k, v in overrides.items()}},
-        )
+        res = ctx.run_cached(name, Pgss(config, machine=ctx.machine))
         errors.append(
             100.0
             * abs(res["ipc_estimate"] - ctx.true_ipc(name))
@@ -61,13 +56,9 @@ def _report(results_dir, name: str, variants: Dict[str, Dict[str, float]]) -> st
 def test_ablation_bbv_width(benchmark, ctx, results_dir):
     def run():
         return {
-            "reduced (32 buckets, Fig. 4)": _run_variant(ctx, "width32"),
-            "wide (1024 buckets)": _run_variant(
-                ctx, "width1024", wide_bbv_buckets=1024
-            ),
-            "narrow (4 buckets)": _run_variant(
-                ctx, "width4", wide_bbv_buckets=4
-            ),
+            "reduced (32 buckets, Fig. 4)": _run_variant(ctx),
+            "wide (1024 buckets)": _run_variant(ctx, wide_bbv_buckets=1024),
+            "narrow (4 buckets)": _run_variant(ctx, wide_bbv_buckets=4),
         }
 
     variants = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -87,11 +78,11 @@ def test_ablation_bbv_width(benchmark, ctx, results_dir):
 def test_ablation_distance_metric(benchmark, ctx, results_dir):
     def run():
         return {
-            "angle (cosine, paper)": _run_variant(ctx, "angle"),
+            "angle (cosine, paper)": _run_variant(ctx),
             # A Manhattan threshold of 0.5 on unit-L2 vectors is roughly
             # comparable selectivity to .05 pi.
             "manhattan (SimPoint-style)": _run_variant(
-                ctx, "manhattan", metric="manhattan", threshold_pi=0.5 / 3.1416
+                ctx, metric="manhattan", threshold_pi=0.5 / 3.1416
             ),
         }
 
@@ -107,10 +98,8 @@ def test_ablation_distance_metric(benchmark, ctx, results_dir):
 def test_ablation_spread_rule(benchmark, ctx, results_dir):
     def run():
         return {
-            "spread rule on (Fig. 5)": _run_variant(ctx, "spread_on"),
-            "spread rule off": _run_variant(
-                ctx, "spread_off", use_spread_rule=False
-            ),
+            "spread rule on (Fig. 5)": _run_variant(ctx),
+            "spread rule off": _run_variant(ctx, use_spread_rule=False),
         }
 
     variants = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -127,12 +116,12 @@ def test_ablation_spread_rule(benchmark, ctx, results_dir):
 def test_ablation_confidence_stopping(benchmark, ctx, results_dir):
     def run():
         return {
-            "CI stopping (paper)": _run_variant(ctx, "ci_stop"),
+            "CI stopping (paper)": _run_variant(ctx),
             "fixed 1 sample/phase (prior work)": _run_variant(
-                ctx, "fixed1", fixed_samples_per_phase=1
+                ctx, fixed_samples_per_phase=1
             ),
             "fixed 3 samples/phase": _run_variant(
-                ctx, "fixed3", fixed_samples_per_phase=3
+                ctx, fixed_samples_per_phase=3
             ),
         }
 

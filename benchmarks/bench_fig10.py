@@ -14,7 +14,7 @@ def test_fig10_twolf_threshold(benchmark, ctx, results_dir):
     result = benchmark.pedantic(fig10.run, args=(ctx,), rounds=1, iterations=1)
     record(results_dir, "fig10", fig10.format_result(result))
 
-    sweep = result["sweep"]
+    sweep = result["points"]
     phases = [e["n_phases"] for e in sweep]
     intervals = [e["mean_interval_ops"] for e in sweep]
     variations = [e["ipc_variation"] for e in sweep]

@@ -192,9 +192,6 @@ class ScaleConfig:
             two-phase stratified technique (variance probe).
         stratified_samples: total detailed-sample budget of the
             stage-1/stage-2 split techniques (pilots included).
-        phase_signal: default phase-signal family of the phase-guided
-            techniques (``"bbv"``, ``"mav"``, or ``"concat"``); the
-            signal-ablation experiment overrides this per cell.
     """
 
     name: str
@@ -214,16 +211,8 @@ class ScaleConfig:
     trace_window: int = 5_000
     stratified_pilot: int = 2
     stratified_samples: int = 24
-    phase_signal: str = "bbv"
 
     def __post_init__(self) -> None:
-        # Mirrors repro.signals.PHASE_SIGNALS (importing it here would
-        # cycle through repro.program).
-        if self.phase_signal not in ("bbv", "mav", "concat"):
-            raise ConfigurationError(
-                f"phase_signal must be 'bbv', 'mav', or 'concat', "
-                f"got {self.phase_signal!r}"
-            )
         if self.benchmark_ops <= 0:
             raise ConfigurationError("benchmark_ops must be positive")
         if self.smarts_detail <= 0 or self.smarts_warmup < 0:

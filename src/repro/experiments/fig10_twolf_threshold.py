@@ -41,10 +41,10 @@ def run(
     bbvs = list(trace.normalized_bbvs())
     ipcs = trace.ipcs.tolist()
     ops = trace.ops.tolist()
-    sweep: List[Dict[str, Any]] = []
+    points: List[Dict[str, Any]] = []
     for frac in THRESHOLDS_PI:
         stats = phase_statistics(bbvs, ipcs, ops, frac * math.pi)
-        sweep.append(
+        points.append(
             {
                 "threshold_pi": frac,
                 "n_phases": stats.n_phases,
@@ -56,14 +56,14 @@ def run(
     return {
         "benchmark": benchmark,
         "ipc_sigma": float(trace.ipcs.std(ddof=0)),
-        "sweep": sweep,
+        "points": points,
     }
 
 
 def format_result(result: Dict[str, Any]) -> str:
     """Fig.-10 table: phase statistics per threshold."""
     rows = []
-    for entry in result["sweep"]:
+    for entry in result["points"]:
         rows.append(
             [
                 f"{entry['threshold_pi']:.3f}pi",

@@ -32,20 +32,7 @@ def run_single(
     config = PgssConfig.from_scale(
         ctx.scale, bbv_period_ops=period, threshold_pi=threshold_pi
     )
-    technique = Pgss(config, machine=ctx.machine)
-    result = ctx.run_cached(
-        benchmark,
-        technique,
-        {
-            "period": period,
-            "threshold": threshold_pi,
-            "detail": config.detail_ops,
-            "warm": config.warmup_ops,
-            "spread": config.spread_ops,
-            "rel": config.rel_error,
-        },
-    )
-    result = dict(result)
+    result = dict(ctx.run_cached(benchmark, Pgss(config, machine=ctx.machine)))
     result["error_pct"] = 100.0 * abs(
         result["ipc_estimate"] - ctx.true_ipc(benchmark)
     ) / ctx.true_ipc(benchmark)

@@ -97,53 +97,31 @@ def _simpoint_grid(ctx: ExperimentContext) -> List[SimPointConfig]:
 
 def _full_run(ctx: ExperimentContext, benchmark: str) -> Dict[str, Any]:
     """One cached whole-program detailed run (the cost ceiling)."""
-    return ctx.run_cached(benchmark, FullDetail(ctx.machine), {})
+    return ctx.run_cached(benchmark, FullDetail(ctx.machine))
 
 
 def _stratified_run(ctx: ExperimentContext, benchmark: str) -> Dict[str, Any]:
     """One cached two-phase stratified run (scale-canonical config)."""
     cfg = TwoPhaseStratifiedConfig.from_scale(ctx.scale)
-    return ctx.run_cached(
-        benchmark,
-        TwoPhaseStratified(cfg, ctx.machine),
-        {
-            "interval": cfg.interval_ops,
-            "samples": cfg.total_samples,
-            "pilot": cfg.pilot_per_stratum,
-        },
-    )
+    return ctx.run_cached(benchmark, TwoPhaseStratified(cfg, ctx.machine))
 
 
 def _ranked_run(ctx: ExperimentContext, benchmark: str) -> Dict[str, Any]:
     """One cached ranked-set run (scale-canonical config)."""
     cfg = RankedSetConfig.from_scale(ctx.scale)
-    return ctx.run_cached(
-        benchmark,
-        RankedSetSampling(cfg, ctx.machine),
-        {
-            "interval": cfg.interval_ops,
-            "set": cfg.set_size,
-            "sub": cfg.n_subsamples,
-        },
-    )
+    return ctx.run_cached(benchmark, RankedSetSampling(cfg, ctx.machine))
 
 
 def _smarts_run(ctx: ExperimentContext, benchmark: str) -> Dict[str, Any]:
     """One cached SMARTS run (the paper's canonical configuration)."""
     cfg = SmartsConfig.from_scale(ctx.scale)
-    return ctx.run_cached(
-        benchmark, Smarts(cfg, ctx.machine), {"period": cfg.period_ops}
-    )
+    return ctx.run_cached(benchmark, Smarts(cfg, ctx.machine))
 
 
 def _turbo_run(ctx: ExperimentContext, benchmark: str) -> Dict[str, Any]:
     """One cached TurboSMARTS run (confidence-targeted)."""
     cfg = TurboSmartsConfig.from_scale(ctx.scale)
-    return ctx.run_cached(
-        benchmark,
-        TurboSmarts(cfg, ctx.machine),
-        {"period": cfg.smarts.period_ops, "rel": cfg.rel_error},
-    )
+    return ctx.run_cached(benchmark, TurboSmarts(cfg, ctx.machine))
 
 
 def _simpoint_run(
@@ -154,7 +132,6 @@ def _simpoint_run(
     return ctx.run_cached(
         benchmark,
         technique,
-        {"interval": interval, "k": k},
         runner=lambda: technique.run(ctx.program(benchmark), trace=ctx.trace(benchmark)),
     )
 
@@ -169,7 +146,6 @@ def _olsp_run(
     return ctx.run_cached(
         benchmark,
         technique,
-        {"interval": interval, "threshold": threshold_pi},
         runner=lambda: technique.run(ctx.program(benchmark), trace=ctx.trace(benchmark)),
     )
 

@@ -19,6 +19,7 @@ reduced detail; the measured ratio here is reported for comparison.
 from __future__ import annotations
 
 import time
+from dataclasses import asdict
 from typing import Any, Dict, List
 
 from ..signals import BbvTracker
@@ -87,7 +88,7 @@ def _cached_rates(ctx: ExperimentContext) -> Dict[str, float]:
     # a mode's rate changes, or a warm cache keeps serving stale rates.
     return ctx.cache.json(
         {"kind": "rates", "scale": ctx.scale.name, "ops": RATE_OPS,
-         "engine": "batched-bulk-warm"},
+         "engine": "batched-bulk-warm", "machine": asdict(ctx.machine)},
         lambda: measure_rates(ctx),
     )
 

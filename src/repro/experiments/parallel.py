@@ -7,10 +7,10 @@ one place a cell is executed: a :class:`~repro.fleet.worker.Worker`
 calls it for every task it claims, whether that worker is a fleet
 process on another host or one of the local workers behind
 :class:`~repro.fleet.LocalService`.  It rebuilds the experiment context
-from a picklable spec, runs the cell for its cache-warming side effect
-only, and returns a small status record.  A per-cell timeout is enforced
-with ``SIGALRM``; retries, worker death and progress lines are the
-queue's and the worker's business.
+from the JSON document the task carries, runs the cell for its
+cache-warming side effect only, and returns a small status record.  A
+per-cell timeout is enforced with ``SIGALRM``; retries, worker death and
+progress lines are the queue's and the worker's business.
 
 Because the figure assembly afterwards is always the same serial code
 reading pure cache hits, any number of workers produces the same report
@@ -43,49 +43,27 @@ class _CellTimeout(OrchestrationError):
     """Raised inside a worker when a cell exceeds its time budget."""
 
 
-def _context_spec(ctx: ExperimentContext) -> Dict[str, Any]:
-    """Picklable description from which a worker rebuilds the context."""
-    spec: Dict[str, Any] = {
-        "scale": ctx.scale,
-        "machine": ctx.machine,
-        "cache_dir": str(ctx.cache.directory),
-        "benchmarks": list(ctx.benchmarks),
-    }
-    if ctx.checkpoint_dir is not None:
-        spec["checkpoint_dir"] = str(ctx.checkpoint_dir)
-        spec["checkpoint_windows"] = ctx.checkpoint_windows
-    return spec
-
-
-def _context_from_spec(spec: Dict[str, Any]) -> ExperimentContext:
-    checkpoint_dir = spec.get("checkpoint_dir")
-    return ExperimentContext(
-        scale=spec["scale"],
-        machine=spec["machine"],
-        cache_dir=Path(spec["cache_dir"]),
-        benchmarks=spec["benchmarks"],
-        checkpoint_dir=Path(checkpoint_dir) if checkpoint_dir else None,
-        checkpoint_windows=int(spec.get("checkpoint_windows", 0)),
-    )
-
-
 def _on_alarm(signum: int, frame: Any) -> None:
     raise _CellTimeout("cell exceeded its time budget")
 
 
 def _execute_cell(
-    spec: Dict[str, Any],
+    doc: Dict[str, Any],
     cell: ExperimentCell,
     timeout_s: Optional[float],
+    checkpoint_dir: Optional[Path] = None,
+    checkpoint_windows: int = 0,
 ) -> Dict[str, Any]:
-    """Run one cell in a freshly rebuilt context.
+    """Run one cell in a context rebuilt from *doc*.
 
-    Returns a small status record; results stay in the on-disk cache.
-    The timeout is enforced with ``SIGALRM``, so a hung cell cannot hold
-    its worker forever.  :func:`run_cell` is looked up at call time, so
-    a wrapper installed on this module sees every cell.
+    *doc* is an :meth:`ExperimentContext.to_doc` document; the checkpoint
+    settings are the executing worker's own.  Returns a small status
+    record; results stay in the on-disk cache.  The timeout is enforced
+    with ``SIGALRM``, so a hung cell cannot hold its worker forever.
+    :func:`run_cell` is looked up at call time, so a wrapper installed
+    on this module sees every cell.
     """
-    ctx = _context_from_spec(spec)
+    ctx = ExperimentContext.from_doc(doc, checkpoint_dir, checkpoint_windows)
     # SIGALRM can only be armed on the main thread; a worker driven from
     # a helper thread (tests, embedders) runs without the in-process
     # timeout and relies on the queue's lease expiry instead.

@@ -13,7 +13,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from ..config import DEFAULT_MACHINE, MachineConfig, Scale, ScaleConfig
+from ..config import DEFAULT_MACHINE, CacheConfig, MachineConfig, Scale, ScaleConfig
 from ..cpu.checkpoints import CheckpointFile
 from ..program import Program, WORKLOAD_NAMES, get_workload
 from ..sampling.base import SamplingResult, SamplingTechnique
@@ -55,8 +55,54 @@ class ExperimentContext:
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.checkpoint_windows = int(checkpoint_windows)
 
-    def _machine_key(self) -> Dict[str, Any]:
-        return asdict(self.machine)
+    def to_doc(self) -> Dict[str, Any]:
+        """JSON document from which :meth:`from_doc` rebuilds this context.
+
+        Holds the scale, machine, cache directory and benchmark list, so a
+        worker on any host computes the same cache entries.  Checkpoint
+        settings belong to the worker and are not part of it.
+        """
+        return {
+            "scale": asdict(self.scale),
+            "machine": asdict(self.machine),
+            "cache_dir": str(self.cache.directory),
+            "benchmarks": list(self.benchmarks),
+        }
+
+    @classmethod
+    def from_doc(
+        cls,
+        doc: Dict[str, Any],
+        checkpoint_dir: Optional[Path] = None,
+        checkpoint_windows: int = 0,
+    ) -> "ExperimentContext":
+        """Rebuild a context from a (JSON round-tripped) :meth:`to_doc`.
+
+        *checkpoint_dir* and *checkpoint_windows* are the executing
+        worker's own settings (see the class docstring).
+        """
+        scale = dict(doc["scale"])
+        for key in (
+            "pgss_periods",
+            "thresholds",
+            "simpoint_intervals",
+            "simpoint_clusters",
+        ):
+            scale[key] = tuple(scale[key])
+        scale["simpoint_extra"] = tuple(
+            (int(a), int(b)) for a, b in scale["simpoint_extra"]
+        )
+        machine = dict(doc["machine"])
+        for key in ("l1i", "l1d", "l2"):
+            machine[key] = CacheConfig(**machine[key])
+        return cls(
+            scale=ScaleConfig(**scale),
+            machine=MachineConfig(**machine),
+            cache_dir=Path(doc["cache_dir"]),
+            benchmarks=doc["benchmarks"],
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_windows=checkpoint_windows,
+        )
 
     def program(self, name: str) -> Program:
         """A fresh instance of workload *name* at this context's scale."""
@@ -77,7 +123,7 @@ class ExperimentContext:
             "scale": self.scale.name,
             "ops": self.scale.benchmark_ops,
             "window": self.scale.trace_window,
-            "machine": self._machine_key(),
+            "machine": asdict(self.machine),
         }
 
         def compute() -> ReferenceTrace:
@@ -104,29 +150,35 @@ class ExperimentContext:
         self,
         benchmark: str,
         technique: SamplingTechnique,
-        config_key: Dict[str, Any],
         runner: Optional[Callable[[], SamplingResult]] = None,
     ) -> Dict[str, Any]:
         """Run *technique* on *benchmark* with caching.
 
+        The cache key is derived from the run itself: the technique's
+        full config dataclass (``{}`` for the config-less
+        :class:`~repro.sampling.full.FullDetail`), the machine the
+        technique simulates, and the scale fields the runs read.  No
+        caller describes its configuration by hand, so two runs that
+        differ in any config field never share an entry.
+
         Args:
             benchmark: workload name.
             technique: configured technique instance.
-            config_key: JSON-able description of the configuration (cache
-                key component).
             runner: optional override of the default
                 ``technique.run(program)`` call (e.g. to pass a trace).
 
         Returns a plain dict with the result fields needed by the figures.
         """
+        config = getattr(technique, "config", None)
         payload = {
             "kind": "technique",
             "benchmark": benchmark,
             "technique": technique.name,
-            "config": config_key,
+            "config": asdict(config) if config is not None else {},
             "scale": self.scale.name,
             "ops": self.scale.benchmark_ops,
-            "machine": self._machine_key(),
+            "trace_window": self.scale.trace_window,
+            "machine": asdict(technique.machine),
         }
 
         def compute() -> Dict[str, Any]:

@@ -21,6 +21,7 @@ and the concatenated signal see every boundary and cut the IPC error.
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 from typing import Any, Dict, List
 
 from ..cpu import Mode, SimulationEngine
@@ -52,15 +53,7 @@ def _pgss_run(
     cfg = PgssConfig.from_scale(
         ctx.scale, threshold_pi=THRESHOLD_PI, phase_signal=signal
     )
-    return ctx.run_cached(
-        benchmark,
-        Pgss(cfg, ctx.machine),
-        {
-            "period": cfg.bbv_period_ops,
-            "threshold": cfg.threshold_pi,
-            "signal": signal,
-        },
-    )
+    return ctx.run_cached(benchmark, Pgss(cfg, ctx.machine))
 
 
 def _detection_stats(
@@ -76,7 +69,7 @@ def _detection_stats(
         "period": ctx.scale.pgss_best_period,
         "scale": ctx.scale.name,
         "ops": ctx.scale.benchmark_ops,
-        "machine": ctx._machine_key(),
+        "machine": asdict(ctx.machine),
     }
     return ctx.cache.json(payload, lambda: _detect(ctx, benchmark, signal))
 

@@ -53,11 +53,7 @@ def _smarts_run(
         period_ops=period,
         functional_warming=warming,
     )
-    return ctx.run_cached(
-        benchmark,
-        Smarts(cfg, ctx.machine),
-        {"period": period, "warming": warming, "sweep": "tradeoff"},
-    )
+    return ctx.run_cached(benchmark, Smarts(cfg, ctx.machine))
 
 
 def _pgss_run(
@@ -65,11 +61,7 @@ def _pgss_run(
 ) -> Dict[str, Any]:
     """One cached PGSS sweep-point run on one benchmark."""
     cfg = PgssConfig.from_scale(ctx.scale, spread_ops=spread)
-    return ctx.run_cached(
-        benchmark,
-        Pgss(cfg, ctx.machine),
-        {"spread": spread, "sweep": "tradeoff"},
-    )
+    return ctx.run_cached(benchmark, Pgss(cfg, ctx.machine))
 
 
 def _stratified_run(
@@ -77,11 +69,7 @@ def _stratified_run(
 ) -> Dict[str, Any]:
     """One cached two-phase stratified sweep-point run on one benchmark."""
     cfg = TwoPhaseStratifiedConfig.from_scale(ctx.scale, total_samples=samples)
-    return ctx.run_cached(
-        benchmark,
-        TwoPhaseStratified(cfg, ctx.machine),
-        {"samples": samples, "sweep": "tradeoff"},
-    )
+    return ctx.run_cached(benchmark, TwoPhaseStratified(cfg, ctx.machine))
 
 
 def _ranked_run(
@@ -89,11 +77,7 @@ def _ranked_run(
 ) -> Dict[str, Any]:
     """One cached ranked-set sweep-point run on one benchmark."""
     cfg = RankedSetConfig.from_scale(ctx.scale, set_size=set_size)
-    return ctx.run_cached(
-        benchmark,
-        RankedSetSampling(cfg, ctx.machine),
-        {"set": set_size, "sweep": "tradeoff"},
-    )
+    return ctx.run_cached(benchmark, RankedSetSampling(cfg, ctx.machine))
 
 
 def _sweep_point(

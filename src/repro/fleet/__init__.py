@@ -20,8 +20,6 @@ from .queue import (
     JobQueue,
     JobState,
     QueueSweep,
-    spec_from_doc,
-    spec_to_doc,
 )
 from .service import ExperimentService, JobHandle, LocalService, QueueService
 from .worker import DEFAULT_CHECKPOINT_WINDOWS, DEFAULT_POLL_S, Worker, run_worker
@@ -40,6 +38,4 @@ __all__ = [
     "QueueSweep",
     "Worker",
     "run_worker",
-    "spec_from_doc",
-    "spec_to_doc",
 ]

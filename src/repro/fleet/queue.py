@@ -5,7 +5,7 @@ job per submitted experiment and one task per
 :class:`~repro.experiments.cells.ExperimentCell`.  Layout::
 
     queue/
-      jobs/<job>.json       manifest: task list, figure ids, context spec
+      jobs/<job>.json       manifest: task list, figure ids, context document
       tasks/<task>.json     a pending cell (priority encoded in the name)
       claims/<task>.json    lease held by a worker (created with O_EXCL)
       done/<task>.json      terminal outcome record
@@ -31,7 +31,7 @@ a reaped lease); a claim that completes its cell leaves it untouched
 until it is removed.
 
 Everything a worker needs to execute a cell travels in the task file:
-the serialized cell plus a JSON rendering of the experiment-context spec
+the serialized cell plus the experiment context's JSON document
 (scale, machine, cache directory, benchmark list), so submitters and
 workers only have to agree on the queue directory.
 
@@ -47,11 +47,10 @@ import os
 import socket
 import time
 import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..config import CacheConfig, MachineConfig, ScaleConfig
 from ..errors import FleetError
 from ..experiments.cells import ExperimentCell
 
@@ -61,8 +60,6 @@ __all__ = [
     "JobQueue",
     "JobState",
     "QueueSweep",
-    "spec_from_doc",
-    "spec_to_doc",
 ]
 
 #: Default lease duration; a worker heartbeats at a third of this, so a
@@ -74,55 +71,6 @@ _PRIORITY_MIN, _PRIORITY_MAX, _PRIORITY_DEFAULT = 0, 99, 50
 
 #: Terminal task statuses a done-record may carry.
 _TERMINAL_STATUSES = ("ok", "error", "timeout", "failed", "cancelled")
-
-
-def spec_to_doc(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """JSON-able rendering of a picklable experiment-context spec.
-
-    The spec is the shape :mod:`repro.experiments.parallel` rebuilds a
-    context from (scale, machine, cache_dir, benchmarks, and optionally
-    checkpoint fields); this flattens the config dataclasses so the
-    document survives a JSON round trip.
-    """
-    doc: Dict[str, Any] = {
-        "scale": asdict(spec["scale"]),
-        "machine": asdict(spec["machine"]),
-        "cache_dir": str(spec["cache_dir"]),
-        "benchmarks": list(spec["benchmarks"]),
-    }
-    return doc
-
-
-def _scale_from_doc(doc: Dict[str, Any]) -> ScaleConfig:
-    fields = dict(doc)
-    for key in (
-        "pgss_periods",
-        "thresholds",
-        "simpoint_intervals",
-        "simpoint_clusters",
-    ):
-        fields[key] = tuple(fields[key])
-    fields["simpoint_extra"] = tuple(
-        (int(a), int(b)) for a, b in fields["simpoint_extra"]
-    )
-    return ScaleConfig(**fields)
-
-
-def _machine_from_doc(doc: Dict[str, Any]) -> MachineConfig:
-    fields = dict(doc)
-    for key in ("l1i", "l1d", "l2"):
-        fields[key] = CacheConfig(**fields[key])
-    return MachineConfig(**fields)
-
-
-def spec_from_doc(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Rebuild the picklable context spec from its JSON document."""
-    return {
-        "scale": _scale_from_doc(doc["scale"]),
-        "machine": _machine_from_doc(doc["machine"]),
-        "cache_dir": doc["cache_dir"],
-        "benchmarks": list(doc["benchmarks"]),
-    }
 
 
 def _cell_to_doc(cell: ExperimentCell) -> Dict[str, Any]:
@@ -303,7 +251,8 @@ class JobQueue:
 
         Args:
             cells: the work units (already deduplicated by the caller).
-            spec_doc: JSON context-spec document (:func:`spec_to_doc`).
+            spec_doc: JSON context document
+                (:meth:`~repro.experiments.runner.ExperimentContext.to_doc`).
             figures: figure ids the job was derived from (used by
                 ``fetch`` to assemble the report).
             priority: 0-99; higher-priority tasks are claimed first.

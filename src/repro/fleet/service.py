@@ -41,21 +41,10 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import FleetError, OrchestrationError
 from ..experiments.cells import ExperimentCell, enumerate_cells
-from ..experiments.parallel import (
-    DEFAULT_RETRIES,
-    DEFAULT_TIMEOUT_S,
-    _context_from_spec,
-    _context_spec,
-)
+from ..experiments.parallel import DEFAULT_RETRIES, DEFAULT_TIMEOUT_S
 from ..experiments.report import generate_report, resolve_figure_ids
 from ..experiments.runner import ExperimentContext
-from .queue import (
-    DEFAULT_LEASE_S,
-    JobQueue,
-    JobState,
-    spec_from_doc,
-    spec_to_doc,
-)
+from .queue import DEFAULT_LEASE_S, JobQueue, JobState
 from .worker import Worker
 
 __all__ = [
@@ -176,13 +165,13 @@ class QueueService(ExperimentService):
         """Rebuild a service for an existing job from its manifest.
 
         Lets ``pgss-sim jobs status/fetch/cancel <id>`` run in a fresh
-        process: the manifest's context spec is authoritative, so the
+        process: the manifest's context document is authoritative, so the
         report is assembled against exactly the submitted scale,
         machine, cache directory, and benchmark list.
         """
         queue = JobQueue(Path(queue_dir))
         manifest = queue.manifest(job_id)
-        ctx = _context_from_spec(spec_from_doc(manifest["spec"]))
+        ctx = ExperimentContext.from_doc(manifest["spec"])
         return QueueService(ctx, Path(queue_dir))
 
     def handle(self, job_id: str) -> JobHandle:
@@ -201,7 +190,7 @@ class QueueService(ExperimentService):
             cells = enumerate_cells(self.ctx, figures=modules)
         job_id = self.queue.submit(
             cells,
-            spec_to_doc(_context_spec(self.ctx)),
+            self.ctx.to_doc(),
             figures=numbers,
             priority=self.priority,
             retries=self.retries,
@@ -265,7 +254,7 @@ class LocalService(QueueService):
 
     Args:
         ctx: experiment context; workers rebuild an equivalent one from
-            its (scale, machine, cache directory, benchmarks) spec.
+            its :meth:`~ExperimentContext.to_doc` document.
         jobs: worker count; 1 runs every cell in the calling process.
         timeout_s: per-cell wall-clock budget (None disables it).
         retries: additional attempts after a failed/timed-out one.

@@ -5,9 +5,9 @@
 worker processes and in the calling process.  Each claimed task is
 executed through the one cell executor
 (:func:`repro.experiments.parallel._execute_cell`), against a context
-rebuilt from the spec embedded in the task — so a cell produces the
-same cache bytes whether it runs on a laptop or on a fleet worker three
-hosts away.  Results never travel through the queue: they are published
+rebuilt from the context document embedded in the task — so a cell
+produces the same cache bytes whether it runs on a laptop or on a fleet
+worker three hosts away.  Results never travel through the queue: they are published
 into the shared :class:`ResultCache`, and the queue only records small
 outcome documents.
 
@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, Optional
 
 from ..errors import FleetError
 from ..experiments.parallel import DEFAULT_TIMEOUT_S, _execute_cell
-from .queue import DEFAULT_LEASE_S, ClaimedTask, JobQueue, spec_from_doc
+from .queue import DEFAULT_LEASE_S, ClaimedTask, JobQueue
 
 __all__ = ["DEFAULT_CHECKPOINT_WINDOWS", "DEFAULT_POLL_S", "Worker", "run_worker"]
 
@@ -116,16 +116,19 @@ class Worker:
             f"claim cell={task.cell.cell_id} worker={self.worker_id} "
             f"attempt={task.attempts}/{1 + task.retries}",
         )
-        spec = spec_from_doc(task.spec_doc)
-        spec["checkpoint_dir"] = str(task.checkpoint_dir)
-        spec["checkpoint_windows"] = self.checkpoint_windows
         stop = threading.Event()
         beat = threading.Thread(
             target=self._heartbeat_loop, args=(task, stop), daemon=True
         )
         beat.start()
         try:
-            record = _execute_cell(spec, task.cell, self.timeout_s)
+            record = _execute_cell(
+                task.spec_doc,
+                task.cell,
+                self.timeout_s,
+                task.checkpoint_dir,
+                self.checkpoint_windows,
+            )
         except Exception as exc:  # _execute_cell is defensive; belt+braces
             record = {
                 "status": "error",

@@ -12,7 +12,21 @@ from ..errors import EstimateError
 from ..program import Program
 from ..stats.ci import ConfidenceInterval
 
-__all__ = ["SamplingResult", "SamplingTechnique"]
+__all__ = ["SamplingResult", "SamplingTechnique", "ops_label"]
+
+
+def ops_label(n: int) -> str:
+    """Compact op count for config labels: ``80000`` -> ``"80k"``.
+
+    Exact multiples of a million or a thousand get an ``M`` / ``k``
+    suffix; any other count is printed in full, so a label never rounds
+    two configurations onto one string.
+    """
+    if n % 1_000_000 == 0:
+        return f"{n // 1_000_000}M"
+    if n % 1_000 == 0:
+        return f"{n // 1_000}k"
+    return str(n)
 
 
 @dataclass

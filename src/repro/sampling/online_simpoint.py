@@ -29,7 +29,7 @@ from ..events import EstimateUpdated, EventBus
 from ..phase import OnlinePhaseClassifier
 from ..program import Program
 from ..stats.estimators import stratified_ratio_ipc
-from .base import SamplingResult, SamplingTechnique
+from .base import SamplingResult, SamplingTechnique, ops_label
 from .full import ReferenceTrace
 from .simpoint import SimPoint, SimPointConfig
 
@@ -60,13 +60,10 @@ class OnlineSimPointConfig:
     @property
     def label(self) -> str:
         """Short config label, e.g. ``"80k/.10"``."""
-        if self.interval_ops % 1_000_000 == 0:
-            size = f"{self.interval_ops // 1_000_000}M"
-        elif self.interval_ops % 1_000 == 0:
-            size = f"{self.interval_ops // 1_000}k"
-        else:
-            size = str(self.interval_ops)
-        return f"{size}/.{int(round(self.threshold_pi * 100)):02d}"
+        return (
+            f"{ops_label(self.interval_ops)}"
+            f"/.{int(round(self.threshold_pi * 100)):02d}"
+        )
 
 
 class OnlineSimPoint(SamplingTechnique):

@@ -41,7 +41,7 @@ from ..phase import OnlinePhaseClassifier, PhaseProfile
 from ..program import Program
 from ..signals import PHASE_SIGNALS, SignalTracker, make_signal_tracker
 from ..stats.estimators import stratified_ratio_ipc
-from .base import SamplingResult, SamplingTechnique
+from .base import SamplingResult, SamplingTechnique, ops_label
 from .session import (
     PAUSE,
     ModeSegment,
@@ -136,7 +136,6 @@ class PgssConfig:
             spread_ops=scale.pgss_spread,
             rel_error=budget.rel_error,
             confidence=budget.confidence,
-            phase_signal=scale.phase_signal,
         )
         params.update(overrides)
         return cls(
@@ -148,14 +147,10 @@ class PgssConfig:
     @property
     def label(self) -> str:
         """Short config label, e.g. ``"80k/.05"``."""
-        p = self.bbv_period_ops
-        if p % 1_000_000 == 0:
-            size = f"{p // 1_000_000}M"
-        elif p % 1_000 == 0:
-            size = f"{p // 1_000}k"
-        else:
-            size = str(p)
-        label = f"{size}/.{int(round(self.threshold_pi * 100)):02d}"
+        label = (
+            f"{ops_label(self.bbv_period_ops)}"
+            f"/.{int(round(self.threshold_pi * 100)):02d}"
+        )
         if self.phase_signal != "bbv":
             label += f"/{self.phase_signal}"
         return label

@@ -44,7 +44,7 @@ from ..errors import ConfigurationError, SamplingError
 from ..events import EstimateUpdated, EventBus
 from ..program import Program
 from ..stats.ci import ConfidenceInterval, t_value
-from .base import SamplingResult, SamplingTechnique
+from .base import SamplingResult, SamplingTechnique, ops_label
 from .session import (
     ModeSegment,
     SamplingSession,
@@ -105,16 +105,8 @@ class RankedSetConfig:
     def label(self) -> str:
         """Short config label, e.g. ``"8kx3r4"``."""
         return (
-            f"{_fmt_ops(self.interval_ops)}x{self.set_size}r{self.n_subsamples}"
+            f"{ops_label(self.interval_ops)}x{self.set_size}r{self.n_subsamples}"
         )
-
-
-def _fmt_ops(n: int) -> str:
-    if n % 1_000_000 == 0:
-        return f"{n // 1_000_000}M"
-    if n % 1_000 == 0:
-        return f"{n // 1_000}k"
-    return str(n)
 
 
 class RankedSetSampling(SamplingTechnique):

@@ -30,7 +30,7 @@ from ..errors import ConfigurationError, SamplingError
 from ..events import EstimateUpdated, EventBus
 from ..program import Program
 from ..stats.estimators import stratified_ratio_ipc
-from .base import SamplingResult, SamplingTechnique
+from .base import SamplingResult, SamplingTechnique, ops_label
 from .full import ReferenceTrace
 from .session import ModeSegment, SamplingSession, SegmentPlan, SegmentRole
 
@@ -71,15 +71,7 @@ class SimPointConfig:
     def label(self) -> str:
         """Short config label, e.g. ``"10x80k"`` (``"bicNx80k"`` for BIC)."""
         k = self.n_clusters if self.n_clusters is not None else f"bic{self.max_k}"
-        return f"{k}x{_fmt_ops(self.interval_ops)}"
-
-
-def _fmt_ops(n: int) -> str:
-    if n % 1_000_000 == 0:
-        return f"{n // 1_000_000}M"
-    if n % 1_000 == 0:
-        return f"{n // 1_000}k"
-    return str(n)
+        return f"{k}x{ops_label(self.interval_ops)}"
 
 
 class SimPoint(SamplingTechnique):

@@ -43,7 +43,7 @@ from ..signals import PHASE_SIGNALS, make_signal_tracker
 from ..stats.ci import ConfidenceInterval
 from ..stats.estimators import stratified_ratio_ipc
 from ..stats.sampling_theory import neyman_allocation, stratified_mean_ci
-from .base import SamplingResult, SamplingTechnique
+from .base import SamplingResult, SamplingTechnique, ops_label
 from .session import (
     ModeSegment,
     SamplingSession,
@@ -120,7 +120,6 @@ class TwoPhaseStratifiedConfig:
             detail_ops=budget.detail_ops,
             warmup_ops=budget.warmup_ops,
             confidence=budget.confidence,
-            phase_signal=scale.phase_signal,
         )
         params.update(overrides)
         return cls(**params)
@@ -129,20 +128,12 @@ class TwoPhaseStratifiedConfig:
     def label(self) -> str:
         """Short config label, e.g. ``"8kx2p16"``."""
         label = (
-            f"{_fmt_ops(self.interval_ops)}x"
+            f"{ops_label(self.interval_ops)}x"
             f"{self.pilot_per_stratum}p{self.total_samples}"
         )
         if self.phase_signal != "bbv":
             label += f"/{self.phase_signal}"
         return label
-
-
-def _fmt_ops(n: int) -> str:
-    if n % 1_000_000 == 0:
-        return f"{n // 1_000_000}M"
-    if n % 1_000 == 0:
-        return f"{n // 1_000}k"
-    return str(n)
 
 
 def _spread(items: List[int], count: int) -> List[int]:

@@ -622,16 +622,21 @@ class TestRealTree:
         gated = [SRC_REPRO / "events.py"]
         for pkg in (
             "analysis",
-            "bbv",
+            "branch",
             "clustering",
             "cpu",
             "experiments",
+            "fleet",
+            "memory",
             "phase",
             "program",
             "sampling",
             "signals",
             "stats",
         ):
+            # rglob on a missing directory finds nothing, which would
+            # silently drop a renamed or deleted package from the gate.
+            assert (SRC_REPRO / pkg).is_dir(), pkg
             gated.extend(sorted((SRC_REPRO / pkg).rglob("*.py")))
         for path in gated:
             tree = ast.parse(path.read_text())

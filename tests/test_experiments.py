@@ -5,11 +5,12 @@ stays fast; the full ten-benchmark reproduction lives in ``benchmarks/``.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.config import Scale
+from repro.config import DEFAULT_MACHINE, Scale
 from repro.experiments import ExperimentContext, ResultCache
 from repro.experiments import (
     fig01_timeline as fig01,
@@ -20,6 +21,7 @@ from repro.experiments import (
     fig09_false_positives as fig09,
     fig10_twolf_threshold as fig10,
     fig11_pgss_sweep as fig11,
+    fig12_technique_comparison as fig12,
     fig13_simulation_time as fig13,
 )
 from repro.sampling import Smarts, SmartsConfig
@@ -87,11 +89,43 @@ class TestExperimentContext:
 
     def test_run_cached_roundtrip(self, ctx):
         tech = Smarts(SmartsConfig.from_scale(ctx.scale))
-        r1 = ctx.run_cached("164.gzip", tech, {"v": 1})
-        r2 = ctx.run_cached("164.gzip", tech, {"v": 1})
+        r1 = ctx.run_cached("164.gzip", tech)
+        r2 = ctx.run_cached("164.gzip", tech)
         assert r1 == r2
         assert r1["technique"] == "SMARTS"
         assert r1["ipc_estimate"] > 0
+
+    def test_run_cached_keys_on_the_full_scale_config(self, tmp_path):
+        # Two scales sharing a name that differ only in a field the old
+        # hand-written keys dropped must not share a cached SMARTS run.
+        scales = [Scale.QUICK, replace(Scale.QUICK, smarts_warmup=2000)]
+        ops = []
+        for scale in scales:
+            ctx = ExperimentContext(
+                scale, cache_dir=tmp_path, benchmarks=["164.gzip"]
+            )
+            cached = fig12._smarts_run(ctx, "164.gzip")
+            direct = Smarts(SmartsConfig.from_scale(scale), ctx.machine).run(
+                ctx.program("164.gzip")
+            )
+            assert cached["detailed_ops"] == direct.detailed_ops
+            ops.append(cached["detailed_ops"])
+        assert ops[0] != ops[1]
+
+    def test_run_cached_keys_on_the_technique_machine(self, tmp_path):
+        ctx = ExperimentContext(
+            Scale.QUICK, cache_dir=tmp_path, benchmarks=["164.gzip"]
+        )
+        cfg = SmartsConfig.from_scale(ctx.scale)
+        slow_memory = replace(DEFAULT_MACHINE, memory_latency=400)
+        results = [
+            ctx.run_cached("164.gzip", Smarts(cfg, machine))
+            for machine in (DEFAULT_MACHINE, slow_memory)
+        ]
+        assert ctx.cache.misses == 2
+        direct = Smarts(cfg, slow_memory).run(ctx.program("164.gzip"))
+        assert results[1]["ipc_estimate"] == direct.ipc_estimate
+        assert results[0]["ipc_estimate"] != results[1]["ipc_estimate"]
 
     def test_program_fresh_instances(self, ctx):
         assert ctx.program("164.gzip") is not ctx.program("164.gzip")
@@ -147,10 +181,10 @@ class TestAnalysisFigures:
 
     def test_fig10_phase_count_falls(self, ctx):
         result = fig10.run(ctx)
-        phases = [e["n_phases"] for e in result["sweep"]]
+        phases = [e["n_phases"] for e in result["points"]]
         assert phases[0] >= phases[-1]
         assert phases[-1] >= 1
-        intervals = [e["mean_interval_ops"] for e in result["sweep"]]
+        intervals = [e["mean_interval_ops"] for e in result["points"]]
         assert intervals[-1] >= intervals[0]
         fig10.format_result(result)
 

@@ -1,10 +1,10 @@
 """Tests for the distributed experiment fleet (`repro.fleet`).
 
 Covers the filesystem job queue (claim semantics, priorities, leases,
-retries, cancellation, sweeping), the worker loop, the spec JSON round
-trip, the `ExperimentService` facade on both backends, the
-fleet-vs-serial byte-identity guarantee, worker death with
-checkpointed resume, and the `jobs`/`worker` CLI wiring.
+retries, cancellation, sweeping), the worker loop, the context
+document's JSON round trip, the `ExperimentService` facade on both
+backends, the fleet-vs-serial byte-identity guarantee, worker death
+with checkpointed resume, and the `jobs`/`worker` CLI wiring.
 """
 
 import json
@@ -20,16 +20,7 @@ from repro.cli import build_parser, main
 from repro.config import Scale
 from repro.errors import FleetError
 from repro.experiments import ExperimentContext, ResultCache, trace_cell
-from repro.experiments.parallel import _context_spec
-from repro.fleet import (
-    JobHandle,
-    JobQueue,
-    LocalService,
-    QueueService,
-    Worker,
-    spec_from_doc,
-    spec_to_doc,
-)
+from repro.fleet import JobHandle, JobQueue, LocalService, QueueService, Worker
 
 BENCHMARKS = ["164.gzip", "300.twolf"]
 
@@ -44,24 +35,27 @@ def make_queue(tmp_path, **kwargs):
     return JobQueue(tmp_path / "queue", **kwargs)
 
 
-def spec_doc(cache_dir):
-    return spec_to_doc(_context_spec(make_ctx(cache_dir)))
+def context_doc(cache_dir):
+    return make_ctx(cache_dir).to_doc()
 
 
 def submit_traces(queue, cache_dir, benchmarks=BENCHMARKS, **kwargs):
     cells = [trace_cell(b) for b in benchmarks]
-    return queue.submit(cells, spec_doc(cache_dir), **kwargs)
+    return queue.submit(cells, context_doc(cache_dir), **kwargs)
 
 
 class TestSpecRoundTrip:
     def test_doc_survives_json_and_rebuilds_equal_configs(self, tmp_path):
         ctx = make_ctx(tmp_path / "cache")
-        doc = json.loads(json.dumps(spec_to_doc(_context_spec(ctx))))
-        spec = spec_from_doc(doc)
-        assert spec["scale"] == ctx.scale
-        assert spec["machine"] == ctx.machine
-        assert spec["benchmarks"] == BENCHMARKS
-        assert str(ctx.cache.directory) == spec["cache_dir"]
+        doc = json.loads(json.dumps(ctx.to_doc()))
+        rebuilt = ExperimentContext.from_doc(doc, tmp_path / "ckpt", 4)
+        assert rebuilt.scale == ctx.scale
+        assert rebuilt.machine == ctx.machine
+        assert rebuilt.benchmarks == BENCHMARKS
+        assert str(ctx.cache.directory) == doc["cache_dir"]
+        assert rebuilt.cache.directory == ctx.cache.directory
+        assert rebuilt.checkpoint_dir == tmp_path / "ckpt"
+        assert rebuilt.checkpoint_windows == 4
 
 
 class TestJobQueue:
@@ -78,7 +72,7 @@ class TestJobQueue:
     def test_empty_submit_rejected(self, tmp_path):
         queue = make_queue(tmp_path)
         with pytest.raises(FleetError):
-            queue.submit([], spec_doc(tmp_path / "cache"))
+            queue.submit([], context_doc(tmp_path / "cache"))
 
     def test_duplicate_job_id_rejected(self, tmp_path):
         queue = make_queue(tmp_path)
@@ -582,9 +576,9 @@ class TestLocalServiceSmoke:
         assert service.ctx.cache.misses == 0
 
     def test_warm_rerun_computes_nothing(self, smoke_cache, monkeypatch):
-        """Cells run on contexts rebuilt from the task spec, so the
-        caller's cache counters cannot see a warm recompute: check the
-        cache listing and the engine count instead."""
+        """Cells run on contexts rebuilt from the task's context
+        document, so the caller's cache counters cannot see a warm
+        recompute: check the cache listing and the engine count instead."""
         listing = cache_listing(smoke_cache)
         built = count_engines(monkeypatch)
         service = LocalService(smoke_ctx(smoke_cache))

@@ -368,7 +368,7 @@ class TestWorkerAlarmHygiene:
         previous = signal.signal(signal.SIGALRM, sentinel)
         try:
             record = parallel._execute_cell(
-                parallel._context_spec(_make_ctx(tmp_path)),
+                _make_ctx(tmp_path).to_doc(),
                 trace_cell("164.gzip"),
                 5.0,
             )
@@ -389,7 +389,7 @@ class TestWorkerAlarmHygiene:
         previous = signal.signal(signal.SIGALRM, sentinel)
         try:
             record = parallel._execute_cell(
-                parallel._context_spec(_make_ctx(tmp_path)),
+                _make_ctx(tmp_path).to_doc(),
                 trace_cell("164.gzip"),
                 5.0,
             )
