@@ -14,9 +14,10 @@ Subcommands::
     pgss-sim clear-cache               # drop cached experiment results
 
 Every experiment-running command is a thin client of
-:class:`repro.fleet.ExperimentService`; ``run-all`` is the compat alias
+:class:`repro.fleet.QueueService`; ``run-all`` is the compat alias
 for ``jobs submit`` + wait + ``jobs fetch`` on the local backend
-(or on a shared queue with ``--queue``).  All subcommands accept
+(or on a shared queue with ``--queue``), and ``figure`` / ``report``
+are ``run-all`` with fixed arguments.  All subcommands accept
 ``--scale {quick,scaled,paper}``.
 """
 
@@ -32,29 +33,16 @@ from .program import WORKLOAD_NAMES, get_workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .events import EventBus
-    from .fleet import ExperimentService, JobState
+    from .fleet import JobState, QueueService
 
 __all__ = ["main", "build_parser"]
 
 _SCALES = {"quick": Scale.QUICK, "scaled": Scale.SCALED, "paper": Scale.PAPER}
 
-_FIGURES = {
-    "1": "fig01_timeline",
-    "2": "fig02_sampling_granularity",
-    "3": "fig03_ipc_distribution",
-    "6": "fig07_change_distribution",
-    "7": "fig07_change_distribution",
-    "8": "fig08_detection_rate",
-    "9": "fig09_false_positives",
-    "10": "fig10_twolf_threshold",
-    "11": "fig11_pgss_sweep",
-    "12": "fig12_technique_comparison",
-    "13": "fig13_simulation_time",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
+    from .experiments.report import FIGURE_MODULES
+
     parser = argparse.ArgumentParser(
         prog="pgss-sim",
         description="Phase-Guided Small-Sample Simulation (ISPASS 2007) reproduction",
@@ -107,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_fig = sub.add_parser("figure", help="regenerate one paper figure")
-    p_fig.add_argument("number", choices=sorted(_FIGURES, key=int))
+    # The paper's numbered figures; "6/7" is accepted as 6 or 7.
+    numbers = {n for ids, _ in FIGURE_MODULES for n in ids.split("/") if n.isdigit()}
+    p_fig.add_argument("number", choices=sorted(numbers, key=int))
 
     p_report = sub.add_parser(
         "report", help="regenerate every figure into one report"
@@ -447,39 +437,6 @@ def _print_failures(state: "JobState") -> None:
           file=sys.stderr)
 
 
-def _run_local_job(
-    scale: ScaleConfig,
-    figures: Optional[str],
-    jobs: int = 1,
-    quiet: bool = True,
-) -> "tuple[int, Optional[str]]":
-    """Submit + wait + fetch on the local service backend."""
-    from .experiments import ExperimentContext
-    from .fleet import LocalService
-
-    progress = (
-        None
-        if quiet
-        else lambda line: print(line, file=sys.stderr, flush=True)
-    )
-    service = LocalService(
-        ExperimentContext(scale), jobs=jobs, progress=progress
-    )
-    handle = service.submit(figures=figures)
-    state = service.wait(handle)
-    if state.state != "done":
-        _print_failures(state)
-        return 1, None
-    return 0, service.fetch(handle)
-
-
-def _cmd_figure(scale: ScaleConfig, number: str) -> int:
-    code, text = _run_local_job(scale, figures=number)
-    if text is not None:
-        print(text)
-    return code
-
-
 def _cmd_inspect(scale: ScaleConfig, workload: str) -> int:
     from .program import dynamic_profile, static_profile
 
@@ -515,13 +472,6 @@ def _write_report(text: str, output: Optional[str]) -> None:
         print(text)
 
 
-def _cmd_report(scale: ScaleConfig, output: Optional[str]) -> int:
-    code, text = _run_local_job(scale, figures=None)
-    if text is not None:
-        _write_report(text, output)
-    return code
-
-
 def _cmd_run_all(
     scale: ScaleConfig,
     jobs: int,
@@ -538,9 +488,7 @@ def _cmd_run_all(
         if queue:
             from .fleet import QueueService
 
-            service: "ExperimentService" = QueueService(
-                ctx, Path(queue)
-            )
+            service: "QueueService" = QueueService(ctx, Path(queue))
         else:
             from .fleet import LocalService
 
@@ -563,11 +511,16 @@ def _cmd_run_all(
             _print_failures(state)
             return 1
         text = service.fetch(handle)
+        # The cells ran on worker contexts; their counters come back in
+        # the done records, the report assembly's are this context's.
+        stats = ctx.cache.stats()
+        for record in service.queue.outcomes(handle.job_id):
+            for key, count in record.get("cache", {}).items():
+                stats[key] = stats.get(key, 0) + int(count)
     except OrchestrationError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     _write_report(text, output)
-    stats = ctx.cache.stats()
     print(
         f"cache: {stats['hits']} hits, {stats['misses']} misses, "
         f"{stats['races']} races, {stats['corrupt']} corrupt entries",
@@ -755,9 +708,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             progress=args.progress,
         )
     if args.command == "figure":
-        return _cmd_figure(scale, args.number)
+        return _cmd_run_all(scale, 1, args.number, None, True, None)
     if args.command == "report":
-        return _cmd_report(scale, args.output)
+        return _cmd_run_all(scale, 1, None, args.output, True, None)
     if args.command == "run-all":
         return _cmd_run_all(
             scale, args.jobs, args.figures, args.output, args.quiet, args.queue

@@ -128,12 +128,7 @@ def _simpoint_run(
     ctx: ExperimentContext, benchmark: str, interval: int, k: int
 ) -> Dict[str, Any]:
     """One cached SimPoint run at (interval, k clusters)."""
-    technique = SimPoint(SimPointConfig(interval, k), ctx.machine)
-    return ctx.run_cached(
-        benchmark,
-        technique,
-        runner=lambda: technique.run(ctx.program(benchmark), trace=ctx.trace(benchmark)),
-    )
+    return ctx.run_cached(benchmark, SimPoint(SimPointConfig(interval, k), ctx.machine))
 
 
 def _olsp_run(
@@ -143,11 +138,7 @@ def _olsp_run(
     technique = OnlineSimPoint(
         OnlineSimPointConfig(interval, threshold_pi), ctx.machine
     )
-    return ctx.run_cached(
-        benchmark,
-        technique,
-        runner=lambda: technique.run(ctx.program(benchmark), trace=ctx.trace(benchmark)),
-    )
+    return ctx.run_cached(benchmark, technique)
 
 
 def cells(ctx: ExperimentContext) -> List[ExperimentCell]:

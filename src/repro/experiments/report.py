@@ -77,7 +77,7 @@ def generate_report(
     """Run the selected figures (default: all) and return the report text.
 
     This is the figure-assembly path; user code should reach it through
-    :class:`repro.fleet.ExperimentService.fetch`, which runs the cells
+    :meth:`repro.fleet.QueueService.fetch`, which runs the cells
     first so every figure reads a warm cache.
 
     Args:

@@ -3,20 +3,20 @@
 Owns the scale configuration, machine model, and result cache, and
 provides the primitives every figure module needs: fresh programs, cached
 reference traces, true IPCs, and cached technique runs.  Figures are run
-through :class:`repro.fleet.ExperimentService`, which executes their
-cells first and then assembles each figure from the warm cache.
+through a :class:`repro.fleet.QueueService`, which executes their cells
+first and then assembles each figure from the warm cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..config import DEFAULT_MACHINE, CacheConfig, MachineConfig, Scale, ScaleConfig
 from ..cpu.checkpoints import CheckpointFile
 from ..program import Program, WORKLOAD_NAMES, get_workload
-from ..sampling.base import SamplingResult, SamplingTechnique
+from ..sampling.base import SamplingTechnique
 from ..sampling.full import ReferenceTrace, collect_reference_trace
 from .cache import ResultCache
 
@@ -147,10 +147,7 @@ class ExperimentContext:
         return self.trace(name).true_ipc
 
     def run_cached(
-        self,
-        benchmark: str,
-        technique: SamplingTechnique,
-        runner: Optional[Callable[[], SamplingResult]] = None,
+        self, benchmark: str, technique: SamplingTechnique
     ) -> Dict[str, Any]:
         """Run *technique* on *benchmark* with caching.
 
@@ -159,17 +156,13 @@ class ExperimentContext:
         :class:`~repro.sampling.full.FullDetail`), the machine the
         technique simulates, and the scale fields the runs read.  No
         caller describes its configuration by hand, so two runs that
-        differ in any config field never share an entry.
-
-        Args:
-            benchmark: workload name.
-            technique: configured technique instance.
-            runner: optional override of the default
-                ``technique.run(program)`` call (e.g. to pass a trace).
+        differ in any config field never share an entry.  A technique
+        that declares ``uses_trace`` runs on the benchmark's cached
+        reference trace; every other one runs on a fresh program.
 
         Returns a plain dict with the result fields needed by the figures.
         """
-        config = getattr(technique, "config", None)
+        config = technique.config
         payload = {
             "kind": "technique",
             "benchmark": benchmark,
@@ -182,7 +175,11 @@ class ExperimentContext:
         }
 
         def compute() -> Dict[str, Any]:
-            result = runner() if runner else technique.run(self.program(benchmark))
+            program = self.program(benchmark)
+            if technique.uses_trace:
+                result = technique.run(program, trace=self.trace(benchmark))
+            else:
+                result = technique.run(program)
             return {
                 "technique": result.technique,
                 "benchmark": result.program,

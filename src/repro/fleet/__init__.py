@@ -7,11 +7,11 @@ The package behind ``pgss-sim jobs`` and ``pgss-sim worker``:
 * :mod:`repro.fleet.worker` — the :class:`Worker` loop that claims
   cells, executes them (fleet workers with mid-cell checkpointing), and
   publishes through the result cache.
-* :mod:`repro.fleet.service` — the :class:`ExperimentService` facade
-  (``submit`` / ``status`` / ``fetch`` / ``cancel``), the one supported
-  way to run experiments, with :class:`QueueService` (fleet) and
-  :class:`LocalService` (a private queue drained by local workers)
-  backends.
+* :mod:`repro.fleet.service` — :class:`QueueService` (``submit`` /
+  ``status`` / ``wait`` / ``fetch`` / ``cancel``), the one supported
+  way to run experiments, over a shared queue (fleet), and its
+  :class:`LocalService` subclass (a private queue drained by local
+  workers).
 """
 
 from .queue import (
@@ -21,7 +21,7 @@ from .queue import (
     JobState,
     QueueSweep,
 )
-from .service import ExperimentService, JobHandle, LocalService, QueueService
+from .service import JobHandle, LocalService, QueueService
 from .worker import DEFAULT_CHECKPOINT_WINDOWS, DEFAULT_POLL_S, Worker, run_worker
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "DEFAULT_LEASE_S",
     "DEFAULT_POLL_S",
     "ClaimedTask",
-    "ExperimentService",
     "JobHandle",
     "JobQueue",
     "JobState",

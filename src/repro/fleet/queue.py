@@ -701,6 +701,10 @@ class JobQueue:
         }
         if doc["status"] not in _TERMINAL_STATUSES:
             doc["status"] = "failed"
+        if "cache" in record:
+            # The executing worker's result-cache counters (run-all sums
+            # them into its ``cache:`` line).
+            doc["cache"] = {k: int(v) for k, v in record["cache"].items()}
         if self.log_path(name).exists():
             doc["log"] = str(self.log_path(name))
         _write_json_atomic(self.root / "done" / f"{name}.json", doc)

@@ -10,7 +10,8 @@ facade::
     text    = service.fetch(handle)              # assemble the report
     service.cancel(handle)                       # abandon pending work
 
-Two backends implement the interface, over one execution path:
+:class:`QueueService` implements the verbs over one execution path;
+:class:`LocalService` extends it:
 
 * :class:`QueueService` — the fleet backend.  ``submit()`` writes tasks
   into a shared :class:`~repro.fleet.queue.JobQueue` directory and
@@ -30,7 +31,6 @@ a fleet run is byte-identical to one fetched after a serial run.
 
 from __future__ import annotations
 
-import abc
 import multiprocessing
 import tempfile
 import threading
@@ -48,7 +48,6 @@ from .queue import DEFAULT_LEASE_S, JobQueue, JobState
 from .worker import Worker
 
 __all__ = [
-    "ExperimentService",
     "JobHandle",
     "LocalService",
     "QueueService",
@@ -73,76 +72,7 @@ class JobHandle:
         return self.job_id
 
 
-class ExperimentService(abc.ABC):
-    """Abstract front door: submit experiment cells, poll, fetch figures."""
-
-    def __init__(self, ctx: ExperimentContext) -> None:
-        self.ctx = ctx
-
-    # -- the four verbs -------------------------------------------------
-
-    @abc.abstractmethod
-    def submit(
-        self,
-        figures: FigureSpec = None,
-        cells: Optional[Sequence[ExperimentCell]] = None,
-    ) -> JobHandle:
-        """Enqueue a job: either figure ids (default: all) or raw cells."""
-
-    @abc.abstractmethod
-    def status(self, handle: Union[JobHandle, str]) -> JobState:
-        """Current aggregate state of the job."""
-
-    @abc.abstractmethod
-    def wait(
-        self,
-        handle: Union[JobHandle, str],
-        timeout_s: Optional[float] = None,
-    ) -> JobState:
-        """Block until the job reaches a terminal state (or *timeout_s*)."""
-
-    @abc.abstractmethod
-    def cancel(self, handle: Union[JobHandle, str]) -> bool:
-        """Prevent pending cells from running; True if anything changed."""
-
-    # -- shared behaviour ----------------------------------------------
-
-    def fetch(
-        self,
-        handle: Union[JobHandle, str],
-        figures: FigureSpec = None,
-    ) -> str:
-        """Assemble the job's report from the (now warm) result cache.
-
-        Requires the job to be ``done``; fetching earlier would silently
-        recompute missing cells in-process, defeating the fleet.
-        """
-        state = self.status(handle)
-        if state.state != "done":
-            raise FleetError(
-                f"job {state.job_id} is {state.state}, not done; "
-                "fetch() only assembles completed jobs "
-                f"(counts: {state.counts}, failures: {state.failures})"
-            )
-        numbers = self._fetch_figures(handle, figures)
-        return generate_report(self.ctx, figures=numbers)
-
-    def _fetch_figures(
-        self, handle: Union[JobHandle, str], figures: FigureSpec
-    ) -> Optional[List[str]]:
-        if figures is not None:
-            numbers, _ = resolve_figure_ids(figures)
-            return numbers
-        if isinstance(handle, JobHandle) and handle.figures is not None:
-            return list(handle.figures)
-        return None
-
-    @staticmethod
-    def _job_id(handle: Union[JobHandle, str]) -> str:
-        return handle.job_id if isinstance(handle, JobHandle) else str(handle)
-
-
-class QueueService(ExperimentService):
+class QueueService:
     """Fleet backend over a shared :class:`JobQueue` directory."""
 
     def __init__(
@@ -154,7 +84,7 @@ class QueueService(ExperimentService):
         retries: int = 1,
         poll_s: float = 0.5,
     ) -> None:
-        super().__init__(ctx)
+        self.ctx = ctx
         self.queue = JobQueue(Path(queue_dir), lease_s=lease_s)
         self.priority = priority
         self.retries = retries
@@ -185,6 +115,7 @@ class QueueService(ExperimentService):
         figures: FigureSpec = None,
         cells: Optional[Sequence[ExperimentCell]] = None,
     ) -> JobHandle:
+        """Enqueue a job: either figure ids (default: all) or raw cells."""
         numbers, modules = resolve_figure_ids(figures)
         if cells is None:
             cells = enumerate_cells(self.ctx, figures=modules)
@@ -198,6 +129,7 @@ class QueueService(ExperimentService):
         return JobHandle(job_id, tuple(numbers) if numbers else None)
 
     def status(self, handle: Union[JobHandle, str]) -> JobState:
+        """Current aggregate state of the job."""
         return self.queue.status(self._job_id(handle))
 
     def wait(
@@ -205,6 +137,7 @@ class QueueService(ExperimentService):
         handle: Union[JobHandle, str],
         timeout_s: Optional[float] = None,
     ) -> JobState:
+        """Block until the job reaches a terminal state (or *timeout_s*)."""
         # Orchestration wall clock: bounds how long we poll a shared
         # directory for workers elsewhere; never touches simulated state.
         deadline = (
@@ -221,6 +154,7 @@ class QueueService(ExperimentService):
             time.sleep(self.poll_s)
 
     def cancel(self, handle: Union[JobHandle, str]) -> bool:
+        """Prevent pending cells from running; True if anything changed."""
         return self.queue.cancel(self._job_id(handle))
 
     def fetch(
@@ -228,9 +162,36 @@ class QueueService(ExperimentService):
         handle: Union[JobHandle, str],
         figures: FigureSpec = None,
     ) -> str:
+        """Assemble the job's report from the (now warm) result cache.
+
+        Requires the job to be ``done``; fetching earlier would silently
+        recompute missing cells in-process, defeating the fleet.
+        """
         if figures is None and not isinstance(handle, JobHandle):
             handle = self.handle(str(handle))
-        return super().fetch(handle, figures=figures)
+        state = self.status(handle)
+        if state.state != "done":
+            raise FleetError(
+                f"job {state.job_id} is {state.state}, not done; "
+                "fetch() only assembles completed jobs "
+                f"(counts: {state.counts}, failures: {state.failures})"
+            )
+        numbers = self._fetch_figures(handle, figures)
+        return generate_report(self.ctx, figures=numbers)
+
+    def _fetch_figures(
+        self, handle: Union[JobHandle, str], figures: FigureSpec
+    ) -> Optional[List[str]]:
+        if figures is not None:
+            numbers, _ = resolve_figure_ids(figures)
+            return numbers
+        if isinstance(handle, JobHandle) and handle.figures is not None:
+            return list(handle.figures)
+        return None
+
+    @staticmethod
+    def _job_id(handle: Union[JobHandle, str]) -> str:
+        return handle.job_id if isinstance(handle, JobHandle) else str(handle)
 
 
 #: Idle sleep between queue scans of local workers: a scan of a private

@@ -56,10 +56,6 @@ class PhaseProfile:
         self.vector_count += 1
         self.ops += ops
 
-    def add_bbv(self, bbv: np.ndarray, ops: int) -> None:
-        """Historical alias of :meth:`add_vector`."""
-        self.add_vector(bbv, ops)
-
     def add_ops(self, ops: int) -> None:
         """Attribute *ops* operations to this phase without a new BBV."""
         self.ops += ops

@@ -44,7 +44,7 @@ from .session import (
     run_to_end_plan,
 )
 from .full import FullDetail, ReferenceTrace, collect_reference_trace
-from .smarts import Smarts, SmartsConfig, SmartsSample
+from .smarts import Smarts, SmartsConfig
 from .turbosmarts import TurboSmarts, TurboSmartsConfig
 from .simpoint import SimPoint, SimPointConfig
 from .online_simpoint import OnlineSimPoint, OnlineSimPointConfig
@@ -71,7 +71,6 @@ __all__ = [
     "collect_reference_trace",
     "Smarts",
     "SmartsConfig",
-    "SmartsSample",
     "TurboSmarts",
     "TurboSmartsConfig",
     "SimPoint",

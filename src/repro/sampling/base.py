@@ -9,10 +9,11 @@ from typing import Any, Dict, Optional
 from ..config import DEFAULT_MACHINE, MachineConfig
 from ..cpu.engine import ModeAccounting
 from ..errors import EstimateError
+from ..events import EstimateUpdated, EventBus
 from ..program import Program
 from ..stats.ci import ConfidenceInterval
 
-__all__ = ["SamplingResult", "SamplingTechnique", "ops_label"]
+__all__ = ["SamplingResult", "SamplingTechnique", "final_result", "ops_label"]
 
 
 def ops_label(n: int) -> str:
@@ -84,20 +85,73 @@ class SamplingResult:
         )
 
 
+def final_result(
+    technique: str,
+    program: str,
+    ipc: float,
+    n_samples: int,
+    accounting: ModeAccounting,
+    bus: Optional[EventBus],
+    *,
+    detailed_ops: Optional[int] = None,
+    total_ops: Optional[int] = None,
+    ci: Optional[ConfidenceInterval] = None,
+    extras: Optional[Dict[str, Any]] = None,
+) -> SamplingResult:
+    """Publish a run's final estimate and build its :class:`SamplingResult`.
+
+    The one place a technique reports its outcome: the final
+    :class:`~repro.events.EstimateUpdated` goes on *bus* (when given) and
+    the result carries the same ``ipc`` and ``n_samples``.  Detailed and
+    total ops default to *accounting*'s; a technique whose cost is not
+    what its engines executed (TurboSMARTS' consumed samples, SimPoint's
+    representatives read from a reference trace) passes its own.
+    """
+    if bus is not None:
+        bus.emit(
+            EstimateUpdated(
+                technique=technique, ipc=ipc, n_samples=n_samples, final=True
+            )
+        )
+    return SamplingResult(
+        technique=technique,
+        program=program,
+        ipc_estimate=ipc,
+        detailed_ops=(
+            accounting.detailed_ops if detailed_ops is None else detailed_ops
+        ),
+        total_ops=accounting.total_ops if total_ops is None else total_ops,
+        n_samples=n_samples,
+        accounting=accounting,
+        ci=ci,
+        extras=extras if extras is not None else {},
+    )
+
+
 class SamplingTechnique(abc.ABC):
     """Base class: configure once, run on any program.
 
-    Subclasses implement :meth:`run`; they may accept a pre-collected
-    :class:`~repro.sampling.ReferenceTrace` to reuse profiling work where
-    the real technique would rerun functional simulation.  ``run`` is
-    abstract, so a technique that forgets to override it fails at class
-    definition rather than mid-experiment.
+    The base owns what every technique shares: its ``config`` dataclass
+    and the ``machine`` it simulates (subclasses only narrow the
+    ``config`` annotation), and whether :meth:`run` reads the
+    benchmark's :class:`~repro.sampling.ReferenceTrace`
+    (:attr:`uses_trace`).  Every run ends in :func:`final_result`.
+    ``run`` is abstract, so a technique that forgets to override it
+    fails at class definition rather than mid-experiment.
     """
 
     #: Human-readable technique name, set by subclasses.
     name: str = "base"
 
-    def __init__(self, machine: MachineConfig = DEFAULT_MACHINE) -> None:
+    #: ``run`` takes ``trace=`` (the benchmark's reference trace) and
+    #: reads interval BBVs and IPCs from it; the experiment harness
+    #: passes the trace exactly when this is set.
+    uses_trace: bool = False
+
+    def __init__(
+        self, config: Any = None, machine: MachineConfig = DEFAULT_MACHINE
+    ) -> None:
+        self.config = config
         self.machine = machine
 
     @abc.abstractmethod

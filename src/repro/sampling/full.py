@@ -22,9 +22,9 @@ from ..config import DEFAULT_MACHINE, MachineConfig
 from ..cpu import Mode, SimulationEngine
 from ..cpu.checkpoints import CheckpointFile
 from ..errors import SamplingError
-from ..events import EstimateUpdated, EventBus
+from ..events import EventBus
 from ..program import Program
-from .base import SamplingResult, SamplingTechnique
+from .base import SamplingResult, SamplingTechnique, final_result
 from .session import (
     ModeSegment,
     SamplingSession,
@@ -259,6 +259,10 @@ class FullDetail(SamplingTechnique):
     """Whole-program detailed simulation (the no-sampling baseline)."""
 
     name = "FullDetail"
+    config: None
+
+    def __init__(self, machine: MachineConfig = DEFAULT_MACHINE) -> None:
+        super().__init__(None, machine)
 
     def run(
         self, program: Program, bus: Optional[EventBus] = None, **kwargs: Any
@@ -270,18 +274,4 @@ class FullDetail(SamplingTechnique):
         total_ops = sum(s.ops for s in session.samples)
         total_cycles = sum(s.cycles for s in session.samples)
         ipc = total_ops / total_cycles if total_cycles else 0.0
-        if bus is not None:
-            bus.emit(
-                EstimateUpdated(
-                    technique=self.name, ipc=ipc, n_samples=0, final=True
-                )
-            )
-        return SamplingResult(
-            technique=self.name,
-            program=program.name,
-            ipc_estimate=ipc,
-            detailed_ops=total_ops,
-            total_ops=total_ops,
-            n_samples=0,
-            accounting=engine.accounting,
-        )
+        return final_result(self.name, program.name, ipc, 0, engine.accounting, bus)

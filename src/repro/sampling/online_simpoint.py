@@ -22,14 +22,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import DEFAULT_MACHINE, MachineConfig
 from ..cpu import ModeAccounting
 from ..errors import ConfigurationError, SamplingError
-from ..events import EstimateUpdated, EventBus
+from ..events import EventBus
 from ..phase import OnlinePhaseClassifier
 from ..program import Program
 from ..stats.estimators import stratified_ratio_ipc
-from .base import SamplingResult, SamplingTechnique, ops_label
+from .base import SamplingResult, SamplingTechnique, final_result, ops_label
 from .full import ReferenceTrace
 from .simpoint import SimPoint, SimPointConfig
 
@@ -70,12 +69,8 @@ class OnlineSimPoint(SamplingTechnique):
     """One large detailed sample per online-detected phase."""
 
     name = "OnlineSimPoint"
-
-    def __init__(
-        self, config: OnlineSimPointConfig, machine: MachineConfig = DEFAULT_MACHINE
-    ) -> None:
-        super().__init__(machine)
-        self.config = config
+    uses_trace = True
+    config: OnlineSimPointConfig
 
     def run(
         self,
@@ -123,14 +118,13 @@ class OnlineSimPoint(SamplingTechnique):
             if phase not in first_of_phase:
                 first_of_phase[phase] = i
 
-        accounting: Optional[ModeAccounting]
+        accounting = ModeAccounting()
         rep_counts: Dict[int, Tuple[int, int]]
         if have_ipc:
             rep_counts = {
                 p: (int(intervals.ops[i]), int(intervals.cycles[i]))
                 for p, i in first_of_phase.items()
             }
-            accounting = None
         else:
             profiler = SimPoint(
                 SimPointConfig(cfg.interval_ops, 1, hash_seed=cfg.hash_seed),
@@ -153,28 +147,18 @@ class OnlineSimPoint(SamplingTechnique):
         estimate = stratified_ratio_ipc(ops_per_phase, samples_per_phase)
 
         detailed_ops = len(rep_counts) * cfg.interval_ops
-        if bus is not None:
-            bus.emit(
-                EstimateUpdated(
-                    technique=self.name,
-                    ipc=estimate.ipc,
-                    n_samples=len(rep_counts),
-                    final=True,
-                )
-            )
-        result = SamplingResult(
-            technique=self.name,
-            program=program.name,
-            ipc_estimate=estimate.ipc,
+        return final_result(
+            self.name,
+            program.name,
+            estimate.ipc,
+            len(rep_counts),
+            accounting,
+            bus,
             detailed_ops=detailed_ops,
             total_ops=intervals.total_ops + detailed_ops,
-            n_samples=len(rep_counts),
             extras={
                 "config": cfg.label,
                 "n_phases": classifier.n_phases,
                 "n_intervals": n,
             },
         )
-        if accounting is not None:
-            result.accounting = accounting
-        return result

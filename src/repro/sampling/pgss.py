@@ -33,15 +33,15 @@ import math
 from dataclasses import dataclass
 from typing import Any, Generator, List, Optional, Tuple
 
-from ..config import DEFAULT_MACHINE, MachineConfig, ScaleConfig
+from ..config import ScaleConfig
 from ..cpu import Mode, SimulationEngine
 from ..errors import ConfigurationError, SamplingError
-from ..events import EstimateUpdated, EventBus
+from ..events import EventBus
 from ..phase import OnlinePhaseClassifier, PhaseProfile
 from ..program import Program
 from ..signals import PHASE_SIGNALS, SignalTracker, make_signal_tracker
 from ..stats.estimators import stratified_ratio_ipc
-from .base import SamplingResult, SamplingTechnique, ops_label
+from .base import SamplingResult, SamplingTechnique, final_result, ops_label
 from .session import (
     PAUSE,
     ModeSegment,
@@ -160,12 +160,7 @@ class Pgss(SamplingTechnique):
     """Phase-Guided Small-Sample Simulation."""
 
     name = "PGSS"
-
-    def __init__(
-        self, config: PgssConfig, machine: MachineConfig = DEFAULT_MACHINE
-    ) -> None:
-        super().__init__(machine)
-        self.config = config
+    config: PgssConfig
 
     def _make_tracker(self) -> SignalTracker:
         cfg = self.config
@@ -380,22 +375,13 @@ class PgssController:
             p.phase_id: p.sample_ops_cycles for p in classifier.phases
         }
         estimate = stratified_ratio_ipc(ops_per_phase, samples_per_phase)
-        self.session.bus.emit(
-            EstimateUpdated(
-                technique=Pgss.name,
-                ipc=estimate.ipc,
-                n_samples=self.n_samples,
-                final=True,
-            )
-        )
-        return SamplingResult(
-            technique=Pgss.name,
-            program=engine.program.name,
-            ipc_estimate=estimate.ipc,
-            detailed_ops=engine.accounting.detailed_ops,
-            total_ops=engine.accounting.total_ops,
-            n_samples=self.n_samples,
-            accounting=engine.accounting,
+        return final_result(
+            Pgss.name,
+            engine.program.name,
+            estimate.ipc,
+            self.n_samples,
+            engine.accounting,
+            self.session.bus,
             extras={
                 "config": self.config.label,
                 "n_phases": classifier.n_phases,

@@ -38,19 +38,19 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import DEFAULT_MACHINE, MachineConfig, ScaleConfig
+from ..config import ScaleConfig
 from ..cpu import Mode, ModeAccounting, SimulationEngine
 from ..errors import ConfigurationError, SamplingError
-from ..events import EstimateUpdated, EventBus
+from ..events import EventBus
 from ..program import Program
 from ..stats.ci import ConfidenceInterval, t_value
-from .base import SamplingResult, SamplingTechnique, ops_label
+from .base import SamplingResult, SamplingTechnique, final_result, ops_label
 from .session import (
     ModeSegment,
     SamplingSession,
     SegmentPlan,
     SegmentRole,
-    interval_sample_plan,
+    measure_intervals,
 )
 
 __all__ = ["RankedSetConfig", "RankedSetSampling"]
@@ -113,14 +113,7 @@ class RankedSetSampling(SamplingTechnique):
     """Rank intervals by a func-warm cost proxy; measure one per cycle."""
 
     name = "RankedSet"
-
-    def __init__(
-        self,
-        config: RankedSetConfig,
-        machine: MachineConfig = DEFAULT_MACHINE,
-    ) -> None:
-        super().__init__(machine)
-        self.config = config
+    config: RankedSetConfig
 
     def _proxy_pass(
         self, program: Program, bus: Optional[EventBus]
@@ -209,17 +202,15 @@ class RankedSetSampling(SamplingTechnique):
             )
         selected = self._select(proxies, cfg.set_size)
 
-        engine = SimulationEngine(program, machine=self.machine)
-        session = SamplingSession(engine, bus=bus)
-        session.execute(
-            interval_sample_plan(
-                selected, cfg.interval_ops, cfg.warmup_ops, cfg.detail_ops
-            )
+        measured, measure_accounting = measure_intervals(
+            program,
+            self.machine,
+            selected,
+            cfg.interval_ops,
+            cfg.warmup_ops,
+            cfg.detail_ops,
+            bus,
         )
-        measured: Dict[int, Tuple[int, int]] = {
-            sample.op_offset // cfg.interval_ops: (sample.ops, sample.cycles)
-            for sample in session.samples
-        }
         # Cycle order: cycle c's selection carries rank c % set_size.
         per_cycle: List[Tuple[int, Tuple[int, int]]] = [
             (cycle % cfg.set_size, measured[index])
@@ -252,25 +243,15 @@ class RankedSetSampling(SamplingTechnique):
 
         accounting = ModeAccounting()
         accounting.merge(rank_engine.accounting)
-        accounting.merge(engine.accounting)
-        if bus is not None:
-            bus.emit(
-                EstimateUpdated(
-                    technique=self.name,
-                    ipc=ipc,
-                    n_samples=len(per_cycle),
-                    final=True,
-                )
-            )
+        accounting.merge(measure_accounting)
         rank_counts = {rank: len(pairs) for rank, pairs in sorted(by_rank.items())}
-        return SamplingResult(
-            technique=self.name,
-            program=program.name,
-            ipc_estimate=ipc,
-            detailed_ops=accounting.detailed_ops,
-            total_ops=accounting.total_ops,
-            n_samples=len(per_cycle),
-            accounting=accounting,
+        return final_result(
+            self.name,
+            program.name,
+            ipc,
+            len(per_cycle),
+            accounting,
+            bus,
             ci=ci,
             extras={
                 "config": cfg.label,

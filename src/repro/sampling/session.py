@@ -34,9 +34,10 @@ the batched fast-forward dispatch stay uniform across the zoo.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, List, Optional, Sequence, Union
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
-from ..cpu.engine import Mode, ModeRun, SimulationEngine
+from ..config import MachineConfig
+from ..cpu.engine import Mode, ModeAccounting, ModeRun, SimulationEngine
 from ..events import (
     EstimateUpdated,
     EventBus,
@@ -47,6 +48,7 @@ from ..events import (
     SessionEvent,
     ThresholdSelected,
 )
+from ..program import Program
 
 __all__ = [
     "EstimateUpdated",
@@ -67,6 +69,7 @@ __all__ = [
     "SessionSample",
     "ThresholdSelected",
     "interval_sample_plan",
+    "measure_intervals",
     "periodic_plan",
     "run_to_end_plan",
 ]
@@ -379,6 +382,32 @@ def interval_sample_plan(
             )
             if out.exhausted:
                 return
+
+
+def measure_intervals(
+    program: Program,
+    machine: MachineConfig,
+    targets: Sequence[int],
+    interval_ops: int,
+    warmup_ops: int,
+    detail_ops: int,
+    bus: Optional[EventBus] = None,
+) -> Tuple[Dict[int, Tuple[int, int]], ModeAccounting]:
+    """Run :func:`interval_sample_plan` over *targets* on a fresh engine.
+
+    Returns interval index -> measured ``(ops, cycles)`` (intervals the
+    program ended before are absent) and the engine's accounting.
+    """
+    engine = SimulationEngine(program, machine=machine)
+    session = SamplingSession(engine, bus=bus)
+    session.execute(
+        interval_sample_plan(targets, interval_ops, warmup_ops, detail_ops)
+    )
+    counts = {
+        sample.op_offset // interval_ops: (sample.ops, sample.cycles)
+        for sample in session.samples
+    }
+    return counts, engine.accounting
 
 
 def run_to_end_plan(

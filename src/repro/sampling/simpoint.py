@@ -24,13 +24,12 @@ import numpy as np
 
 from ..signals import BbvTracker, ReducedBbvHash
 from ..clustering import choose_k, kmeans
-from ..config import DEFAULT_MACHINE, MachineConfig
 from ..cpu import Mode, ModeAccounting, SimulationEngine
 from ..errors import ConfigurationError, SamplingError
-from ..events import EstimateUpdated, EventBus
+from ..events import EventBus
 from ..program import Program
 from ..stats.estimators import stratified_ratio_ipc
-from .base import SamplingResult, SamplingTechnique, ops_label
+from .base import SamplingResult, SamplingTechnique, final_result, ops_label
 from .full import ReferenceTrace
 from .session import ModeSegment, SamplingSession, SegmentPlan, SegmentRole
 
@@ -78,12 +77,8 @@ class SimPoint(SamplingTechnique):
     """Offline clustering of interval BBVs; one representative per cluster."""
 
     name = "SimPoint"
-
-    def __init__(
-        self, config: SimPointConfig, machine: MachineConfig = DEFAULT_MACHINE
-    ) -> None:
-        super().__init__(machine)
-        self.config = config
+    uses_trace = True
+    config: SimPointConfig
 
     def profile_intervals(
         self, program: Program, bus: Optional[EventBus] = None
@@ -209,7 +204,7 @@ class SimPoint(SamplingTechnique):
         reps = clustering.representative_indices()
         sizes = clustering.cluster_sizes()
 
-        accounting: Optional[ModeAccounting]
+        accounting = ModeAccounting()
         if have_ipc:
             rep_counts = {
                 int(reps[c]): (
@@ -219,7 +214,6 @@ class SimPoint(SamplingTechnique):
                 for c in range(n_clusters)
                 if reps[c] >= 0
             }
-            accounting = None
         else:
             rep_counts, accounting = self._measure_representatives(
                 program, [int(r) for r in reps if r >= 0], bus=bus
@@ -238,24 +232,19 @@ class SimPoint(SamplingTechnique):
                 samples_per_cluster[c] = [rep_counts[rep_index]]
         estimate = stratified_ratio_ipc(ops_per_cluster, samples_per_cluster)
 
+        # The cost is the representatives' nominal length, whether they
+        # were read from a trace or measured live.
         n_points = len(samples_per_cluster)
         detailed_ops = n_points * cfg.interval_ops
-        if bus is not None:
-            bus.emit(
-                EstimateUpdated(
-                    technique=self.name,
-                    ipc=estimate.ipc,
-                    n_samples=n_points,
-                    final=True,
-                )
-            )
-        result = SamplingResult(
-            technique=self.name,
-            program=program.name,
-            ipc_estimate=estimate.ipc,
+        return final_result(
+            self.name,
+            program.name,
+            estimate.ipc,
+            n_points,
+            accounting,
+            bus,
             detailed_ops=detailed_ops,
             total_ops=intervals.total_ops + detailed_ops,
-            n_samples=n_points,
             extras={
                 "config": cfg.label,
                 "n_intervals": n,
@@ -265,6 +254,3 @@ class SimPoint(SamplingTechnique):
                 "inertia": clustering.inertia,
             },
         )
-        if accounting is not None:
-            result.accounting = accounting
-        return result

@@ -21,16 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from ..config import DEFAULT_MACHINE, MachineConfig, ScaleConfig
+from ..config import ScaleConfig
 from ..cpu import Mode, ModeAccounting, SimulationEngine
 from ..errors import ConfigurationError, SamplingError
-from ..events import EstimateUpdated, EventBus
+from ..events import EventBus
 from ..program import Program
 from ..stats.ci import normal_ci
-from .base import SamplingResult, SamplingTechnique
-from .session import SamplingSession, periodic_plan
+from .base import SamplingResult, SamplingTechnique, final_result
+from .session import SamplingSession, SessionSample, periodic_plan
 
-__all__ = ["SmartsConfig", "Smarts", "SmartsSample"]
+__all__ = ["SmartsConfig", "Smarts"]
 
 
 @dataclass(frozen=True)
@@ -76,35 +76,15 @@ class SmartsConfig:
         )
 
 
-@dataclass(frozen=True)
-class SmartsSample:
-    """One measured SMARTS sample (used by TurboSMARTS replay too)."""
-
-    index: int
-    op_offset: int
-    ops: int
-    cycles: int
-
-    @property
-    def ipc(self) -> float:
-        """IPC over the sample."""
-        return self.ops / self.cycles if self.cycles else 0.0
-
-
 class Smarts(SamplingTechnique):
     """Systematic small-sample simulation with functional warming."""
 
     name = "SMARTS"
-
-    def __init__(
-        self, config: SmartsConfig, machine: MachineConfig = DEFAULT_MACHINE
-    ) -> None:
-        super().__init__(machine)
-        self.config = config
+    config: SmartsConfig
 
     def collect_samples(
         self, program: Program, bus: Optional[EventBus] = None
-    ) -> Tuple[List[SmartsSample], ModeAccounting]:
+    ) -> Tuple[List[SessionSample], ModeAccounting]:
         """One warmed pass over *program*; returns (samples, accounting).
 
         Shared with :class:`~repro.sampling.TurboSmarts`, which replays the
@@ -118,13 +98,7 @@ class Smarts(SamplingTechnique):
         session.execute(
             periodic_plan(ff_mode, ff_ops, cfg.warmup_ops, cfg.detail_ops)
         )
-        samples = [
-            SmartsSample(
-                index=s.index, op_offset=s.op_offset, ops=s.ops, cycles=s.cycles
-            )
-            for s in session.samples
-        ]
-        return samples, engine.accounting
+        return session.samples, engine.accounting
 
     def run(
         self, program: Program, bus: Optional[EventBus] = None, **kwargs: Any
@@ -144,24 +118,13 @@ class Smarts(SamplingTechnique):
         total_ops = sum(s.ops for s in samples)
         total_cycles = sum(s.cycles for s in samples)
         ipc = total_ops / total_cycles if total_cycles else 0.0
-        ci = normal_ci([s.ipc for s in samples], self.config.confidence)
-        if bus is not None:
-            bus.emit(
-                EstimateUpdated(
-                    technique=self.name,
-                    ipc=ipc,
-                    n_samples=len(samples),
-                    final=True,
-                )
-            )
-        return SamplingResult(
-            technique=self.name,
-            program=program.name,
-            ipc_estimate=ipc,
-            detailed_ops=accounting.detailed_ops,
-            total_ops=accounting.total_ops,
-            n_samples=len(samples),
-            accounting=accounting,
-            ci=ci,
+        return final_result(
+            self.name,
+            program.name,
+            ipc,
+            len(samples),
+            accounting,
+            bus,
+            ci=normal_ci([s.ipc for s in samples], self.config.confidence),
             extras={"period_ops": self.config.period_ops},
         )

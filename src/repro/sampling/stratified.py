@@ -33,23 +33,23 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import DEFAULT_MACHINE, MachineConfig, ScaleConfig
+from ..config import ScaleConfig
 from ..cpu import Mode, ModeAccounting, SimulationEngine
 from ..errors import ConfigurationError, SamplingError
-from ..events import EstimateUpdated, EventBus
+from ..events import EventBus
 from ..phase import OnlinePhaseClassifier
 from ..program import Program
 from ..signals import PHASE_SIGNALS, make_signal_tracker
 from ..stats.ci import ConfidenceInterval
 from ..stats.estimators import stratified_ratio_ipc
 from ..stats.sampling_theory import neyman_allocation, stratified_mean_ci
-from .base import SamplingResult, SamplingTechnique, ops_label
+from .base import SamplingResult, SamplingTechnique, final_result, ops_label
 from .session import (
     ModeSegment,
     SamplingSession,
     SegmentPlan,
     SegmentRole,
-    interval_sample_plan,
+    measure_intervals,
 )
 
 __all__ = ["TwoPhaseStratifiedConfig", "TwoPhaseStratified"]
@@ -172,14 +172,7 @@ class TwoPhaseStratified(SamplingTechnique):
     """Stage-1 phase profile, stage-2 Neyman-allocated detailed samples."""
 
     name = "Stratified"
-
-    def __init__(
-        self,
-        config: TwoPhaseStratifiedConfig,
-        machine: MachineConfig = DEFAULT_MACHINE,
-    ) -> None:
-        super().__init__(machine)
-        self.config = config
+    config: TwoPhaseStratifiedConfig
 
     def _profile(
         self, program: Program, bus: Optional[EventBus]
@@ -218,21 +211,18 @@ class TwoPhaseStratified(SamplingTechnique):
 
     def _measure(
         self, program: Program, targets: List[int], bus: Optional[EventBus]
-    ) -> Tuple[Dict[int, Tuple[int, int]], SimulationEngine]:
+    ) -> Tuple[Dict[int, Tuple[int, int]], ModeAccounting]:
         """One measurement pass: interval index -> measured (ops, cycles)."""
         cfg = self.config
-        engine = SimulationEngine(program, machine=self.machine)
-        session = SamplingSession(engine, bus=bus)
-        session.execute(
-            interval_sample_plan(
-                targets, cfg.interval_ops, cfg.warmup_ops, cfg.detail_ops
-            )
+        return measure_intervals(
+            program,
+            self.machine,
+            targets,
+            cfg.interval_ops,
+            cfg.warmup_ops,
+            cfg.detail_ops,
+            bus,
         )
-        counts = {
-            sample.op_offset // cfg.interval_ops: (sample.ops, sample.cycles)
-            for sample in session.samples
-        }
-        return counts, engine
 
     def run(
         self, program: Program, bus: Optional[EventBus] = None, **kwargs: Any
@@ -257,7 +247,7 @@ class TwoPhaseStratified(SamplingTechnique):
         all_pilots = sorted(
             index for picks in pilot_targets.values() for index in picks
         )
-        pilot_counts, pilot_engine = self._measure(program, all_pilots, bus)
+        pilot_counts, pilot_accounting = self._measure(program, all_pilots, bus)
 
         sizes = [len(occurrences[pid]) for pid in strata]
         stds: List[float] = []
@@ -292,9 +282,9 @@ class TwoPhaseStratified(SamplingTechnique):
             for index in _spread(unsampled[pid], extra[pos])
         )
         stage2_counts: Dict[int, Tuple[int, int]] = {}
-        stage2_engine: Optional[SimulationEngine] = None
+        stage2_accounting = ModeAccounting()
         if stage2_targets:
-            stage2_counts, stage2_engine = self._measure(
+            stage2_counts, stage2_accounting = self._measure(
                 program, stage2_targets, bus
             )
 
@@ -332,27 +322,15 @@ class TwoPhaseStratified(SamplingTechnique):
 
         accounting = ModeAccounting()
         accounting.merge(profile_engine.accounting)
-        accounting.merge(pilot_engine.accounting)
-        if stage2_engine is not None:
-            accounting.merge(stage2_engine.accounting)
-        n_samples = len(measured)
-        if bus is not None:
-            bus.emit(
-                EstimateUpdated(
-                    technique=self.name,
-                    ipc=estimate.ipc,
-                    n_samples=n_samples,
-                    final=True,
-                )
-            )
-        return SamplingResult(
-            technique=self.name,
-            program=program.name,
-            ipc_estimate=estimate.ipc,
-            detailed_ops=accounting.detailed_ops,
-            total_ops=accounting.total_ops,
-            n_samples=n_samples,
-            accounting=accounting,
+        accounting.merge(pilot_accounting)
+        accounting.merge(stage2_accounting)
+        return final_result(
+            self.name,
+            program.name,
+            estimate.ipc,
+            len(measured),
+            accounting,
+            bus,
             ci=ci,
             extras={
                 "config": cfg.label,

@@ -21,13 +21,14 @@ import random
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
-from ..config import DEFAULT_MACHINE, MachineConfig, ScaleConfig
+from ..config import ScaleConfig
 from ..errors import ConfigurationError, SamplingError
 from ..events import EstimateUpdated, EventBus
 from ..program import Program
 from ..stats.ci import ConfidenceInterval, normal_ci
-from .base import SamplingResult, SamplingTechnique
-from .smarts import Smarts, SmartsConfig, SmartsSample
+from .base import SamplingResult, SamplingTechnique, final_result
+from .session import SessionSample
+from .smarts import Smarts, SmartsConfig
 
 __all__ = ["TurboSmartsConfig", "TurboSmarts"]
 
@@ -73,12 +74,7 @@ class TurboSmarts(SamplingTechnique):
     """Random-order sampling until the confidence bound is met."""
 
     name = "TurboSMARTS"
-
-    def __init__(
-        self, config: TurboSmartsConfig, machine: MachineConfig = DEFAULT_MACHINE
-    ) -> None:
-        super().__init__(machine)
-        self.config = config
+    config: TurboSmartsConfig
 
     def run(
         self, program: Program, bus: Optional[EventBus] = None, **kwargs: Any
@@ -97,7 +93,7 @@ class TurboSmarts(SamplingTechnique):
         order = list(range(len(samples)))
         random.Random(cfg.seed).shuffle(order)
 
-        consumed: List[SmartsSample] = []
+        consumed: List[SessionSample] = []
         ci: Optional[ConfidenceInterval] = None
         for pos in order:
             consumed.append(samples[pos])
@@ -121,25 +117,15 @@ class TurboSmarts(SamplingTechnique):
         total_ops = sum(s.ops for s in consumed)
         total_cycles = sum(s.cycles for s in consumed)
         ipc = total_ops / total_cycles if total_cycles else 0.0
-        if bus is not None:
-            bus.emit(
-                EstimateUpdated(
-                    technique=self.name,
-                    ipc=ipc,
-                    n_samples=len(consumed),
-                    final=True,
-                )
-            )
         per_sample_cost = cfg.smarts.detail_ops + cfg.smarts.warmup_ops
-        detailed_ops = len(consumed) * per_sample_cost
-        return SamplingResult(
-            technique=self.name,
-            program=program.name,
-            ipc_estimate=ipc,
-            detailed_ops=detailed_ops,
-            total_ops=accounting.total_ops,
-            n_samples=len(consumed),
-            accounting=accounting,
+        return final_result(
+            self.name,
+            program.name,
+            ipc,
+            len(consumed),
+            accounting,
+            bus,
+            detailed_ops=len(consumed) * per_sample_cost,
             ci=ci,
             extras={
                 "universe_size": len(samples),

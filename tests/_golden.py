@@ -53,32 +53,20 @@ SCALE = Scale.QUICK
 def technique_matrix() -> Dict[str, Any]:
     """Fresh technique instances, keyed by fixture label.
 
-    ``needs_trace`` techniques are run against the workload's reference
-    trace (the deterministic path the figure harness uses).
+    Techniques that declare ``uses_trace`` run against the workload's
+    reference trace (the deterministic path the figure harness uses).
     """
     return {
-        "smarts": (Smarts(SmartsConfig.from_scale(SCALE)), False),
-        "turbosmarts": (TurboSmarts(TurboSmartsConfig.from_scale(SCALE)), False),
-        "simpoint": (
-            SimPoint(SimPointConfig(SCALE.simpoint_intervals[-1], 3)),
-            True,
+        "smarts": Smarts(SmartsConfig.from_scale(SCALE)),
+        "turbosmarts": TurboSmarts(TurboSmartsConfig.from_scale(SCALE)),
+        "simpoint": SimPoint(SimPointConfig(SCALE.simpoint_intervals[-1], 3)),
+        "online_simpoint": OnlineSimPoint(
+            OnlineSimPointConfig(SCALE.simpoint_intervals[1], 0.10)
         ),
-        "online_simpoint": (
-            OnlineSimPoint(
-                OnlineSimPointConfig(SCALE.simpoint_intervals[1], 0.10)
-            ),
-            True,
-        ),
-        "pgss": (Pgss(PgssConfig.from_scale(SCALE)), False),
-        "full": (FullDetail(), False),
-        "stratified": (
-            TwoPhaseStratified(TwoPhaseStratifiedConfig.from_scale(SCALE)),
-            False,
-        ),
-        "ranked": (
-            RankedSetSampling(RankedSetConfig.from_scale(SCALE)),
-            False,
-        ),
+        "pgss": Pgss(PgssConfig.from_scale(SCALE)),
+        "full": FullDetail(),
+        "stratified": TwoPhaseStratified(TwoPhaseStratifiedConfig.from_scale(SCALE)),
+        "ranked": RankedSetSampling(RankedSetConfig.from_scale(SCALE)),
     }
 
 
@@ -132,9 +120,9 @@ def run_matrix() -> Dict[str, Dict[str, Any]]:
             get_workload(workload, SCALE), SCALE.trace_window
         )
         per_workload: Dict[str, Any] = {}
-        for label, (technique, needs_trace) in technique_matrix().items():
+        for label, technique in technique_matrix().items():
             program = get_workload(workload, SCALE)
-            if needs_trace:
+            if technique.uses_trace:
                 result = technique.run(program, trace=trace)
             else:
                 result = technique.run(program)
@@ -174,7 +162,7 @@ def cache_keys() -> Dict[str, str]:
     cache = ResultCache(GOLDEN_DIR)  # never written to: key() is pure
     machine = asdict(DEFAULT_MACHINE)
     keys = {}
-    for label, (technique, _) in technique_matrix().items():
+    for label, technique in technique_matrix().items():
         payload = {
             "kind": "technique",
             "benchmark": "183.equake",

@@ -619,25 +619,10 @@ class TestRealTree:
     def test_typing_gate_packages_fully_annotated(self):
         """AST-level stand-in for mypy's disallow_untyped_defs gate."""
         missing = []
-        gated = [SRC_REPRO / "events.py"]
-        for pkg in (
-            "analysis",
-            "branch",
-            "clustering",
-            "cpu",
-            "experiments",
-            "fleet",
-            "memory",
-            "phase",
-            "program",
-            "sampling",
-            "signals",
-            "stats",
-        ):
-            # rglob on a missing directory finds nothing, which would
-            # silently drop a renamed or deleted package from the gate.
-            assert (SRC_REPRO / pkg).is_dir(), pkg
-            gated.extend(sorted((SRC_REPRO / pkg).rglob("*.py")))
+        # The whole package: a hand-kept list drifts as packages come
+        # and go.
+        gated = sorted(SRC_REPRO.rglob("*.py"))
+        assert gated, SRC_REPRO
         for path in gated:
             tree = ast.parse(path.read_text())
             for node in ast.walk(tree):

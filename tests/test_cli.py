@@ -69,6 +69,30 @@ class TestCommands:
         assert main(["--scale", "quick", "figure", "2"]) == 0
         assert "Figure 2" in capsys.readouterr().out
 
+    def test_run_all_cache_line_counts_the_cells(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """The ``cache:`` summary includes the cells' own cache traffic.
+
+        Cells run on worker contexts rebuilt from the task document, so
+        their misses reach the summary only through the done records.
+        """
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = ["--scale", "quick", "run-all", "--figures", "10", "--quiet"]
+
+        def misses() -> int:
+            line = [
+                ln
+                for ln in capsys.readouterr().err.splitlines()
+                if ln.startswith("cache: ")
+            ][-1]
+            return int(line.split(", ")[1].split()[0])
+
+        assert main(argv) == 0
+        assert misses() >= 1
+        assert main(argv) == 0
+        assert misses() == 0
+
     def test_clear_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["clear-cache"]) == 0

@@ -24,7 +24,14 @@ from repro.experiments import (
     fig12_technique_comparison as fig12,
     fig13_simulation_time as fig13,
 )
-from repro.sampling import Smarts, SmartsConfig
+from repro.sampling import (
+    OnlineSimPoint,
+    OnlineSimPointConfig,
+    SimPoint,
+    SimPointConfig,
+    Smarts,
+    SmartsConfig,
+)
 
 
 @pytest.fixture()
@@ -126,6 +133,31 @@ class TestExperimentContext:
         direct = Smarts(cfg, slow_memory).run(ctx.program("164.gzip"))
         assert results[1]["ipc_estimate"] == direct.ipc_estimate
         assert results[0]["ipc_estimate"] != results[1]["ipc_estimate"]
+
+    def test_fig12_trace_runs_match_a_direct_trace_run(self, tmp_path):
+        # SimPoint and Online SimPoint declare uses_trace, so run_cached
+        # runs them on the cached reference trace, as a direct call does.
+        ctx = ExperimentContext(
+            Scale.QUICK, cache_dir=tmp_path, benchmarks=["164.gzip"]
+        )
+        interval = ctx.scale.simpoint_intervals[-1]
+        cases = [
+            (
+                fig12._simpoint_run(ctx, "164.gzip", interval, 3),
+                SimPoint(SimPointConfig(interval, 3), ctx.machine),
+            ),
+            (
+                fig12._olsp_run(ctx, "164.gzip", interval, 0.10),
+                OnlineSimPoint(OnlineSimPointConfig(interval, 0.10), ctx.machine),
+            ),
+        ]
+        for cached, technique in cases:
+            direct = technique.run(
+                ctx.program("164.gzip"), trace=ctx.trace("164.gzip")
+            )
+            assert cached["ipc_estimate"] == direct.ipc_estimate
+            assert cached["detailed_ops"] == direct.detailed_ops
+            assert cached["n_samples"] == direct.n_samples
 
     def test_program_fresh_instances(self, ctx):
         assert ctx.program("164.gzip") is not ctx.program("164.gzip")

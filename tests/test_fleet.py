@@ -2,8 +2,8 @@
 
 Covers the filesystem job queue (claim semantics, priorities, leases,
 retries, cancellation, sweeping), the worker loop, the context
-document's JSON round trip, the `ExperimentService` facade on both
-backends, the fleet-vs-serial byte-identity guarantee, worker death
+document's JSON round trip, the `QueueService` facade and its
+`LocalService` subclass, the fleet-vs-serial byte-identity guarantee, worker death
 with checkpointed resume, and the `jobs`/`worker` CLI wiring.
 """
 

@@ -37,18 +37,18 @@ def blend(i: int, j: int, w: float, dim: int = 32) -> np.ndarray:
 class TestPhaseProfile:
     def test_representative_is_unit_norm(self):
         p = PhaseProfile(0, unit(3))
-        p.add_bbv(unit(4), 100)
+        p.add_vector(unit(4), 100)
         assert np.linalg.norm(p.representative) == pytest.approx(1.0)
 
     def test_representative_averages_members(self):
         p = PhaseProfile(0, unit(0))
-        p.add_bbv(unit(1), 100)
+        p.add_vector(unit(1), 100)
         rep = p.representative
         assert rep[0] == pytest.approx(rep[1])
 
     def test_ops_attribution(self):
         p = PhaseProfile(0, unit(0))
-        p.add_bbv(unit(0), 100)
+        p.add_vector(unit(0), 100)
         p.add_ops(50)
         assert p.ops == 150
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro import EstimateError, ReproError, Scale, SimulationEngine
 from repro.cpu import Mode
+from repro.program import get_workload
 from repro.events import (
     EstimateUpdated,
     EventBus,
@@ -21,10 +22,12 @@ from repro.sampling import (
     SamplingTechnique,
     SegmentRole,
     SessionDriver,
+    collect_reference_trace,
     periodic_plan,
     run_to_end_plan,
 )
 
+from _golden import SCALE, technique_matrix
 from conftest import make_two_phase_program
 
 
@@ -209,7 +212,35 @@ class TestAbstractTechnique:
         assert Complete().name == "complete"
 
 
+@pytest.fixture(scope="module")
+def gzip_trace():
+    """The golden workload's reference trace (for ``uses_trace`` runs)."""
+    return collect_reference_trace(
+        get_workload("164.gzip", SCALE), SCALE.trace_window
+    )
+
+
 class TestTechniqueEvents:
+    @pytest.mark.parametrize("label", sorted(technique_matrix()))
+    def test_one_final_estimate_matching_the_result(self, label, gzip_trace):
+        """Every technique ends with one final EstimateUpdated that
+        carries its result's IPC and sample count."""
+        technique = technique_matrix()[label]
+        bus = EventBus()
+        estimates = []
+        bus.subscribe(EstimateUpdated, estimates.append)
+        program = get_workload("164.gzip", SCALE)
+        if technique.uses_trace:
+            result = technique.run(program, trace=gzip_trace, bus=bus)
+        else:
+            result = technique.run(program, bus=bus)
+        assert [e.final for e in estimates].count(True) == 1
+        final = estimates[-1]
+        assert final.final
+        assert final.technique == result.technique
+        assert final.ipc == result.ipc_estimate
+        assert final.n_samples == result.n_samples
+
     def test_pgss_emits_phase_and_sample_events(self):
         from repro.sampling import Pgss, PgssConfig
 
