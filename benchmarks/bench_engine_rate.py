@@ -9,23 +9,33 @@ loop, and the batched warmer (bulk branch runs, silent fetches and
 net-silent data spans) at least 3x the scalar FUNC_WARM loop, with and
 without BBV.
 
+``164.gzip`` calibrates every mode.  Two more programs get FUNC_WARM
+rows, because most of their data accesses are not silent and so go
+through the warmer's replay kernel
+(``CacheHierarchy.warm_data_run``): ``181.mcf`` (hashed pointer chasing,
+floor 2x) and ``adv.footprint_step`` (16 KB and 128 KB strides that miss
+on every access).
+
 Shared machines drift in effective speed by tens of percent over
 minutes, which is far more than the margins being asserted.  Each
-gated mode is therefore measured as an interleaved best-of-N: the
+gated rate is therefore measured as an interleaved best-of-N: the
 batched and scalar arms alternate rep by rep (so both sample the same
 machine phases) and each arm keeps its best rate.  Ratios of best
-rates are stable where single-shot ratios swing wildly.
+rates are stable where single-shot ratios swing wildly.  Every timed
+run covers the full op budget: the programs are built long enough for
+the warm-up plus ``RATE_OPS`` at any scale.
 
 Beyond the human-readable table in ``results/engine_rate.txt``, the raw
 numbers land in ``results/BENCH_engine_rate.json`` for machine
 consumption (CI trend lines, the README performance section).
 """
 
+import dataclasses
 import json
 import platform
 import time
 
-from repro import BbvTracker, Mode, SimulationEngine
+from repro import BbvTracker, Mode, SimulationEngine, get_workload
 from repro.experiments.formatting import table
 
 from conftest import record
@@ -33,30 +43,52 @@ from conftest import record
 #: Calibration workload and op budget (per timed run).
 RATE_BENCHMARK = "164.gzip"
 RATE_OPS = 600_000
+#: Untimed ops run first in every engine (interpreter warm-up).
+WARMUP_OPS = RATE_OPS // 10
 
-#: Reps per arm for the gated modes (interleaved, best-of-N).  The
-#: batched arm's timed region is ~10x shorter than the scalar arm's, so
-#: it needs more samples to pin down its peak rate.
-RATE_REPS = 3
-RATE_REPS_BATCHED = 6
+#: Programs whose FUNC_WARM rate is also recorded.
+WARM_PROGRAMS = ("181.mcf", "adv.footprint_step")
+
+#: Reps per arm (interleaved, best-of-N).  The batched arm's timed region
+#: is up to ~10x shorter than the scalar arm's, so it needs more samples
+#: to pin down its peak rate.
+RATE_REPS = 5
+RATE_REPS_BATCHED = 10
 
 #: Modes with a distinct batched dispatch path (scalar arm also timed).
 BATCHED_MODES = (Mode.DETAIL, Mode.DETAIL_WARM, Mode.FUNC_FAST, Mode.FUNC_WARM)
 
 
-def _rate_once(ctx, mode, with_bbv, batched):
-    program = ctx.program(RATE_BENCHMARK)
+def _program(ctx, name):
+    """Workload *name* at the bench scale, long enough for one timed run."""
+    scale = ctx.scale
+    if scale.benchmark_ops < WARMUP_OPS + RATE_OPS:
+        scale = dataclasses.replace(scale, benchmark_ops=WARMUP_OPS + RATE_OPS)
+    return get_workload(name, scale)
+
+
+def _rate_once(ctx, name, mode, with_bbv, batched):
     tracker = BbvTracker() if with_bbv else None
     engine = SimulationEngine(
-        program, machine=ctx.machine, signal_tracker=tracker,
+        _program(ctx, name), machine=ctx.machine, signal_tracker=tracker,
         batched=None if batched else False,
     )
-    # Warm the interpreter before timing.
-    engine.run(mode, RATE_OPS // 10)
+    engine.run(mode, WARMUP_OPS)
     start = time.perf_counter()  # simlint: disable=DET005
     run = engine.run(mode, RATE_OPS)
     elapsed = time.perf_counter() - start  # simlint: disable=DET005
+    assert run.ops >= RATE_OPS, f"{name} ended inside the timed run"
     return run.ops / elapsed if elapsed > 0 else 0.0
+
+
+def _best_pair(ctx, name, mode, with_bbv):
+    """Interleaved best-of-N rates of the (batched, scalar) arms."""
+    best_b = best_s = 0.0
+    for rep in range(RATE_REPS_BATCHED):
+        best_b = max(best_b, _rate_once(ctx, name, mode, with_bbv, True))
+        if rep < RATE_REPS:
+            best_s = max(best_s, _rate_once(ctx, name, mode, with_bbv, False))
+    return best_b, best_s
 
 
 def measure(ctx):
@@ -65,22 +97,18 @@ def measure(ctx):
         for with_bbv in (False, True):
             suffix = "+bbv" if with_bbv else ""
             if mode in BATCHED_MODES:
-                # Interleave the arms so a machine-speed phase hits both.
-                best_b = best_s = 0.0
-                for rep in range(RATE_REPS_BATCHED):
-                    b = _rate_once(ctx, mode, with_bbv, True)
-                    if b > best_b:
-                        best_b = b
-                    if rep < RATE_REPS:
-                        s = _rate_once(ctx, mode, with_bbv, False)
-                        if s > best_s:
-                            best_s = s
-                rates[f"{mode.value}{suffix}"] = best_b
-                rates[f"{mode.value}_scalar{suffix}"] = best_s
+                (
+                    rates[f"{mode.value}{suffix}"],
+                    rates[f"{mode.value}_scalar{suffix}"],
+                ) = _best_pair(ctx, RATE_BENCHMARK, mode, with_bbv)
             else:
                 rates[f"{mode.value}{suffix}"] = _rate_once(
-                    ctx, mode, with_bbv, True
+                    ctx, RATE_BENCHMARK, mode, with_bbv, True
                 )
+    for name in WARM_PROGRAMS:
+        rates[f"func_warm@{name}"], rates[f"func_warm_scalar@{name}"] = _best_pair(
+            ctx, name, Mode.FUNC_WARM, False
+        )
     speedups = {
         f"{mode.value}{suffix}": (
             rates[f"{mode.value}{suffix}"]
@@ -90,36 +118,47 @@ def measure(ctx):
         for suffix in ("", "+bbv")
         if rates[f"{mode.value}_scalar{suffix}"]
     }
+    for name in WARM_PROGRAMS:
+        speedups[f"func_warm@{name}"] = (
+            rates[f"func_warm@{name}"] / rates[f"func_warm_scalar@{name}"]
+        )
     return {"rates": rates, "speedups": speedups}
 
 
+def _row(result, key, scalar_key):
+    scalar = result["rates"].get(scalar_key)
+    return [
+        key,
+        f"{result['rates'][key] / 1e3:,.0f} kops/s",
+        f"{scalar / 1e3:,.0f} kops/s" if scalar else "-",
+        f"{result['speedups'][key]:.1f}x" if key in result["speedups"] else "-",
+    ]
+
+
 def format_result(result):
-    rows = []
-    for mode in Mode:
-        scalar_key = f"{mode.value}_scalar"
-        for suffix in ("", "+bbv"):
-            key = f"{mode.value}{suffix}"
-            scalar = result["rates"].get(scalar_key + suffix)
-            rows.append(
-                [
-                    key,
-                    f"{result['rates'][key] / 1e3:,.0f} kops/s",
-                    f"{scalar / 1e3:,.0f} kops/s" if scalar else "-",
-                    f"{result['speedups'][key]:.1f}x"
-                    if key in result["speedups"]
-                    else "-",
-                ]
-            )
+    rows = [
+        _row(result, f"{mode.value}{suffix}", f"{mode.value}_scalar{suffix}")
+        for mode in Mode
+        for suffix in ("", "+bbv")
+    ]
+    rows += [
+        _row(result, f"func_warm@{name}", f"func_warm_scalar@{name}")
+        for name in WARM_PROGRAMS
+    ]
+    speedups = result["speedups"]
     header = (
         "Engine throughput — batched vs. scalar dispatch "
-        f"({RATE_BENCHMARK}, {RATE_OPS:,} ops per timed run, best of "
-        f"{RATE_REPS_BATCHED} batched / {RATE_REPS} scalar interleaved reps)\n"
-        f"batched FUNC_FAST+BBV speedup: "
-        f"{result['speedups'].get('func_fast+bbv', 0.0):.1f}x\n"
-        f"batched DETAIL speedup: "
-        f"{result['speedups'].get('detail', 0.0):.1f}x\n"
-        f"batched FUNC_WARM speedup: "
-        f"{result['speedups'].get('func_warm', 0.0):.1f}x\n\n"
+        f"({RATE_BENCHMARK} unless tagged @program, {RATE_OPS:,} ops per "
+        f"timed run, best of {RATE_REPS_BATCHED} batched / {RATE_REPS} "
+        "scalar interleaved reps)\n"
+        f"batched FUNC_FAST+BBV speedup: {speedups.get('func_fast+bbv', 0.0):.1f}x\n"
+        f"batched DETAIL speedup: {speedups.get('detail', 0.0):.1f}x\n"
+        f"batched FUNC_WARM speedup: {speedups.get('func_warm', 0.0):.1f}x"
+        + "".join(
+            f", {speedups[f'func_warm@{name}']:.1f}x on {name}"
+            for name in WARM_PROGRAMS
+        )
+        + "\n\n"
     )
     return header + table(["mode", "batched", "scalar", "speedup"], rows)
 
@@ -130,6 +169,7 @@ def test_engine_rate(benchmark, ctx, results_dir):
 
     payload = {
         "benchmark": RATE_BENCHMARK,
+        "func_warm_programs": list(WARM_PROGRAMS),
         "ops_per_run": RATE_OPS,
         "reps_per_arm": {"batched": RATE_REPS_BATCHED, "scalar": RATE_REPS},
         "scale": ctx.scale.name,
@@ -155,6 +195,9 @@ def test_engine_rate(benchmark, ctx, results_dir):
     # DETAIL_WARM batches the same way as DETAIL; guard against
     # regression without pinning it to the headline floor.
     assert result["speedups"]["detail_warm"] >= 5.0
+    # Hashed pointer chasing: nearly every access goes through the
+    # warmer's replay kernel.
+    assert result["speedups"]["func_warm@181.mcf"] >= 2.0
 
     benchmark.extra_info["speedups"] = {
         k: round(v, 1) for k, v in result["speedups"].items()

@@ -9,10 +9,14 @@ SimPoint-style skipping where architectural warmth is re-established later
 
 from __future__ import annotations
 
+from itertools import cycle
 from typing import Callable, Dict, Optional, Tuple
+
+import numpy as np
 
 from ..branch import BranchPredictor
 from ..memory import CacheHierarchy
+from ..program.mem_patterns import pattern_addresses
 from ..program.stream import BlockEvent, BlockRun
 
 __all__ = ["FunctionalWarmer"]
@@ -33,8 +37,9 @@ class FunctionalWarmer:
         self.hierarchy = hierarchy
         self.predictor = predictor
         # Per block id: (fetch lines pinned after one pass, bound L1D
-        # net-silence probe or None) — see CacheHierarchy.
-        self._plans: Dict[int, Tuple[bool, Optional[_Probe]]] = {}
+        # net-silence probe or None, per-access write flags) — see
+        # CacheHierarchy.
+        self._plans: Dict[int, Tuple[bool, Optional[_Probe], Tuple[bool, ...]]] = {}
 
     def execute_event(self, event: BlockEvent) -> None:
         """Update caches and branch predictor for one block execution."""
@@ -66,15 +71,24 @@ class FunctionalWarmer:
           the L1I (L2 evictions do not back-invalidate L1), so every later
           fetch is a silent hit: one counter add.  Blocks that wrap the
           L1I replay per event.
-        * **Data.** For all-strided blocks the rest of the run is probed
-          for net-silent iterations with
+        * **Data.** Every replayed access goes through the kernel
+          :meth:`~repro.memory.CacheHierarchy.warm_data_run`.  An
+          all-strided block replays its first iteration, then probes the
+          rest of the run for net-silent iterations with
           :meth:`~repro.memory.CacheHierarchy.data_silence_probe`, the
-          probe of the detailed pipeline's fast path.  Each span is
-          credited as hits in bulk and the first non-silent iteration is
-          replayed access by access.  Silent L1 hits never reach the L2,
-          so the L2 access stream the two L1s share keeps its order.
-          Blocks with hashed (RANDOM/CHASE) patterns replay every
-          iteration.
+          probe of the detailed pipeline's fast path.  A span is credited
+          as hits in bulk; when it is cut short, the iteration that ended
+          it is replayed without re-probing and the probe resumes after
+          it.  When a probe fails, the rest of the run is replayed in
+          one kernel call: a block that misses on every access pays one
+          failed probe per run.  Blocks with a hashed (RANDOM/CHASE)
+          pattern replay the whole run in one call, their addresses
+          generated vectorised by
+          :func:`~repro.program.mem_patterns.pattern_addresses`.  This is
+          exact whatever the probe decides: a silent access changes only
+          the L1D access and hit counters, so replaying it leaves the
+          same state as crediting it.  Silent L1 hits never reach the
+          L2, so the L2 access stream the two L1s share keeps its order.
         """
         block = run.block
         n = run.n
@@ -84,8 +98,9 @@ class FunctionalWarmer:
             plan = self._plans[block.bid] = (
                 hierarchy.inst_lines_pinned(block.inst_lines),
                 hierarchy.data_silence_probe(block.mem_patterns),
+                tuple(pat.is_write for pat in block.mem_patterns),
             )
-        pinned, probe = plan
+        pinned, probe, writes = plan
         if n == 1 or not pinned:
             # Single event, or degenerate geometry where the block's own
             # fetch lines collide within a set: plain replay.
@@ -122,24 +137,31 @@ class FunctionalWarmer:
         patterns = block.mem_patterns
         if not patterns:
             return
-        warm_data = hierarchy.warm_data
         k = run.k_start
         end = k + n
-        if probe is None:
-            for k in range(k, end):
-                for pat in patterns:
-                    warm_data(pat.address(k), pat.is_write)
-            return
-        l1d_stats = hierarchy.l1d.stats
-        n_pat = len(patterns)
-        while k < end:
-            span = probe(k, end - k)
-            if span:
+        warm_data_run = hierarchy.warm_data_run
+        if probe is not None:
+            l1d_stats = hierarchy.l1d.stats
+            n_pat = len(patterns)
+            while True:
+                warm_data_run([pat.address(k) for pat in patterns], writes)
+                k += 1
+                if k == end:
+                    return
+                span = probe(k, end - k)
+                if not span:
+                    break
                 l1d_stats.accesses += span * n_pat
                 l1d_stats.hits += span * n_pat
                 k += span
                 if k == end:
-                    break
-            for pat in patterns:
-                warm_data(pat.address(k), pat.is_write)
-            k += 1
+                    return
+        # Hashed blocks, and strided blocks from a failed probe on.
+        ks = np.arange(k, end, dtype=np.int64)
+        if len(patterns) == 1:
+            addrs = pattern_addresses(patterns[0], ks)
+        else:
+            addrs = np.stack(
+                [pattern_addresses(pat, ks) for pat in patterns], axis=1
+            ).ravel()
+        warm_data_run(addrs.tolist(), cycle(writes))

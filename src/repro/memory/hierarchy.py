@@ -9,11 +9,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..config import MachineConfig
 from ..program.mem_patterns import PatternKind
-from .cache import Cache
+from .cache import _EMPTY, Cache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..program.mem_patterns import MemPattern
@@ -224,6 +233,84 @@ class CacheHierarchy:
         if not self.l1d.access(addr, is_write):
             if not self.l2.access(addr, is_write):
                 self.memory_accesses += 1
+
+    def warm_data_run(self, addrs: Sequence[int], writes: Iterable[bool]) -> None:
+        """:meth:`warm_data` applied to each address of *addrs* in order.
+
+        *writes* yields the matching write flags; it may run longer than
+        *addrs* (e.g. ``itertools.cycle`` over a block's per-access
+        flags).
+
+        The replay kernel of functional warming: the L1D MRU check, way
+        scan, rotate-or-allocate, dirty bit and writeback run inline, an
+        L1D miss repeats them on the L2 and counts a memory access, and
+        the access/hit/writeback counters are added once per call.  The
+        tag and dirty lists are the caches' live storage
+        (:meth:`Cache.hot_refs`), so state and counters end exactly as
+        the per-access method calls leave them.
+        """
+        salt = self._salt
+        l1d = self.l1d
+        l2 = self.l2
+        tags1, dirty1, shift1, assoc1, _, _, sets1 = l1d.hot_refs()
+        tags2, dirty2, shift2, assoc2, _, _, sets2 = l2.hot_refs()
+        misses1 = hits2 = wb1 = wb2 = 0
+        for addr, w in zip(addrs, writes):
+            addr ^= salt
+            line = addr >> shift1
+            b = line % sets1 * assoc1
+            if tags1[b] == line:
+                if w:
+                    dirty1[b] = True
+                continue
+            end = b + assoc1
+            ways = tags1[b:end]
+            if line in ways:
+                i = b + ways.index(line)
+                d = dirty1[i]
+                tags1[b + 1 : i + 1] = tags1[b:i]
+                dirty1[b + 1 : i + 1] = dirty1[b:i]
+                tags1[b] = line
+                dirty1[b] = d or w
+                continue
+            misses1 += 1
+            if dirty1[end - 1] and ways[-1] != _EMPTY:
+                wb1 += 1
+            tags1[b + 1 : end] = ways[:-1]
+            dirty1[b + 1 : end] = dirty1[b : end - 1]
+            tags1[b] = line
+            dirty1[b] = w
+            line = addr >> shift2
+            b = line % sets2 * assoc2
+            end = b + assoc2
+            ways = tags2[b:end]
+            if line in ways:
+                i = b + ways.index(line)
+                if i != b:
+                    d = dirty2[i]
+                    tags2[b + 1 : i + 1] = tags2[b:i]
+                    dirty2[b + 1 : i + 1] = dirty2[b:i]
+                    tags2[b] = line
+                    dirty2[b] = d or w
+                elif w:
+                    dirty2[b] = True
+                hits2 += 1
+                continue
+            if dirty2[end - 1] and ways[-1] != _EMPTY:
+                wb2 += 1
+            tags2[b + 1 : end] = ways[:-1]
+            dirty2[b + 1 : end] = dirty2[b : end - 1]
+            tags2[b] = line
+            dirty2[b] = w
+        stats = l1d.stats
+        stats.accesses += len(addrs)
+        stats.hits += len(addrs) - misses1
+        stats.writebacks += wb1
+        stats = l2.stats
+        stats.accesses += misses1
+        stats.hits += hits2
+        stats.writebacks += wb2
+        self.memory_accesses += misses1 - hits2
 
     def warm_inst(self, addr: int) -> None:
         """Touch the instruction side without caring about latency."""

@@ -24,12 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from ..errors import ProgramError
 
-__all__ = ["PatternKind", "MemPattern"]
+__all__ = ["PatternKind", "MemPattern", "pattern_addresses"]
 
 #: Knuth multiplicative-hash constant used by RANDOM/CHASE address hashing.
 _HASH_MULT = 2654435761
+#: Multiplier of the avalanche finalizer's middle step.
+_AVALANCHE_MULT = 0x45D9F3B
 _MASK32 = 0xFFFFFFFF
 
 
@@ -82,7 +86,7 @@ class MemPattern:
         # reuse) instead of statistically random.
         h = ((k + self.seed) * _HASH_MULT) & _MASK32
         h ^= h >> 16
-        h = (h * 0x45D9F3B) & _MASK32
+        h = (h * _AVALANCHE_MULT) & _MASK32
         h ^= h >> 16
         return self.base + ((h % self.span) & ~0x7)
 
@@ -99,3 +103,26 @@ class MemPattern:
     def serialises(self) -> bool:
         """True when the owning load must chain on its previous result."""
         return self.kind is PatternKind.CHASE
+
+
+def pattern_addresses(pattern: MemPattern, ks: np.ndarray) -> np.ndarray:
+    """Vectorised :meth:`MemPattern.address` over *ks*.
+
+    Evaluates the pattern's address generator for every execution count
+    in *ks* (int64, non-negative) in one shot, bit-identical to the
+    scalar method: strided kinds are plain int64 arithmetic, hashed
+    kinds replay the 32-bit avalanche in uint64 (the 32-bit masks make
+    modulo-2**64 wraparound indistinguishable from Python's
+    arbitrary-precision product).  The MAV signal and the functional
+    warmer both generate a run's address stream with it.
+    """
+    if pattern.kind is PatternKind.STREAM or pattern.kind is PatternKind.REUSE:
+        return pattern.base + (ks * pattern.stride) % pattern.span
+    h = (ks.astype(np.uint64) + np.uint64(pattern.seed)) * np.uint64(
+        _HASH_MULT
+    ) & np.uint64(_MASK32)
+    h ^= h >> np.uint64(16)
+    h = h * np.uint64(_AVALANCHE_MULT) & np.uint64(_MASK32)
+    h ^= h >> np.uint64(16)
+    offsets = (h % np.uint64(pattern.span)) & ~np.uint64(0x7)
+    return (np.uint64(pattern.base) + offsets).astype(np.int64)

@@ -34,7 +34,7 @@ from ..errors import ConfigurationError
 from .base import SignalTracker, pack_registers, unpack_registers
 from .bbv import BbvHash, BbvTracker, ReducedBbvHash, WideBbvHash
 from .concat import ConcatenatedSignal
-from .mav import MavTracker, pattern_addresses
+from .mav import MavTracker
 from .vector import angle_between, l2_norm, l2_normalize, manhattan_distance
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "make_signal_tracker",
     "manhattan_distance",
     "pack_registers",
-    "pattern_addresses",
     "unpack_registers",
 ]
 

@@ -15,13 +15,14 @@ Closed-form batching mirrors the BBV credit telescoping.  A
 execution count *k* (that is what makes checkpoints tiny), so the
 address stream of a :class:`~repro.program.BlockRun` covering
 ``k_start .. k_start+n-1`` is computable without expanding events:
-:func:`pattern_addresses` evaluates the strided and hashed generators
-over a whole ``k`` range with numpy integer arithmetic that reproduces
-``MemPattern.address`` bit-for-bit (products are masked to 32 bits, so
-uint64 wraparound is unobservable).  All register increments are
-integer-valued counts far below 2**53, so float64 accumulation is exact
-and the scalar and batched paths produce bit-identical register files —
-the property ``tests/test_signals.py`` pins with hypothesis.
+:func:`~repro.program.mem_patterns.pattern_addresses` evaluates the
+strided and hashed generators over a whole ``k`` range with numpy
+integer arithmetic that reproduces ``MemPattern.address`` bit-for-bit
+(products are masked to 32 bits, so uint64 wraparound is unobservable).
+All register increments are integer-valued counts far below 2**53, so
+float64 accumulation is exact and the scalar and batched paths produce
+bit-identical register files — the property ``tests/test_signals.py``
+pins with hypothesis.
 """
 
 from __future__ import annotations
@@ -32,41 +33,18 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..program.block import BasicBlock
-from ..program.mem_patterns import MemPattern, PatternKind
+from ..program.mem_patterns import pattern_addresses
 from .base import pack_registers, unpack_registers
 from .vector import l2_norm
 
 if TYPE_CHECKING:
     from ..program.stream import BlockRun
 
-__all__ = ["MavTracker", "pattern_addresses"]
+__all__ = ["MavTracker"]
 
 #: Knuth multiplicative-hash constant (same family as the pattern hash).
 _HASH_MULT = 2654435761
-_AVALANCHE_MULT = 0x45D9F3B
 _MASK32 = 0xFFFFFFFF
-
-
-def pattern_addresses(pattern: MemPattern, ks: np.ndarray) -> np.ndarray:
-    """Vectorised :meth:`~repro.program.MemPattern.address` over *ks*.
-
-    Evaluates the pattern's address generator for every execution count
-    in *ks* (int64, non-negative) in one shot, bit-identical to the
-    scalar method: strided kinds are plain int64 arithmetic, hashed
-    kinds replay the 32-bit avalanche in uint64 (the 32-bit masks make
-    modulo-2**64 wraparound indistinguishable from Python's
-    arbitrary-precision product).
-    """
-    if pattern.kind is PatternKind.STREAM or pattern.kind is PatternKind.REUSE:
-        return pattern.base + (ks * pattern.stride) % pattern.span
-    h = (ks.astype(np.uint64) + np.uint64(pattern.seed)) * np.uint64(
-        _HASH_MULT
-    ) & np.uint64(_MASK32)
-    h ^= h >> np.uint64(16)
-    h = h * np.uint64(_AVALANCHE_MULT) & np.uint64(_MASK32)
-    h ^= h >> np.uint64(16)
-    offsets = (h % np.uint64(pattern.span)) & ~np.uint64(0x7)
-    return (np.uint64(pattern.base) + offsets).astype(np.int64)
 
 
 class MavTracker:

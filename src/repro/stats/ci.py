@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -116,7 +117,10 @@ def t_value(confidence: float, dof: int) -> float:
 
     Computed by numerically inverting the regularised incomplete beta
     function via bisection on the t CDF; accurate to ~1e-10, which is far
-    tighter than sampling noise.
+    tighter than sampling noise.  Above 200 degrees of freedom the normal
+    value is used.  The inversion is memoized per ``(confidence, dof)``:
+    callers ask for a handful of confidence levels and small sample
+    counts, over and over.
     """
     if dof < 1:
         raise ConfigurationError("dof must be at least 1")
@@ -124,13 +128,19 @@ def t_value(confidence: float, dof: int) -> float:
         raise ConfigurationError("confidence must be in (0, 1)")
     if dof > 200:
         return z_value(confidence)
+    return _t_quantile(confidence, dof)
+
+
+@lru_cache(maxsize=None)
+def _t_quantile(confidence: float, dof: int) -> float:
+    """The bisection behind :func:`t_value` (validated, ``dof <= 200``)."""
     target = 0.5 + confidence / 2.0
+    v = float(dof)
 
     def t_cdf(x: float) -> float:
         # CDF via the regularised incomplete beta function.
         if x == 0.0:
             return 0.5
-        v = float(dof)
         ib = _reg_inc_beta(v / 2.0, 0.5, v / (v + x * x))
         return 1.0 - 0.5 * ib if x > 0 else 0.5 * ib
 

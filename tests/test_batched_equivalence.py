@@ -321,6 +321,16 @@ class TestFuncWarmEquivalence:
         scalar, batched = _warm_pair(program, machine=machine)
         _warm_to_end(scalar, batched, seed=5)
 
+    @pytest.mark.parametrize("name", ("181.mcf", "adv.footprint_step"))
+    def test_8_way_l1d_with_non_power_of_two_sets(self, name):
+        """The replay kernel's way scan and modulo set index, on the
+        hashed-chase and always-missing programs it carries."""
+        l1d = CacheConfig(8 * 96 * 64, 8)
+        assert l1d.n_sets == 96
+        machine = dataclasses.replace(DEFAULT_MACHINE, l1d=l1d)
+        scalar, batched = _warm_pair(_workload(name), machine=machine)
+        _warm_to_end(scalar, batched, seed=f"{name}/8-way")
+
     def test_detail_with_32_byte_l1i_lines(self):
         """The batched pipeline's silent-fetch guard, on the same 4-set
         32-byte-line L1I: DETAIL and DETAIL_WARM windows stay identical."""

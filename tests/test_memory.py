@@ -1,5 +1,8 @@
 """Tests for the cache model and the two-level hierarchy."""
 
+import dataclasses
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,6 +233,82 @@ class TestHierarchy:
     def test_stats_summary_keys(self):
         h = CacheHierarchy(DEFAULT_MACHINE)
         assert set(h.stats_summary()) == {"L1I", "L1D", "L2"}
+
+
+def _geometry():
+    """A cache geometry: 1-8 ways, any set count, 32- or 64-byte lines."""
+    return st.builds(
+        lambda assoc, sets, line: CacheConfig(assoc * sets * line, assoc, line),
+        st.sampled_from((1, 2, 4, 8)),
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from((32, 64)),
+    )
+
+
+def _warm_counters(h):
+    return (
+        [(c.stats.accesses, c.stats.hits, c.stats.writebacks) for c in (h.l1i, h.l1d, h.l2)],
+        h.memory_accesses,
+    )
+
+
+class TestWarmDataRun:
+    """The replay kernel against a loop of per-access warm_data calls."""
+
+    @given(
+        l1d=_geometry(),
+        l2=_geometry(),
+        salt=st.sampled_from((0, 1 << 36)),
+        chunks=st.lists(
+            st.tuples(
+                st.booleans(),  # True: the other core on the shared L2
+                st.lists(
+                    st.tuples(
+                        st.integers(min_value=0, max_value=0x3000), st.booleans()
+                    ),
+                    max_size=60,
+                ),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_matches_warm_data_loop(self, l1d, l2, salt, chunks):
+        machine = dataclasses.replace(DEFAULT_MACHINE, l1d=l1d, l2=l2)
+        kernel, loop = CacheHierarchy(machine, address_salt=salt), CacheHierarchy(
+            machine, address_salt=salt
+        )
+        others = [
+            CacheHierarchy(machine, shared_l2=h.l2, address_salt=salt ^ (1 << 37))
+            for h in (kernel, loop)
+        ]
+        for other_core, ops in chunks:
+            addrs = [addr for addr, _ in ops]
+            writes = [w for _, w in ops]
+            if other_core:
+                for other in others:
+                    for addr, w in ops:
+                        other.warm_data(addr, w)
+                continue
+            kernel.warm_data_run(addrs, writes)
+            for addr, w in ops:
+                loop.warm_data(addr, w)
+        assert kernel.snapshot() == loop.snapshot()
+        assert _warm_counters(kernel) == _warm_counters(loop)
+        assert others[0].snapshot() == others[1].snapshot()
+        assert _warm_counters(others[0]) == _warm_counters(others[1])
+
+    def test_write_flags_may_cycle(self):
+        """A block's per-access flags, cycled over a run's addresses."""
+        kernel = CacheHierarchy(DEFAULT_MACHINE)
+        loop = CacheHierarchy(DEFAULT_MACHINE)
+        addrs = [i * 4096 for i in range(40)] * 2
+        kernel.warm_data_run(addrs, itertools.cycle((False, True)))
+        for i, addr in enumerate(addrs):
+            loop.warm_data(addr, i % 2 == 1)
+        assert kernel.snapshot() == loop.snapshot()
+        assert _warm_counters(kernel) == _warm_counters(loop)
 
 
 class TestQuietAccessAndHotRefs:

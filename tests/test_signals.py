@@ -38,7 +38,8 @@ from repro import (
 from repro.errors import ConfigurationError, ProgramError
 from repro.phase import OnlinePhaseClassifier
 from repro.program import ADVERSARIAL_NAMES
-from repro.signals import PHASE_SIGNALS, pattern_addresses
+from repro.program.mem_patterns import pattern_addresses
+from repro.signals import PHASE_SIGNALS
 from conftest import make_two_phase_program
 
 

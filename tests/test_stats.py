@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from repro.errors import ConfigurationError, SamplingError
 from repro.stats import (
@@ -52,6 +53,13 @@ class TestCriticalValues:
 
     def test_t_exceeds_z_for_small_dof(self):
         assert t_value(0.95, 3) > z_value(0.95)
+
+    def test_t_values_match_scipy_on_the_bisection_range(self):
+        """Every dof the bisection serves, at the confidences in use."""
+        for conf in (0.90, 0.95, 0.99, 0.997):
+            for dof in range(1, 201):
+                expected = scipy_stats.t.ppf(0.5 + conf / 2.0, dof)
+                assert t_value(conf, dof) == pytest.approx(expected, rel=1e-8)
 
     def test_invalid_inputs(self):
         with pytest.raises(ConfigurationError):
