@@ -51,7 +51,7 @@ from .program import (
     paper_suite,
     wupwise_analogue,
 )
-from .cpu import Mode, SimulationEngine, CheckpointStore
+from .cpu import Mode, SimulationEngine
 from .signals import (
     PHASE_SIGNALS,
     BbvTracker,
@@ -103,7 +103,6 @@ __all__ = [
     # simulator
     "Mode",
     "SimulationEngine",
-    "CheckpointStore",
     # phase signals
     "PHASE_SIGNALS",
     "BbvTracker",

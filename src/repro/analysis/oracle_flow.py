@@ -8,9 +8,9 @@ size a :class:`~repro.sampling.session.ModeSegment`.  These rules run
 the interprocedural taint engine with the oracle vocabulary and flag
 tainted values reaching the decision sinks that steer sampling:
 
-* **LEA101** — plan construction (``ModeSegment``, ``periodic_plan``,
-  ``run_to_end_plan``): an oracle-derived op count or mode choice means
-  the simulated schedule was tuned by the answer key.
+* **LEA101** — plan construction (``ModeSegment``, every ``*_plan``
+  builder and ``measure_intervals``): an oracle-derived op count or mode
+  choice means the simulated schedule was tuned by the answer key.
 * **LEA102** — ``SampleBudget`` arithmetic: deriving sample size or
   precision targets from the true IPC is the classic way a "3% error"
   claim becomes circular.
@@ -90,17 +90,26 @@ def _tainted_inputs(rec: CallTaintRecord) -> List[str]:
 class OracleIntoPlanRule(_OracleFlowRule):
     """LEA101: oracle taint must not reach plan/segment construction.
 
-    ``ModeSegment``, ``periodic_plan`` and ``run_to_end_plan`` decide
-    *where and how long* the simulator measures.  If any argument is
-    derived — however indirectly — from ``true_ipc``, the sampling plan
-    was shaped by the reference answer and the error figures are
-    circular.  Flow-sensitive: catches taint laundered through locals,
-    tuples, and helper-function returns that LEA001-003 cannot see.
+    ``ModeSegment``, the session's ``*_plan`` builders and
+    ``measure_intervals`` decide *where and how long* the simulator
+    measures.  If any argument is derived — however indirectly — from
+    ``true_ipc``, the sampling plan was shaped by the reference answer
+    and the error figures are circular.  Flow-sensitive: catches taint
+    laundered through locals, tuples, and helper-function returns that
+    LEA001-003 cannot see.
     """
 
     rule_id = "LEA101"
     summary = "oracle-derived value flows into sampling-plan construction"
-    sinks = frozenset({"ModeSegment", "periodic_plan", "run_to_end_plan"})
+    sinks = frozenset(
+        {
+            "ModeSegment",
+            "interval_sample_plan",
+            "measure_intervals",
+            "periodic_plan",
+            "run_to_end_plan",
+        }
+    )
     sink_label = "plan constructor"
 
 
@@ -141,6 +150,8 @@ class OracleIntoThresholdRule(_OracleFlowRule):
             "TurboSmartsConfig",
             "SimPointConfig",
             "OnlineSimPointConfig",
+            "TwoPhaseStratifiedConfig",
+            "RankedSetConfig",
         }
     )
     sink_label = "threshold/config constructor"

@@ -15,7 +15,6 @@ in-order superscalar with a split 4-way 64 KB L1 and a unified 1 MB L2
 
 from .pipeline import InOrderPipeline, WindowResult
 from .engine import Mode, ModeAccounting, SimulationEngine
-from .checkpoints import Checkpoint, CheckpointStore
 from .multicore import CoreResult, MultiCoreEngine, MultiCorePgss
 
 __all__ = [
@@ -24,8 +23,6 @@ __all__ = [
     "Mode",
     "ModeAccounting",
     "SimulationEngine",
-    "Checkpoint",
-    "CheckpointStore",
     "CoreResult",
     "MultiCoreEngine",
     "MultiCorePgss",

@@ -1,19 +1,12 @@
-"""Checkpoint / livepoint support (paper Sections 2.2 and 7).
+"""Resumable engine checkpoints on disk (DESIGN.md §17).
 
-TurboSMARTS relies on *livepoints* — small stored warm-state snapshots that
-let samples be simulated in any order.  The paper's future-work section
-notes "the livepoints used in [15] could easily be used to accelerate
-PGSS"; :class:`CheckpointStore` implements exactly that: snapshots of the
-engine (stream position + caches + predictor) taken at chosen op offsets,
-restorable in any order.
-
-:class:`CheckpointFile` persists one such snapshot (plus arbitrary
-caller extras) to disk with the same atomic write-to-tmp +
-``os.replace`` discipline as the result cache, which is what makes long
-detailed cells resumable across worker deaths in the experiment fleet
-(DESIGN.md §17): the claim holder saves periodically, and whichever
-worker next claims the cell restores the latest snapshot instead of
-re-simulating from op 0.
+:class:`CheckpointFile` persists one engine snapshot
+(``SimulationEngine.snapshot``) plus arbitrary caller extras to disk with
+the same atomic write-to-tmp + ``os.replace`` discipline as the result
+cache, which is what makes long detailed cells resumable across worker
+deaths in the experiment fleet: the claim holder saves periodically, and
+whichever worker next claims the cell restores the latest snapshot
+instead of re-simulating from op 0.
 """
 
 from __future__ import annotations
@@ -21,14 +14,12 @@ from __future__ import annotations
 import os
 import pickle
 import uuid
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..errors import SimulationError
-from .engine import Mode, SimulationEngine
 
-__all__ = ["Checkpoint", "CheckpointFile", "CheckpointStore"]
+__all__ = ["CheckpointFile"]
 
 #: Pickle protocol pinned for checkpoint files (protocol 4 is supported
 #: by every Python this package targets, so mixed-version fleets can
@@ -39,88 +30,6 @@ _PICKLE_PROTOCOL = 4
 #: pipeline's relative timing state (``pipeline_timing``); a payload of
 #: an earlier version cannot resume byte-identically and is discarded.
 _FORMAT = 2
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    """One stored warm-state snapshot.
-
-    Attributes:
-        op_offset: dynamic op count at which the snapshot was taken.
-        state: opaque engine state (see ``SimulationEngine.snapshot``).
-    """
-
-    op_offset: int
-    state: Dict[str, Any]
-
-
-class CheckpointStore:
-    """An ordered collection of engine checkpoints.
-
-    Build one with :meth:`collect`, then jump the engine to any stored
-    offset with :meth:`restore_nearest` — the engine lands on the snapshot
-    at or before the requested offset and only the remainder needs
-    re-simulation.
-    """
-
-    def __init__(self) -> None:
-        self._checkpoints: List[Checkpoint] = []
-
-    def __len__(self) -> int:
-        return len(self._checkpoints)
-
-    @property
-    def offsets(self) -> List[int]:
-        """Stored op offsets, ascending."""
-        return [c.op_offset for c in self._checkpoints]
-
-    def add(self, engine: SimulationEngine) -> Checkpoint:
-        """Snapshot *engine* now and store it."""
-        cp = Checkpoint(op_offset=engine.ops_completed, state=engine.snapshot())
-        if self._checkpoints and cp.op_offset <= self._checkpoints[-1].op_offset:
-            raise SimulationError("checkpoints must be added at increasing offsets")
-        self._checkpoints.append(cp)
-        return cp
-
-    @classmethod
-    def collect(
-        cls,
-        engine: SimulationEngine,
-        interval_ops: int,
-        mode: Mode = Mode.FUNC_WARM,
-    ) -> "CheckpointStore":
-        """Run *engine* to completion, snapshotting every *interval_ops*.
-
-        The engine runs in *mode* (functional warming by default, so each
-        checkpoint holds warm caches — a livepoint).
-        """
-        if interval_ops <= 0:
-            raise SimulationError("interval_ops must be positive")
-        store = cls()
-        store.add(engine)
-        while not engine.exhausted:
-            engine.run(mode, interval_ops)
-            if not engine.exhausted:
-                store.add(engine)
-        return store
-
-    def restore_nearest(self, engine: SimulationEngine, op_offset: int) -> Checkpoint:
-        """Restore the latest checkpoint at or before *op_offset*.
-
-        Returns the checkpoint used.  Raises if none qualifies.
-        """
-        candidate = None
-        for cp in self._checkpoints:
-            if cp.op_offset <= op_offset:
-                candidate = cp
-            else:
-                break
-        if candidate is None:
-            raise SimulationError(
-                f"no checkpoint at or before op offset {op_offset}"
-            )
-        engine.restore(candidate.state)
-        return candidate
 
 
 class CheckpointFile:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence
 
-from ..cpu import SimulationEngine
 from ..events import EventBus, SampleTaken
-from ..sampling.pgss import Pgss, PgssConfig, PgssController
+from ..sampling.pgss import Pgss, PgssConfig
 from ..sampling.simpoint import SimPoint, SimPointConfig
 from ..sampling.smarts import Smarts, SmartsConfig
 from .cells import ExperimentCell, trace_cell
@@ -84,34 +83,21 @@ def run(ctx: ExperimentContext, benchmark: str = BENCHMARK) -> Dict[str, Any]:
 
     sp_cfg = SimPointConfig(scale.simpoint_intervals[-1], 5)
     trace = ctx.trace(benchmark)
-    sp_result = SimPoint(sp_cfg, ctx.machine).run(
-        ctx.program(benchmark), trace=trace
-    )
+    simpoint = SimPoint(sp_cfg, ctx.machine)
+    sp_result = simpoint.run(ctx.program(benchmark), trace=trace)
     intervals = trace.to_period(sp_cfg.interval_ops)
     cum = [0]
     for ops in intervals.ops:
         cum.append(cum[-1] + int(ops))
-    # Recover representative interval indices from the weights extras is
-    # indirect; recompute the clustering choice cheaply instead.
-    from ..clustering import kmeans
-
-    clustering = kmeans(
-        intervals.normalized_bbvs(), sp_cfg.n_clusters, seed=sp_cfg.seed
-    )
-    reps = [int(r) for r in clustering.representative_indices() if r >= 0]
-    sp_spans = [(cum[r], cum[r + 1]) for r in reps]
+    _clustering, reps = simpoint.simulation_points(intervals)
+    sp_spans = [(cum[r], cum[r + 1]) for r in reps if r >= 0]
 
     pgss_offsets: List[int] = []
     pgss_bus = EventBus()
     pgss_bus.subscribe(SampleTaken, lambda e: pgss_offsets.append(e.op_offset))
-    pgss_tech = Pgss(PgssConfig.from_scale(scale), machine=ctx.machine)
-    engine = SimulationEngine(
-        ctx.program(benchmark),
-        machine=ctx.machine,
-        signal_tracker=pgss_tech._make_tracker(),
+    Pgss(PgssConfig.from_scale(scale), ctx.machine).run(
+        ctx.program(benchmark), bus=pgss_bus
     )
-    controller = PgssController(engine, pgss_tech.config, bus=pgss_bus)
-    controller.run()
 
     phase_line, legend = _phase_line(ctx, benchmark, total_ops)
     return {

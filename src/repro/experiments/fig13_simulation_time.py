@@ -19,12 +19,13 @@ reduced detail; the measured ratio here is reported for comparison.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Any, Dict, List
 
 from ..signals import BbvTracker
 from ..cpu import Mode, SimulationEngine
 from ..errors import OrchestrationError
+from ..program import get_workload
 from ..sampling.smarts import SmartsConfig
 from .cells import ExperimentCell
 from .fig11_pgss_sweep import run_single as pgss_run_single
@@ -38,6 +39,8 @@ __all__ = ["run", "format_result", "cells", "run_cell", "measure_rates"]
 #: Workload and op budget used for rate calibration.
 RATE_BENCHMARK = "164.gzip"
 RATE_OPS = 600_000
+#: Untimed ops run first in every engine (interpreter warm-up).
+WARMUP_OPS = RATE_OPS // 10
 
 
 def measure_rates(ctx: ExperimentContext) -> Dict[str, float]:
@@ -46,23 +49,29 @@ def measure_rates(ctx: ExperimentContext) -> Dict[str, float]:
     The functional modes run through the batched fast-forward engine (the
     production default); ``func_fast_scalar`` rows re-measure FUNC_FAST
     with batching disabled, so the table carries the scalar-vs-batched
-    speedup alongside the paper's mode comparison.
+    speedup alongside the paper's mode comparison.  The rate program is
+    built long enough for the warm-up plus ``RATE_OPS`` at any scale, so
+    every timed run covers the full op budget.
     """
+    scale = ctx.scale
+    if scale.benchmark_ops < WARMUP_OPS + RATE_OPS:
+        scale = replace(scale, benchmark_ops=WARMUP_OPS + RATE_OPS)
 
     def one(mode: Mode, with_bbv: bool, batched: bool = True) -> float:
-        program = ctx.program(RATE_BENCHMARK)
+        program = get_workload(RATE_BENCHMARK, scale)
         tracker = BbvTracker() if with_bbv else None
         engine = SimulationEngine(
             program, machine=ctx.machine, signal_tracker=tracker,
             batched=None if batched else False,
         )
         # Warm the interpreter and caches briefly before timing.
-        engine.run(mode, RATE_OPS // 10)
+        engine.run(mode, WARMUP_OPS)
         # Timing measures simulator throughput for the figure; it never
         # influences simulated state.
         start = time.perf_counter()  # simlint: disable=DET005
         run = engine.run(mode, RATE_OPS)
         elapsed = time.perf_counter() - start  # simlint: disable=DET005
+        assert run.ops >= RATE_OPS, f"{mode.value} ended inside the timed run"
         return run.ops / elapsed if elapsed > 0 else 0.0
 
     rates: Dict[str, float] = {}
@@ -88,7 +97,7 @@ def _cached_rates(ctx: ExperimentContext) -> Dict[str, float]:
     # a mode's rate changes, or a warm cache keeps serving stale rates.
     return ctx.cache.json(
         {"kind": "rates", "scale": ctx.scale.name, "ops": RATE_OPS,
-         "engine": "batched-bulk-warm", "machine": asdict(ctx.machine)},
+         "engine": "batched-bulk-warm-full-run", "machine": asdict(ctx.machine)},
         lambda: measure_rates(ctx),
     )
 

@@ -59,8 +59,8 @@ class ExperimentContext:
         """JSON document from which :meth:`from_doc` rebuilds this context.
 
         Holds the scale, machine, cache directory and benchmark list, so a
-        worker on any host computes the same cache entries.  Checkpoint
-        settings belong to the worker and are not part of it.
+        worker on any host computes the same cache entries.  The
+        checkpoint settings belong to the worker and are not part of it.
         """
         return {
             "scale": asdict(self.scale),

@@ -27,21 +27,8 @@ from .threshold import (
     change_histogram_2d,
 )
 from .adaptive import AdaptiveThresholdSelector
-from .transition import RefinedTransition, TransitionRefiner
-from .hierarchy import (
-    HierarchyLevel,
-    VariableInterval,
-    hierarchical_phases,
-    variable_length_intervals,
-)
 
 __all__ = [
-    "RefinedTransition",
-    "TransitionRefiner",
-    "HierarchyLevel",
-    "VariableInterval",
-    "hierarchical_phases",
-    "variable_length_intervals",
     "PhaseProfile",
     "OnlinePhaseClassifier",
     "PhaseDecision",

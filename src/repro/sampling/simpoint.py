@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..signals import BbvTracker, ReducedBbvHash
-from ..clustering import choose_k, kmeans
+from ..clustering import KMeansResult, choose_k, kmeans
 from ..cpu import Mode, ModeAccounting, SimulationEngine
 from ..errors import ConfigurationError, SamplingError
 from ..events import EventBus
@@ -115,6 +115,38 @@ class SimPoint(SamplingTechnique):
             bbvs=np.array(bbv_list, dtype=np.float64),
         )
 
+    def simulation_points(
+        self, intervals: ReferenceTrace
+    ) -> Tuple[KMeansResult, np.ndarray]:
+        """Cluster *intervals* and pick one representative per cluster.
+
+        Chooses k (``n_clusters``, or BIC up to ``max_k`` — the SimPoint
+        3.0 default), runs k-means over the normalised interval BBVs, and
+        returns the clustering with each cluster's representative interval
+        index (the member closest to its centroid; -1 for an empty
+        cluster).
+        """
+        cfg = self.config
+        n = intervals.n_windows
+        points = intervals.normalized_bbvs()
+        if cfg.n_clusters is not None:
+            n_clusters = cfg.n_clusters
+            if n < n_clusters:
+                raise SamplingError(
+                    f"{n} intervals cannot support {n_clusters} clusters"
+                )
+        else:
+            n_clusters, _scores = choose_k(
+                points,
+                max_k=min(cfg.max_k, n - 1) if n > 1 else 1,
+                n_restarts=cfg.n_restarts,
+                seed=cfg.seed,
+            )
+        clustering = kmeans(
+            points, n_clusters, n_restarts=cfg.n_restarts, seed=cfg.seed
+        )
+        return clustering, clustering.representative_indices()
+
     def _measure_representatives(
         self,
         program: Program,
@@ -183,25 +215,8 @@ class SimPoint(SamplingTechnique):
             intervals = self.profile_intervals(program, bus=bus)
             have_ipc = False
         n = intervals.n_windows
-        points = intervals.normalized_bbvs()
-        if cfg.n_clusters is not None:
-            n_clusters = cfg.n_clusters
-            if n < n_clusters:
-                raise SamplingError(
-                    f"{n} intervals cannot support {n_clusters} clusters"
-                )
-        else:
-            # SimPoint 3.0 behaviour: BIC-select k up to max_k.
-            n_clusters, _scores = choose_k(
-                points,
-                max_k=min(cfg.max_k, n - 1) if n > 1 else 1,
-                n_restarts=cfg.n_restarts,
-                seed=cfg.seed,
-            )
-        clustering = kmeans(
-            points, n_clusters, n_restarts=cfg.n_restarts, seed=cfg.seed
-        )
-        reps = clustering.representative_indices()
+        clustering, reps = self.simulation_points(intervals)
+        n_clusters = clustering.k
         sizes = clustering.cluster_sizes()
 
         accounting = ModeAccounting()

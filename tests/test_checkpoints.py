@@ -1,10 +1,9 @@
-"""Checkpoint persistence and resumable reference-trace collection.
+"""Engine-checkpoint persistence and resumable reference-trace collection.
 
-Covers the :class:`CheckpointStore` edge cases (empty store, exact-offset
-hit, offset before the first checkpoint), the on-disk
-:class:`CheckpointFile` (round trip, corruption, idempotent clear), and
-the property the fleet depends on: a trace collection killed mid-cell and
-resumed from its checkpoint is byte-identical to an uninterrupted run.
+Covers the on-disk :class:`CheckpointFile` (round trip, corruption,
+idempotent clear) and the property the fleet depends on: a trace
+collection killed mid-cell and resumed from its checkpoint is
+byte-identical to an uninterrupted run.
 """
 
 import pickle
@@ -13,9 +12,8 @@ import numpy as np
 import pytest
 
 from repro.config import Scale
-from repro.cpu import Mode, SimulationEngine
-from repro.cpu.checkpoints import CheckpointFile, CheckpointStore
-from repro.errors import SimulationError
+from repro.cpu import SimulationEngine
+from repro.cpu.checkpoints import CheckpointFile
 from repro.program import get_workload
 from repro.sampling.full import collect_reference_trace
 
@@ -24,40 +22,6 @@ BENCH = "164.gzip"
 
 def make_engine():
     return SimulationEngine(get_workload(BENCH, Scale.QUICK))
-
-
-class TestCheckpointStoreEdges:
-    def test_empty_store_raises(self):
-        engine = make_engine()
-        with pytest.raises(SimulationError):
-            CheckpointStore().restore_nearest(engine, 1_000_000)
-
-    def test_offset_before_first_checkpoint_raises(self):
-        engine = make_engine()
-        engine.run(Mode.FUNC_FAST, 50_000)
-        store = CheckpointStore()
-        first = store.add(engine)
-        assert first.op_offset > 0
-        fresh = make_engine()
-        with pytest.raises(SimulationError):
-            store.restore_nearest(fresh, first.op_offset - 1)
-
-    def test_exact_offset_hit(self):
-        engine = make_engine()
-        store = CheckpointStore.collect(engine, interval_ops=40_000)
-        target = store.offsets[1]
-        fresh = make_engine()
-        used = store.restore_nearest(fresh, target)
-        assert used.op_offset == target
-        assert fresh.ops_completed == target
-
-    def test_between_offsets_picks_floor(self):
-        engine = make_engine()
-        store = CheckpointStore.collect(engine, interval_ops=40_000)
-        lo, hi = store.offsets[1], store.offsets[2]
-        fresh = make_engine()
-        used = store.restore_nearest(fresh, (lo + hi) // 2)
-        assert used.op_offset == lo
 
 
 class TestCheckpointFile:
@@ -118,7 +82,7 @@ class TestCheckpointFile:
 
 
 class _DyingCheckpoint(CheckpointFile):
-    """Checkpoint file whose writer is 'killed' after *allowed* saves."""
+    """A checkpoint file whose writer is 'killed' after *allowed* saves."""
 
     def __init__(self, path, allowed):
         super().__init__(path)

@@ -289,6 +289,81 @@ class TestOracleFlow:
         assert rule_ids(findings) == ["LEA103"]
         assert len(findings) == 1
 
+    @pytest.mark.parametrize(
+        "rule, call",
+        [
+            (OracleIntoPlanRule, "interval_sample_plan([0, n], n, 0, 1000)"),
+            (OracleIntoPlanRule, "measure_intervals(program, None, [0], n, 0, 1)"),
+            (OracleIntoThresholdRule, "TwoPhaseStratifiedConfig(n)"),
+            (OracleIntoThresholdRule, "RankedSetConfig(n)"),
+            (OracleIntoThresholdRule, "PgssConfig(spread_ops=n)"),
+        ],
+    )
+    def test_sampler_sinks_flag_oracle_taint(self, tmp_path, rule, call):
+        root = write_tree(
+            tmp_path,
+            {
+                "repro/sampling/leak.py": f"""
+                    def build(trace, program):
+                        n = int(trace.true_ipc * 1000)
+                        return {call}
+                """,
+            },
+        )
+        findings = project_findings(root, [rule()])
+        assert rule_ids(findings) == [rule.rule_id]
+
+    def test_syntactic_leakage_rules_are_not_subsumed(self, tmp_path):
+        """Each of LEA001-003 fires on a line no LEA1xx rule flags, so no
+        syntactic rule's findings are a subset of a dataflow rule's."""
+        root = write_tree(
+            tmp_path,
+            {
+                "repro/sampling/syntactic.py": """
+                    '''Fixture: one spelling per syntactic leakage rule.'''
+
+                    import itertools
+
+                    from repro.experiments import runner
+
+                    __all__ = ["peek", "profile"]
+
+
+                    def profile(program, machine):
+                        collect_reference_trace(program, machine)
+                        return runner
+
+
+                    def peek(stream):
+                        ahead, cursor = itertools.tee(stream)
+                        return next(ahead), cursor
+                """,
+            },
+        )
+        syntactic = lint_paths([str(root)], [cls() for cls in LEAKAGE_RULES])
+        flow = project_findings(
+            root,
+            [OracleIntoPlanRule(), OracleIntoBudgetRule(), OracleIntoThresholdRule()],
+        )
+        flow_lines = {f.line for f in flow}
+        only_syntactic = {f.rule_id for f in syntactic if f.line not in flow_lines}
+        assert only_syntactic == {"LEA001", "LEA002", "LEA003"}
+
+    def test_sink_lists_cover_the_sampling_api(self):
+        """Every sampler config is an LEA103 sink and every plan builder
+        an LEA101 sink, so a new one cannot silently escape the rules."""
+        import repro.sampling
+        import repro.sampling.session
+
+        configs = {n for n in repro.sampling.__all__ if n.endswith("Config")}
+        assert configs <= OracleIntoThresholdRule.sinks
+        plans = {
+            n
+            for n in repro.sampling.session.__all__
+            if n.endswith("_plan") or n == "measure_intervals"
+        }
+        assert plans <= OracleIntoPlanRule.sinks
+
 
 class TestRngProvenance:
     def test_det101_unseeded_and_unprovable(self, tmp_path):

@@ -9,7 +9,6 @@ from repro import (
     SimulationEngine,
     SimulationError,
 )
-from repro.cpu import CheckpointStore
 from repro.cpu.engine import ModeAccounting
 
 
@@ -171,45 +170,23 @@ class TestCheckpointing:
         engine.restore(snap)
         assert (tracker.peek_vector() == vec1).all()
 
-    def test_checkpoint_store_collect(self, two_phase_program):
-        engine = SimulationEngine(two_phase_program)
-        store = CheckpointStore.collect(engine, interval_ops=30_000)
-        assert len(store) >= 3
-        assert store.offsets == sorted(store.offsets)
-
-    def test_checkpoint_store_restore_nearest(self, two_phase_program):
-        engine = SimulationEngine(two_phase_program)
-        store = CheckpointStore.collect(engine, interval_ops=30_000)
-        target = store.offsets[2]
-        cp = store.restore_nearest(engine, target + 10)
-        assert cp.op_offset == target
-        assert engine.ops_completed == target
-
-    def test_checkpoint_store_rejects_unreachable(self, two_phase_program):
-        engine = SimulationEngine(two_phase_program)
-        store = CheckpointStore()
-        with pytest.raises(SimulationError):
-            store.restore_nearest(engine, 100)
-
     def test_livepoint_acceleration(self, two_phase_program):
-        """Checkpoints let samples be measured out of order with identical
-        results (the TurboSMARTS/livepoint future-work feature)."""
+        """Snapshots let samples be measured out of order, each in a fresh
+        engine, with identical results (the TurboSMARTS/livepoint
+        future-work feature)."""
         engine = SimulationEngine(two_phase_program)
-        store = CheckpointStore.collect(engine, interval_ops=40_000)
+        snapshots = []
+        for _ in range(2):
+            engine.run(Mode.FUNC_WARM, 40_000)
+            snapshots.append(engine.snapshot())
 
-        # Sequential reference: sample at each checkpoint offset.
-        sequential = []
-        for offset in store.offsets[1:3]:
+        def measure(snap):
             fresh = SimulationEngine(two_phase_program)
-            store.restore_nearest(fresh, offset)
-            sequential.append(fresh.run(Mode.DETAIL, 1_000).cycles)
+            fresh.restore(snap)
+            return fresh.run(Mode.DETAIL, 1_000).cycles
 
-        # Random order must reproduce the same measurements.
-        reordered = []
-        for offset in reversed(store.offsets[1:3]):
-            fresh = SimulationEngine(two_phase_program)
-            store.restore_nearest(fresh, offset)
-            reordered.append(fresh.run(Mode.DETAIL, 1_000).cycles)
+        sequential = [measure(snap) for snap in snapshots]
+        reordered = [measure(snap) for snap in reversed(snapshots)]
         assert sequential == list(reversed(reordered))
 
 

@@ -1,16 +1,12 @@
-"""Tests for the paper's future-work extensions: multicore PGSS and
-phase-transition refinement."""
+"""Tests for the paper's future-work extensions: multicore PGSS and the
+step-wise PGSS controller."""
 
-import math
-
-import numpy as np
 import pytest
 
 from repro import Scale, get_workload
 from repro.config import MachineConfig
 from repro.cpu import Mode, MultiCoreEngine, MultiCorePgss
-from repro.errors import ConfigurationError, SamplingError
-from repro.phase import OnlinePhaseClassifier, TransitionRefiner
+from repro.errors import ConfigurationError
 from repro.sampling import FullDetail, PgssConfig
 from repro.sampling.pgss import PgssController
 from repro.cpu.engine import SimulationEngine
@@ -178,73 +174,3 @@ class TestPgssController:
         while controller.step():
             pass
         assert controller.step() is False
-
-
-class TestTransitionRefiner:
-    def _series(self, boundary_window=10, n=20, dim=8):
-        """Fine windows: phase A then phase B at *boundary_window*."""
-        a = np.zeros(dim)
-        a[0] = 1.0
-        b = np.zeros(dim)
-        b[1] = 1.0
-        bbvs = [a] * boundary_window + [b] * (n - boundary_window)
-        ops = [100] * n
-        return bbvs, ops
-
-    def test_finds_exact_boundary(self):
-        bbvs, ops = self._series(boundary_window=10)
-        refiner = TransitionRefiner(bbvs, ops, windows_per_period=5)
-        # Coarse period 2 (windows 10-14) differs from period 1 (5-9).
-        refined = refiner.refine(2)
-        assert refined.fine_window == 10
-        assert refined.op_offset == 1000
-        assert refined.angle == pytest.approx(math.pi / 2)
-
-    def test_boundary_error_metric(self):
-        bbvs, ops = self._series(boundary_window=10)
-        refiner = TransitionRefiner(bbvs, ops, windows_per_period=5)
-        refined = refiner.refine(2)
-        assert refiner.boundary_error_ops(refined, 1000) == 0
-        assert refiner.boundary_error_ops(refined, 1250) == 250
-
-    def test_refinement_beats_period_granularity(self):
-        """The refined boundary is closer to the truth than the coarse
-        period start can guarantee."""
-        bbvs, ops = self._series(boundary_window=13, n=30)
-        refiner = TransitionRefiner(bbvs, ops, windows_per_period=5)
-        refined = refiner.refine(3)  # periods of 5: change seen in period 3
-        assert refined.op_offset == 1300
-        coarse_error = abs(3 * 5 * 100 - 1300)  # period-granularity guess
-        assert refiner.boundary_error_ops(refined, 1300) <= coarse_error
-
-    def test_refine_all_skips_bad(self):
-        bbvs, ops = self._series()
-        refiner = TransitionRefiner(bbvs, ops, windows_per_period=5)
-        out = refiner.refine_all([2, 999])
-        assert len(out) == 1
-
-    def test_validation(self):
-        with pytest.raises(SamplingError):
-            TransitionRefiner([np.ones(4)], [1, 2], windows_per_period=2)
-        bbvs, ops = self._series()
-        refiner = TransitionRefiner(bbvs, ops, windows_per_period=5)
-        with pytest.raises(SamplingError):
-            refiner.refine(0)
-
-    def test_integrates_with_classifier(self):
-        """End to end: classifier detects the change at period grain, the
-        refiner pins it to the window grain."""
-        bbvs, ops = self._series(boundary_window=12, n=30)
-        wpp = 5
-        classifier = OnlinePhaseClassifier(0.05 * math.pi)
-        changes = []
-        for period in range(len(bbvs) // wpp):
-            agg = np.sum(bbvs[period * wpp : (period + 1) * wpp], axis=0)
-            agg = agg / np.linalg.norm(agg)
-            decision = classifier.observe(agg, 500)
-            if decision.changed or (decision.created and period > 0):
-                changes.append(period)
-        assert changes, "classifier must notice the phase change"
-        refiner = TransitionRefiner(bbvs, ops, windows_per_period=wpp)
-        refined = refiner.refine(changes[0])
-        assert refiner.boundary_error_ops(refined, 1200) <= 100
