@@ -206,18 +206,17 @@ class SimulationEngine:
         """Advance a functional mode through run-length batches.
 
         FUNC_FAST consumes whole runs with no per-event work at all;
-        FUNC_WARM hands each run to :meth:`FunctionalWarmer.execute_run`,
-        which applies its branch outcomes in bulk, credits the silent
-        instruction fetches after iteration 0 as one counter add, and
-        skips probe-verified net-silent data iterations.  BBV
-        accumulation is a single vectorised call per batch.  Both land in
+        FUNC_WARM hands the batch to :meth:`FunctionalWarmer.execute_batch`,
+        which applies branch outcomes run by run in bulk, credits the
+        silent instruction fetches after iteration 0 as one counter add,
+        and replays the batch's data stream in program order through one
+        kernel call per stretch between L1I misses.  Signal accumulation
+        is a single vectorised call per batch.  Both land in
         byte-identical stream/tracker/machine state to the scalar loop.
         """
         runs = self.stream.next_events(n_ops)
-        if mode is Mode.FUNC_WARM:
-            execute_run = self.warmer.execute_run
-            for run in runs:
-                execute_run(run)
+        if mode is Mode.FUNC_WARM and runs:
+            self.warmer.execute_batch(runs)
         ops = 0
         for run in runs:
             ops += run.n * run.block.n_ops

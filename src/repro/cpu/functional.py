@@ -9,20 +9,14 @@ SimPoint-style skipping where architectural warmth is re-established later
 
 from __future__ import annotations
 
-from itertools import cycle
-from typing import Callable, Dict, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Sequence
 
 from ..branch import BranchPredictor
 from ..memory import CacheHierarchy
-from ..program.mem_patterns import pattern_addresses
+from ..program.mem_patterns import batch_addresses, batch_slices
 from ..program.stream import BlockEvent, BlockRun
 
 __all__ = ["FunctionalWarmer"]
-
-#: ``probe(k, limit)``: net-silent data iterations from *k*, at most *limit*.
-_Probe = Callable[[int, int], int]
 
 
 class FunctionalWarmer:
@@ -36,10 +30,9 @@ class FunctionalWarmer:
     def __init__(self, hierarchy: CacheHierarchy, predictor: BranchPredictor) -> None:
         self.hierarchy = hierarchy
         self.predictor = predictor
-        # Per block id: (fetch lines pinned after one pass, bound L1D
-        # net-silence probe or None, per-access write flags) — see
-        # CacheHierarchy.
-        self._plans: Dict[int, Tuple[bool, Optional[_Probe], Tuple[bool, ...]]] = {}
+        # Per block id: do its fetch lines stay pinned after one pass (see
+        # CacheHierarchy.inst_lines_pinned)?
+        self._pinned: Dict[int, bool] = {}
 
     def execute_event(self, event: BlockEvent) -> None:
         """Update caches and branch predictor for one block execution."""
@@ -52,116 +45,93 @@ class FunctionalWarmer:
             hierarchy.warm_data(pat.address(k), pat.is_write)
         self.predictor.predict_update(block.branch_address, taken)
 
-    def execute_run(self, run: BlockRun) -> None:
-        """Apply one run-length record; state ends identical to
-        :meth:`execute_event` applied to each expanded event.
+    def execute_batch(self, runs: Sequence[BlockRun]) -> None:
+        """Apply a batch of run-length records; state ends identical to
+        :meth:`execute_event` applied to each expanded event in order.
 
-        The three sides of a run are applied separately, which is exact
-        because none of them can observe the others within the run:
+        The three sides of the batch are applied separately, which is
+        exact because they share no state but the L2, whose access order
+        is kept:
 
-        * **Branch.** The predictor shares no state with the caches.  A
-          loop-controlled run's taken middle goes through
+        * **Branch.** The predictor shares no state with the caches.  Run
+          by run, a loop-controlled run's taken middle goes through
           :meth:`~repro.branch.BranchPredictor.taken_streak` (one real
           ``predict_update`` whenever the streak stalls), then the final
           not-taken outcome; a random-branch run applies its *takens*.
-        * **Instruction.** When the L1I lines holding a block's
-          ``inst_lines`` fall in distinct sets
-          (:meth:`~repro.memory.CacheHierarchy.inst_lines_pinned`),
-          iteration 0 leaves each at MRU.  Nothing else in the run touches
-          the L1I (L2 evictions do not back-invalidate L1), so every later
-          fetch is a silent hit: one counter add.  Blocks that wrap the
-          L1I replay per event.
-        * **Data.** Every replayed access goes through the kernel
-          :meth:`~repro.memory.CacheHierarchy.warm_data_run`.  An
-          all-strided block replays its first iteration, then probes the
-          rest of the run for net-silent iterations with
-          :meth:`~repro.memory.CacheHierarchy.data_silence_probe`, the
-          probe of the detailed pipeline's fast path.  A span is credited
-          as hits in bulk; when it is cut short, the iteration that ended
-          it is replayed without re-probing and the probe resumes after
-          it.  When a probe fails, the rest of the run is replayed in
-          one kernel call: a block that misses on every access pays one
-          failed probe per run.  Blocks with a hashed (RANDOM/CHASE)
-          pattern replay the whole run in one call, their addresses
-          generated vectorised by
-          :func:`~repro.program.mem_patterns.pattern_addresses`.  This is
-          exact whatever the probe decides: a silent access changes only
-          the L1D access and hit counters, so replaying it leaves the
-          same state as crediting it.  Silent L1 hits never reach the
-          L2, so the L2 access stream the two L1s share keeps its order.
-        """
-        block = run.block
-        n = run.n
-        hierarchy = self.hierarchy
-        plan = self._plans.get(block.bid)
-        if plan is None:
-            plan = self._plans[block.bid] = (
-                hierarchy.inst_lines_pinned(block.inst_lines),
-                hierarchy.data_silence_probe(block.mem_patterns),
-                tuple(pat.is_write for pat in block.mem_patterns),
-            )
-        pinned, probe, writes = plan
-        if n == 1 or not pinned:
-            # Single event, or degenerate geometry where the block's own
-            # fetch lines collide within a set: plain replay.
-            for event in run.events():
-                self.execute_event(event)
-            return
+        * **Instruction.** Iteration 0 of each run fetches for real.  When
+          the L1I lines holding a block's ``inst_lines`` fall in distinct
+          sets (:meth:`~repro.memory.CacheHierarchy.inst_lines_pinned`),
+          that pass leaves each at MRU, and nothing else in the run
+          touches the L1I (data never does, and L2 evictions do not
+          back-invalidate L1), so every later fetch is a silent hit: one
+          counter add.  Blocks that wrap the L1I fetch on every iteration.
+        * **Data.** The batch's accesses are generated in program order
+          by :func:`~repro.program.mem_patterns.batch_addresses` and
+          replayed through the kernel
+          :meth:`~repro.memory.CacheHierarchy.warm_data_run`, one call per
+          stretch between L1I misses.  An L1I hit never reaches the L2;
+          an L1I miss does, so before its L2 access every data access
+          that precedes it in program order is replayed.  The L2 then
+          sees the event loop's access order exactly.
 
+        Generation and replay go a :func:`~repro.program.mem_patterns.
+        batch_slices` slice at a time, which bounds memory on long
+        batches.
+        """
         predictor = self.predictor
-        branch_address = block.branch_address
-        if run.takens is not None:
-            predict_update = predictor.predict_update
-            for taken in run.takens:
-                predict_update(branch_address, taken)
-        else:
-            left = n - 1 if run.ends_entry else n
+        predict_update = predictor.predict_update
+        for run in runs:
+            branch_address = run.block.branch_address
+            if run.takens is not None:
+                for taken in run.takens:
+                    predict_update(branch_address, taken)
+                continue
+            left = run.n - 1 if run.ends_entry else run.n
             while left:
                 applied = predictor.taken_streak(branch_address, left)
                 if not applied:
-                    predictor.predict_update(branch_address, True)
+                    predict_update(branch_address, True)
                     applied = 1
                 left -= applied
             if run.ends_entry:
-                predictor.predict_update(branch_address, False)
+                predict_update(branch_address, False)
 
-        inst_lines = block.inst_lines
-        warm_inst = hierarchy.warm_inst
-        for line in inst_lines:
-            warm_inst(line)
-        silent = (n - 1) * len(inst_lines)
-        l1i_stats = hierarchy.l1i.stats
-        l1i_stats.accesses += silent
-        l1i_stats.hits += silent
-
-        patterns = block.mem_patterns
-        if not patterns:
-            return
-        k = run.k_start
-        end = k + n
+        hierarchy = self.hierarchy
         warm_data_run = hierarchy.warm_data_run
-        if probe is not None:
-            l1d_stats = hierarchy.l1d.stats
-            n_pat = len(patterns)
-            while True:
-                warm_data_run([pat.address(k) for pat in patterns], writes)
-                k += 1
-                if k == end:
-                    return
-                span = probe(k, end - k)
-                if not span:
-                    break
-                l1d_stats.accesses += span * n_pat
-                l1d_stats.hits += span * n_pat
-                k += span
-                if k == end:
-                    return
-        # Hashed blocks, and strided blocks from a failed probe on.
-        ks = np.arange(k, end, dtype=np.int64)
-        if len(patterns) == 1:
-            addrs = pattern_addresses(patterns[0], ks)
-        else:
-            addrs = np.stack(
-                [pattern_addresses(pat, ks) for pat in patterns], axis=1
-            ).ravel()
-        warm_data_run(addrs.tolist(), cycle(writes))
+        fetch_l1i = hierarchy.fetch_l1i
+        fill_inst = hierarchy.fill_inst
+        pinned_of = self._pinned
+        l1i_stats = hierarchy.l1i.stats
+        for part in batch_slices(runs):
+            addrs, writes = batch_addresses(part)
+            addrs = addrs.tolist()
+            writes = writes.tolist()
+            done = 0  # data accesses replayed so far
+            at = 0  # data position of the current run's iteration 0
+            for run in part:
+                block = run.block
+                inst_lines = block.inst_lines
+                width = len(block.mem_patterns)
+                pinned = pinned_of.get(block.bid)
+                if pinned is None:
+                    pinned = pinned_of[block.bid] = hierarchy.inst_lines_pinned(
+                        inst_lines
+                    )
+                for i in range(1 if pinned else run.n):
+                    for line in inst_lines:
+                        if fetch_l1i(line):
+                            continue
+                        upto = at + i * width
+                        if upto > done:
+                            warm_data_run(addrs[done:upto], writes[done:upto])
+                            done = upto
+                        fill_inst(line)
+                if pinned:
+                    silent = (run.n - 1) * len(inst_lines)
+                    l1i_stats.accesses += silent
+                    l1i_stats.hits += silent
+                at += run.n * width
+            if done:
+                warm_data_run(addrs[done:], writes[done:])
+            elif addrs:
+                warm_data_run(addrs, writes)

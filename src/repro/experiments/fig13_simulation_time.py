@@ -97,7 +97,7 @@ def _cached_rates(ctx: ExperimentContext) -> Dict[str, float]:
     # a mode's rate changes, or a warm cache keeps serving stale rates.
     return ctx.cache.json(
         {"kind": "rates", "scale": ctx.scale.name, "ops": RATE_OPS,
-         "engine": "batched-bulk-warm-full-run", "machine": asdict(ctx.machine)},
+         "engine": "batch-stream-warm", "machine": asdict(ctx.machine)},
         lambda: measure_rates(ctx),
     )
 

@@ -14,7 +14,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     Optional,
     Sequence,
     Tuple,
@@ -234,26 +233,26 @@ class CacheHierarchy:
             if not self.l2.access(addr, is_write):
                 self.memory_accesses += 1
 
-    def warm_data_run(self, addrs: Sequence[int], writes: Iterable[bool]) -> None:
-        """:meth:`warm_data` applied to each address of *addrs* in order.
-
-        *writes* yields the matching write flags; it may run longer than
-        *addrs* (e.g. ``itertools.cycle`` over a block's per-access
-        flags).
+    def warm_data_run(self, addrs: Sequence[int], writes: Sequence[bool]) -> None:
+        """:meth:`warm_data` applied to each ``(addr, is_write)`` pair of
+        *addrs* and *writes*, in order.
 
         The replay kernel of functional warming: the L1D MRU check, way
         scan, rotate-or-allocate, dirty bit and writeback run inline, an
-        L1D miss repeats them on the L2 and counts a memory access, and
-        the access/hit/writeback counters are added once per call.  The
-        tag and dirty lists are the caches' live storage
-        (:meth:`Cache.hot_refs`), so state and counters end exactly as
-        the per-access method calls leave them.
+        L1D miss repeats them on the L2 (MRU way first) and counts a
+        memory access, and the access/hit/writeback counters are added
+        once per call, for the pairs actually applied.  A 4-way L1D —
+        the default geometry — has its way scan and rotation unrolled
+        into element moves.  The tag and dirty lists are the caches' live
+        storage (:meth:`Cache.hot_refs`), so state and counters end
+        exactly as the per-access method calls leave them.
         """
         salt = self._salt
         l1d = self.l1d
         l2 = self.l2
         tags1, dirty1, shift1, assoc1, _, _, sets1 = l1d.hot_refs()
         tags2, dirty2, shift2, assoc2, _, _, sets2 = l2.hot_refs()
+        four = assoc1 == 4
         misses1 = hits2 = wb1 = wb2 = 0
         for addr, w in zip(addrs, writes):
             addr ^= salt
@@ -263,37 +262,78 @@ class CacheHierarchy:
                 if w:
                     dirty1[b] = True
                 continue
-            end = b + assoc1
-            ways = tags1[b:end]
-            if line in ways:
-                i = b + ways.index(line)
-                d = dirty1[i]
-                tags1[b + 1 : i + 1] = tags1[b:i]
-                dirty1[b + 1 : i + 1] = dirty1[b:i]
+            if four:
+                if tags1[b + 1] == line:
+                    d = dirty1[b + 1]
+                    tags1[b + 1] = tags1[b]
+                    dirty1[b + 1] = dirty1[b]
+                    tags1[b] = line
+                    dirty1[b] = d or w
+                    continue
+                if tags1[b + 2] == line:
+                    d = dirty1[b + 2]
+                    tags1[b + 2] = tags1[b + 1]
+                    tags1[b + 1] = tags1[b]
+                    dirty1[b + 2] = dirty1[b + 1]
+                    dirty1[b + 1] = dirty1[b]
+                    tags1[b] = line
+                    dirty1[b] = d or w
+                    continue
+                if tags1[b + 3] == line:
+                    d = dirty1[b + 3]
+                    tags1[b + 3] = tags1[b + 2]
+                    tags1[b + 2] = tags1[b + 1]
+                    tags1[b + 1] = tags1[b]
+                    dirty1[b + 3] = dirty1[b + 2]
+                    dirty1[b + 2] = dirty1[b + 1]
+                    dirty1[b + 1] = dirty1[b]
+                    tags1[b] = line
+                    dirty1[b] = d or w
+                    continue
+                if dirty1[b + 3] and tags1[b + 3] != _EMPTY:
+                    wb1 += 1
+                tags1[b + 3] = tags1[b + 2]
+                tags1[b + 2] = tags1[b + 1]
+                tags1[b + 1] = tags1[b]
+                dirty1[b + 3] = dirty1[b + 2]
+                dirty1[b + 2] = dirty1[b + 1]
+                dirty1[b + 1] = dirty1[b]
                 tags1[b] = line
-                dirty1[b] = d or w
-                continue
+                dirty1[b] = w
+            else:
+                end = b + assoc1
+                ways = tags1[b:end]
+                if line in ways:
+                    i = b + ways.index(line)
+                    d = dirty1[i]
+                    tags1[b + 1 : i + 1] = tags1[b:i]
+                    dirty1[b + 1 : i + 1] = dirty1[b:i]
+                    tags1[b] = line
+                    dirty1[b] = d or w
+                    continue
+                if dirty1[end - 1] and ways[-1] != _EMPTY:
+                    wb1 += 1
+                tags1[b + 1 : end] = ways[:-1]
+                dirty1[b + 1 : end] = dirty1[b : end - 1]
+                tags1[b] = line
+                dirty1[b] = w
             misses1 += 1
-            if dirty1[end - 1] and ways[-1] != _EMPTY:
-                wb1 += 1
-            tags1[b + 1 : end] = ways[:-1]
-            dirty1[b + 1 : end] = dirty1[b : end - 1]
-            tags1[b] = line
-            dirty1[b] = w
             line = addr >> shift2
             b = line % sets2 * assoc2
+            if tags2[b] == line:
+                if w:
+                    dirty2[b] = True
+                hits2 += 1
+                continue
             end = b + assoc2
             ways = tags2[b:end]
             if line in ways:
                 i = b + ways.index(line)
-                if i != b:
-                    d = dirty2[i]
-                    tags2[b + 1 : i + 1] = tags2[b:i]
-                    dirty2[b + 1 : i + 1] = dirty2[b:i]
-                    tags2[b] = line
-                    dirty2[b] = d or w
-                elif w:
-                    dirty2[b] = True
+                d = dirty2[i]
+                tags2[b + 1 : i + 1] = tags2[b:i]
+                dirty2[b + 1 : i + 1] = dirty2[b:i]
+                tags2[b] = line
+                dirty2[b] = d or w
                 hits2 += 1
                 continue
             if dirty2[end - 1] and ways[-1] != _EMPTY:
@@ -302,15 +342,27 @@ class CacheHierarchy:
             dirty2[b + 1 : end] = dirty2[b : end - 1]
             tags2[b] = line
             dirty2[b] = w
+        applied = min(len(addrs), len(writes))
         stats = l1d.stats
-        stats.accesses += len(addrs)
-        stats.hits += len(addrs) - misses1
+        stats.accesses += applied
+        stats.hits += applied - misses1
         stats.writebacks += wb1
         stats = l2.stats
         stats.accesses += misses1
         stats.hits += hits2
         stats.writebacks += wb2
         self.memory_accesses += misses1 - hits2
+
+    def fetch_l1i(self, addr: int) -> bool:
+        """The L1I half of :meth:`warm_inst`: touch the L1I only and
+        return whether it hit.  A miss must be completed by
+        :meth:`fill_inst` for the same *addr*."""
+        return self.l1i.access(addr ^ self._salt)
+
+    def fill_inst(self, addr: int) -> None:
+        """The L2 half of :meth:`warm_inst`, after :meth:`fetch_l1i` missed."""
+        if not self.l2.access(addr ^ self._salt):
+            self.memory_accesses += 1
 
     def warm_inst(self, addr: int) -> None:
         """Touch the instruction side without caring about latency."""

@@ -20,7 +20,7 @@ from typing import Tuple
 
 from ..errors import ProgramError
 from ..isa import FU_CLASS, Instruction, N_FP_REGS, N_INT_REGS, Op
-from .mem_patterns import MemPattern, PatternKind
+from .mem_patterns import MemPattern, PatternKind, pattern_row
 
 __all__ = ["BasicBlock", "BlockBuilder"]
 
@@ -78,6 +78,10 @@ class BasicBlock:
         self.address = address
         self.instructions = list(instructions)
         self.mem_patterns = list(mem_patterns)
+        #: One :func:`~repro.program.mem_patterns.pattern_row` per pattern:
+        #: the block's slice of the table batched address generation
+        #: gathers from.
+        self.pattern_rows = [pattern_row(pat) for pat in self.mem_patterns]
         self.random_taken_prob = random_taken_prob
         self.n_ops = len(self.instructions)
         self.branch_address = address + (self.n_ops - 1) * INST_BYTES

@@ -23,18 +23,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ProgramError
 
-__all__ = ["PatternKind", "MemPattern", "pattern_addresses"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .stream import BlockRun
+
+__all__ = [
+    "PatternKind",
+    "MemPattern",
+    "SLICE_ACCESSES",
+    "batch_addresses",
+    "batch_slices",
+    "pattern_row",
+]
 
 #: Knuth multiplicative-hash constant used by RANDOM/CHASE address hashing.
 _HASH_MULT = 2654435761
 #: Multiplier of the avalanche finalizer's middle step.
 _AVALANCHE_MULT = 0x45D9F3B
 _MASK32 = 0xFFFFFFFF
+#: Most data accesses :func:`batch_slices` puts in one slice: bounds the
+#: arrays a batch's address stream is generated and replayed in.
+SLICE_ACCESSES = 1 << 16
 
 
 class PatternKind(Enum):
@@ -105,24 +119,120 @@ class MemPattern:
         return self.kind is PatternKind.CHASE
 
 
-def pattern_addresses(pattern: MemPattern, ks: np.ndarray) -> np.ndarray:
-    """Vectorised :meth:`MemPattern.address` over *ks*.
+def pattern_row(pattern: MemPattern) -> Tuple[int, int, int, int, int, int]:
+    """One row of the address table :func:`batch_addresses` gathers from:
+    ``(hashed, base, stride, span, seed, is_write)``."""
+    return (
+        int(pattern.kind is PatternKind.RANDOM or pattern.kind is PatternKind.CHASE),
+        pattern.base,
+        pattern.stride,
+        pattern.span,
+        pattern.seed,
+        int(pattern.is_write),
+    )
 
-    Evaluates the pattern's address generator for every execution count
-    in *ks* (int64, non-negative) in one shot, bit-identical to the
-    scalar method: strided kinds are plain int64 arithmetic, hashed
-    kinds replay the 32-bit avalanche in uint64 (the 32-bit masks make
-    modulo-2**64 wraparound indistinguishable from Python's
-    arbitrary-precision product).  The MAV signal and the functional
-    warmer both generate a run's address stream with it.
+
+def batch_slices(runs: Sequence["BlockRun"]) -> Iterator[List["BlockRun"]]:
+    """Cut a batch into consecutive slices of at most
+    :data:`SLICE_ACCESSES` data accesses each.
+
+    Slices end at run boundaries.  A run with more accesses than that on
+    its own is cut into iteration chunks, each yielded alone as a run
+    with the same block and a shifted ``k_start`` (its branch fields are
+    those of the whole run; only ``block``, ``n`` and ``k_start`` mean
+    anything in a chunk).
     """
-    if pattern.kind is PatternKind.STREAM or pattern.kind is PatternKind.REUSE:
-        return pattern.base + (ks * pattern.stride) % pattern.span
-    h = (ks.astype(np.uint64) + np.uint64(pattern.seed)) * np.uint64(
-        _HASH_MULT
-    ) & np.uint64(_MASK32)
+    part: List["BlockRun"] = []
+    size = 0
+    for run in runs:
+        width = len(run.block.mem_patterns)
+        accesses = run.n * width
+        if size + accesses > SLICE_ACCESSES and part:
+            yield part
+            part = []
+            size = 0
+        if accesses > SLICE_ACCESSES:
+            step = SLICE_ACCESSES // width
+            for i in range(0, run.n, step):
+                yield [run._replace(n=min(step, run.n - i), k_start=run.k_start + i)]
+            continue
+        part.append(run)
+        size += accesses
+    if part:
+        yield part
+
+
+def batch_addresses(runs: Sequence["BlockRun"]) -> Tuple[np.ndarray, np.ndarray]:
+    """Every data address of a batch of runs, and its write flag.
+
+    Returns ``(addrs, writes)`` (int64, bool) in program order: run by
+    run, iteration-major, then pattern-minor in ``block.mem_patterns``
+    order — the order :meth:`MemPattern.address` would be called by an
+    event loop over the expanded runs, and bit-identical to it.
+
+    Python touches each run once, and each distinct block's
+    ``pattern_rows`` once; everything per access is numpy.  Strided
+    kinds are plain int64 arithmetic; hashed kinds replay the 32-bit
+    avalanche in uint64 (the 32-bit masks make modulo-2**64 wraparound
+    indistinguishable from Python's arbitrary-precision product).  The
+    functional warmer and the MAV signal both generate their address
+    streams here, a :func:`batch_slices` slice at a time.
+    """
+    first_row: Dict[int, int] = {}
+    table: List[Tuple[int, int, int, int, int, int]] = []
+    k_starts: List[int] = []
+    ns: List[int] = []
+    widths: List[int] = []
+    firsts: List[int] = []
+    for run in runs:
+        block = run.block
+        rows = block.pattern_rows
+        if not rows:
+            continue
+        first = first_row.get(id(block))
+        if first is None:
+            first = first_row[id(block)] = len(table)
+            table.extend(rows)
+        k_starts.append(run.k_start)
+        ns.append(run.n)
+        widths.append(len(rows))
+        firsts.append(first)
+    if not ns:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+
+    width = np.array(widths, dtype=np.int64)
+    counts = np.array(ns, dtype=np.int64) * width
+    # Per access: its run, its offset within the run, then its
+    # iteration (k) and its pattern's table row.
+    run_of = np.repeat(np.arange(len(ns)), counts)
+    offset = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    width = width[run_of]
+    iteration = offset // width
+    k = np.array(k_starts, dtype=np.int64)[run_of] + iteration
+    row = np.array(firsts, dtype=np.int64)[run_of] + offset - iteration * width
+
+    hashed, base, stride, span, seed, write = np.array(table, dtype=np.int64).T
+    hashed = hashed.astype(bool)[row]
+    base = base[row]
+    span = span[row]
+    writes = write.astype(bool)[row]
+    if not hashed.any():
+        return base + (k * stride[row]) % span, writes
+    if hashed.all():
+        return _hashed(k, base, span, seed[row]), writes
+    addrs = base + (k * stride[row]) % span
+    addrs[hashed] = _hashed(k[hashed], base[hashed], span[hashed], seed[row[hashed]])
+    return addrs, writes
+
+
+def _hashed(
+    k: np.ndarray, base: np.ndarray, span: np.ndarray, seed: np.ndarray
+) -> np.ndarray:
+    """Vectorised RANDOM/CHASE branch of :meth:`MemPattern.address`."""
+    h = (k + seed).astype(np.uint64) * np.uint64(_HASH_MULT) & np.uint64(_MASK32)
     h ^= h >> np.uint64(16)
     h = h * np.uint64(_AVALANCHE_MULT) & np.uint64(_MASK32)
     h ^= h >> np.uint64(16)
-    offsets = (h % np.uint64(pattern.span)) & ~np.uint64(0x7)
-    return (np.uint64(pattern.base) + offsets).astype(np.int64)
+    return base + ((h % span.astype(np.uint64)) & ~np.uint64(0x7)).astype(np.int64)

@@ -13,10 +13,10 @@ is L2-normalised and angle-compared exactly like a BBV.
 Closed-form batching mirrors the BBV credit telescoping.  A
 :class:`~repro.program.MemPattern` is a pure function of its block's
 execution count *k* (that is what makes checkpoints tiny), so the
-address stream of a :class:`~repro.program.BlockRun` covering
-``k_start .. k_start+n-1`` is computable without expanding events:
-:func:`~repro.program.mem_patterns.pattern_addresses` evaluates the
-strided and hashed generators over a whole ``k`` range with numpy
+address stream of a batch of :class:`~repro.program.BlockRun` records
+is computable without expanding events:
+:func:`~repro.program.mem_patterns.batch_addresses` evaluates the
+strided and hashed generators over every ``k`` of the batch with numpy
 integer arithmetic that reproduces ``MemPattern.address`` bit-for-bit
 (products are masked to 32 bits, so uint64 wraparound is unobservable).
 All register increments are integer-valued counts far below 2**53, so
@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..program.block import BasicBlock
-from ..program.mem_patterns import pattern_addresses
+from ..program.mem_patterns import batch_addresses, batch_slices
 from .base import pack_registers, unpack_registers
 from .vector import l2_norm
 
@@ -114,32 +114,30 @@ class MavTracker:
     def record_batch(self, runs: Sequence["BlockRun"]) -> None:
         """Observe a batch of run-length records in closed form.
 
-        For each run the whole ``k`` range is materialised once and every
-        pattern's address stream is generated vectorised; per-bucket
-        counts come from one ``bincount`` per (run, pattern, granularity).
-        Counts are integers, so the float64 register file ends
-        bit-identical to the scalar path.
+        The batch's address stream comes from one
+        :func:`~repro.program.mem_patterns.batch_addresses` call (per
+        :func:`~repro.program.mem_patterns.batch_slices` slice, which
+        bounds memory on long batches), and per-bucket counts from one
+        ``bincount`` per granularity.  Counts are integers, so the
+        float64 register file ends bit-identical to the scalar path.
         """
         registers = self._registers
         n_buckets = self.n_buckets
         for run in runs:
-            block = run.block
-            self.total_ops += run.n * block.n_ops
-            patterns = block.mem_patterns
-            if not patterns:
+            self.total_ops += run.n * run.block.n_ops
+        for part in batch_slices(runs):
+            addresses, _ = batch_addresses(part)
+            if not len(addresses):
                 continue
-            ks = np.arange(run.k_start, run.k_start + run.n, dtype=np.int64)
-            for pattern in patterns:
-                addresses = pattern_addresses(pattern, ks)
-                registers[:n_buckets] += np.bincount(
-                    self._bucket_batch(addresses >> self.line_bits),
-                    minlength=n_buckets,
-                )
-                registers[n_buckets:] += np.bincount(
-                    self._bucket_batch(addresses >> self.page_bits),
-                    minlength=n_buckets,
-                )
-            self.total_accesses += run.n * len(patterns)
+            registers[:n_buckets] += np.bincount(
+                self._bucket_batch(addresses >> self.line_bits),
+                minlength=n_buckets,
+            )
+            registers[n_buckets:] += np.bincount(
+                self._bucket_batch(addresses >> self.page_bits),
+                minlength=n_buckets,
+            )
+            self.total_accesses += len(addresses)
 
     def take_vector(self, normalize: bool = True) -> np.ndarray:
         """Compile the register file into a vector and reset it in place.

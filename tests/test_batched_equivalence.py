@@ -291,15 +291,14 @@ class TestFuncWarmEquivalence:
     def test_random_branch_runs(self):
         """Runs carrying per-event ``takens`` apply them one by one."""
         scalar, batched = _warm_pair(_workload("197.parser"))
-        execute_run = batched.warmer.execute_run
+        execute_batch = batched.warmer.execute_batch
         seen = []
 
-        def spy(run):
-            if run.takens is not None and run.n > 1:
-                seen.append(run)
-            execute_run(run)
+        def spy(runs):
+            seen.extend(run for run in runs if run.takens is not None and run.n > 1)
+            execute_batch(runs)
 
-        batched.warmer.execute_run = spy
+        batched.warmer.execute_batch = spy
         _warm_to_end(scalar, batched, seed=3)
         assert seen
 

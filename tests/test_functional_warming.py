@@ -1,15 +1,18 @@
 """Focused tests for the functional-warming executor."""
 
+import dataclasses
+
 import pytest
 
 from repro import DEFAULT_MACHINE
 from repro.branch import GsharePredictor
+from repro.config import CacheConfig
 from repro.cpu.functional import FunctionalWarmer
 from repro.isa import Instruction, Op
 from repro.memory import CacheHierarchy
 from repro.program import MemPattern, PatternKind
 from repro.program.block import BasicBlock
-from repro.program.stream import BlockEvent
+from repro.program.stream import BlockEvent, BlockRun
 
 
 @pytest.fixture()
@@ -80,3 +83,40 @@ class TestFunctionalWarmer:
         # Only caches and predictor were touched; nothing else to assert —
         # the absence of a pipeline dependency is the contract.
         assert warmer.hierarchy.l1d.stats.accesses == 50
+
+
+def _warm_state(warmer):
+    h = warmer.hierarchy
+    return (
+        h.snapshot(),
+        [(c.stats.accesses, c.stats.hits, c.stats.writebacks) for c in (h.l1i, h.l1d, h.l2)],
+        h.memory_accesses,
+        warmer.predictor.snapshot(),
+    )
+
+
+class TestExecuteBatch:
+    def test_l1i_miss_between_data_accesses_keeps_l2_order(self):
+        """A cold fetch of block B lands between block A's data accesses,
+        all in the one set of a 2-way L2.  A's loads alternate two lines
+        through a one-line L1D, so every load reaches the L2, and whether
+        the load after B's fetch hits there depends on B's fetch coming
+        first.  Data replayed only after all fetches would hit it."""
+        machine = dataclasses.replace(
+            DEFAULT_MACHINE, l1d=CacheConfig(64, 1), l2=CacheConfig(128, 2)
+        )
+        load = [Instruction(Op.LOAD, dst=1, src1=0, mem_index=0), Instruction(Op.BRANCH)]
+        a = BasicBlock(
+            0, 0x2000, load, [MemPattern(PatternKind.REUSE, base=0x400000, span=128)]
+        )
+        b = BasicBlock(1, 0x8000, [Instruction(Op.BRANCH)])
+        runs = [BlockRun(a, 2, 0, False), BlockRun(b, 1, 0, True), BlockRun(a, 2, 2, True)]
+        batched, scalar = (
+            FunctionalWarmer(CacheHierarchy(machine), GsharePredictor(12)) for _ in range(2)
+        )
+        batched.execute_batch(runs)
+        for run in runs:
+            for event in run.events():
+                scalar.execute_event(event)
+        assert _warm_state(batched) == _warm_state(scalar)
+        assert scalar.hierarchy.l2.stats.hits == 0

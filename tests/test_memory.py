@@ -1,7 +1,6 @@
 """Tests for the cache model and the two-level hierarchy."""
 
 import dataclasses
-import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -299,16 +298,19 @@ class TestWarmDataRun:
         assert others[0].snapshot() == others[1].snapshot()
         assert _warm_counters(others[0]) == _warm_counters(others[1])
 
-    def test_write_flags_may_cycle(self):
-        """A block's per-access flags, cycled over a run's addresses."""
+    def test_short_write_flags_count_only_applied_accesses(self):
+        """Accesses past the end of a short *writes* are not applied, so
+        the counters must not count them either."""
         kernel = CacheHierarchy(DEFAULT_MACHINE)
         loop = CacheHierarchy(DEFAULT_MACHINE)
         addrs = [i * 4096 for i in range(40)] * 2
-        kernel.warm_data_run(addrs, itertools.cycle((False, True)))
-        for i, addr in enumerate(addrs):
-            loop.warm_data(addr, i % 2 == 1)
+        writes = [i % 2 == 1 for i in range(50)]
+        kernel.warm_data_run(addrs, writes)
+        for addr, w in zip(addrs, writes):
+            loop.warm_data(addr, w)
         assert kernel.snapshot() == loop.snapshot()
         assert _warm_counters(kernel) == _warm_counters(loop)
+        assert kernel.l1d.stats.accesses == 50
 
 
 class TestQuietAccessAndHotRefs:

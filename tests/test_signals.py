@@ -2,7 +2,7 @@
 
 Three claims are pinned here:
 
-* the MAV's closed-form batching (``pattern_addresses`` +
+* the MAV's closed-form batching (``batch_addresses`` +
   ``record_batch``) is *bit-identical* to the scalar event loop, the
   same gate ``tests/test_batched_equivalence.py`` holds the BBV to;
 * tracker snapshots use the compact buffer form and still restore the
@@ -38,40 +38,91 @@ from repro import (
 from repro.errors import ConfigurationError, ProgramError
 from repro.phase import OnlinePhaseClassifier
 from repro.program import ADVERSARIAL_NAMES
-from repro.program.mem_patterns import pattern_addresses
+from repro.isa import Instruction, Op
+from repro.program.block import BasicBlock
+from repro.program.mem_patterns import (
+    SLICE_ACCESSES,
+    MemPattern,
+    batch_addresses,
+    batch_slices,
+)
+from repro.program.stream import BlockRun
 from repro.signals import PHASE_SIGNALS
 from conftest import make_two_phase_program
 
 
 # ----------------------------------------------------------------------
-# pattern_addresses: the vectorised MemPattern.address
+# batch_addresses: one vectorised address stream per batch
 
 
-class TestPatternAddresses:
+_patterns = st.builds(
+    MemPattern,
+    kind=st.sampled_from(list(PatternKind)),
+    base=st.integers(min_value=0, max_value=1 << 40),
+    span=st.integers(min_value=1, max_value=1 << 24),
+    stride=st.integers(min_value=1, max_value=1 << 16),
+    seed=st.integers(min_value=0, max_value=(1 << 16) - 1),
+    is_write=st.booleans(),
+)
+
+
+def _block_with(patterns):
+    """A block with one memory instruction per pattern (none for [])."""
+    insts = [Instruction(Op.LOAD, dst=1, src1=2, mem_index=i) for i in range(len(patterns))]
+    return BasicBlock(0, 0x1000, insts + [Instruction(Op.BRANCH)], patterns)
+
+
+class TestBatchAddresses:
     @given(
-        kind=st.sampled_from(list(PatternKind)),
-        base=st.integers(min_value=0, max_value=1 << 40),
-        span=st.integers(min_value=1, max_value=1 << 24),
-        stride=st.integers(min_value=1, max_value=1 << 16),
-        seed=st.integers(min_value=0, max_value=(1 << 16) - 1),
-        ks=st.lists(
-            st.integers(min_value=0, max_value=1 << 30),
-            min_size=1,
-            max_size=64,
+        blocks=st.lists(st.lists(_patterns, max_size=3), min_size=1, max_size=4),
+        runs=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.integers(min_value=1, max_value=12),
+                st.integers(min_value=0, max_value=1 << 30),
+            ),
+            max_size=8,
         ),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_scalar_address(self, kind, base, span, stride, seed, ks):
-        from repro.program.mem_patterns import MemPattern
+    def test_matches_per_event_address(self, blocks, runs):
+        """Mixed batches: strided and hashed patterns, multi-pattern
+        blocks, ``n == 1`` runs and blocks with no patterns."""
+        blocks = [_block_with(pats) for pats in blocks]
+        batch = [
+            BlockRun(blocks[i % len(blocks)], n, k_start, True)
+            for i, n, k_start in runs
+        ]
+        addrs, writes = batch_addresses(batch)
+        expected = [
+            (pat.address(event.k), pat.is_write)
+            for run in batch
+            for event in run.events()
+            for pat in event.block.mem_patterns
+        ]
+        assert addrs.dtype == np.int64 and writes.dtype == bool
+        assert list(zip(addrs.tolist(), writes.tolist())) == expected
 
-        pattern = MemPattern(
-            kind=kind, base=base, span=span, stride=stride, seed=seed
-        )
-        batched = pattern_addresses(
-            pattern, np.array(ks, dtype=np.int64)
-        )
-        scalar = [pattern.address(k) for k in ks]
-        assert batched.tolist() == scalar
+    def test_slices_cut_long_runs_and_keep_order(self):
+        """Slices hold at most SLICE_ACCESSES accesses; a run longer than
+        that alone is chunked, and the slices' streams concatenate to the
+        whole batch's."""
+        strided = MemPattern(PatternKind.STREAM, base=1 << 26, span=1 << 20)
+        hashed = MemPattern(PatternKind.RANDOM, base=2 << 26, span=1 << 20, seed=7)
+        two, none = _block_with([strided, hashed]), _block_with([])
+        batch = [
+            BlockRun(two, 3, 5, True),
+            BlockRun(none, 9, 0, True),
+            BlockRun(two, SLICE_ACCESSES, 8, True),
+            BlockRun(two, 1, SLICE_ACCESSES + 8, True),
+        ]
+        parts = list(batch_slices(batch))
+        sizes = [sum(run.n * len(run.block.mem_patterns) for run in part) for part in parts]
+        assert max(sizes) <= SLICE_ACCESSES
+        assert sum(sizes) == sum(run.n * len(run.block.mem_patterns) for run in batch)
+        whole, _ = batch_addresses(batch)
+        sliced = np.concatenate([batch_addresses(part)[0] for part in parts])
+        assert sliced.tolist() == whole.tolist()
 
 
 # ----------------------------------------------------------------------
