@@ -3,18 +3,20 @@
 Measures the raw simulation rate (ops/second) of every execution mode
 through both dispatch paths and asserts the batched layer delivers its
 headline speedups: FUNC_FAST with BBV tracking at least 5x the scalar
-event loop, the batched detailed pipeline (run-length scoreboard
-batching plus steady-state memoization) at least 10x the scalar DETAIL
-loop, and the batched warmer (bulk branch runs, silent fetches and one
-program-order data stream per batch) at least 3x the scalar FUNC_WARM
-loop, with and without BBV.
+event loop, the batched detailed modes (the architectural pass plus a
+memoized timing replay of its recorded misses, mispredictions and fetch
+stalls) at least 10x the scalar DETAIL loop, and the batched warmer
+(bulk branch runs, silent fetches and one program-order data stream per
+slice) at least 3x the scalar FUNC_WARM loop, with and without BBV.
 
 ``164.gzip`` calibrates every mode.  Two more programs get FUNC_WARM
-rows, because most of their data accesses miss the L1D and so take the
-slow paths of the warmer's replay kernel
-(``CacheHierarchy.warm_data_run``): ``181.mcf`` (hashed pointer chasing)
-and ``adv.footprint_step`` (16 KB and 128 KB strides that miss on every
-access), both with a 2x floor.
+and DETAIL rows, because most of their data accesses miss the L1D and
+so take the slow paths of the replay kernel
+(``CacheHierarchy.warm_data_run``) and, in DETAIL, put a special
+iteration into nearly every stretch of the timing replay: ``181.mcf``
+(hashed pointer chasing) and ``adv.footprint_step`` (16 KB and 128 KB
+strides that miss on every access).  Their FUNC_WARM rows have a 2x
+floor; their DETAIL rows are recorded only.
 
 Shared machines drift in effective speed by tens of percent over
 minutes, which is far more than the margins being asserted.  Each
@@ -46,8 +48,10 @@ RATE_OPS = 600_000
 #: Untimed ops run first in every engine (interpreter warm-up).
 WARMUP_OPS = RATE_OPS // 10
 
-#: Programs whose FUNC_WARM rate is also recorded.
-WARM_PROGRAMS = ("181.mcf", "adv.footprint_step")
+#: Programs whose FUNC_WARM and DETAIL rates are also recorded.
+MISS_PROGRAMS = ("181.mcf", "adv.footprint_step")
+#: The modes measured on them.
+MISS_MODES = (Mode.FUNC_WARM, Mode.DETAIL)
 
 #: Reps per arm (interleaved, best-of-N).  The batched arm's timed region
 #: is up to ~10x shorter than the scalar arm's, so it needs more samples
@@ -105,10 +109,12 @@ def measure(ctx):
                 rates[f"{mode.value}{suffix}"] = _rate_once(
                     ctx, RATE_BENCHMARK, mode, with_bbv, True
                 )
-    for name in WARM_PROGRAMS:
-        rates[f"func_warm@{name}"], rates[f"func_warm_scalar@{name}"] = _best_pair(
-            ctx, name, Mode.FUNC_WARM, False
-        )
+    for name in MISS_PROGRAMS:
+        for mode in MISS_MODES:
+            (
+                rates[f"{mode.value}@{name}"],
+                rates[f"{mode.value}_scalar@{name}"],
+            ) = _best_pair(ctx, name, mode, False)
     speedups = {
         f"{mode.value}{suffix}": (
             rates[f"{mode.value}{suffix}"]
@@ -118,10 +124,11 @@ def measure(ctx):
         for suffix in ("", "+bbv")
         if rates[f"{mode.value}_scalar{suffix}"]
     }
-    for name in WARM_PROGRAMS:
-        speedups[f"func_warm@{name}"] = (
-            rates[f"func_warm@{name}"] / rates[f"func_warm_scalar@{name}"]
-        )
+    for name in MISS_PROGRAMS:
+        for mode in MISS_MODES:
+            speedups[f"{mode.value}@{name}"] = (
+                rates[f"{mode.value}@{name}"] / rates[f"{mode.value}_scalar@{name}"]
+            )
     return {"rates": rates, "speedups": speedups}
 
 
@@ -142,8 +149,9 @@ def format_result(result):
         for suffix in ("", "+bbv")
     ]
     rows += [
-        _row(result, f"func_warm@{name}", f"func_warm_scalar@{name}")
-        for name in WARM_PROGRAMS
+        _row(result, f"{mode.value}@{name}", f"{mode.value}_scalar@{name}")
+        for mode in MISS_MODES
+        for name in MISS_PROGRAMS
     ]
     speedups = result["speedups"]
     header = (
@@ -152,13 +160,16 @@ def format_result(result):
         f"timed run, best of {RATE_REPS_BATCHED} batched / {RATE_REPS} "
         "scalar interleaved reps)\n"
         f"batched FUNC_FAST+BBV speedup: {speedups.get('func_fast+bbv', 0.0):.1f}x\n"
-        f"batched DETAIL speedup: {speedups.get('detail', 0.0):.1f}x\n"
-        f"batched FUNC_WARM speedup: {speedups.get('func_warm', 0.0):.1f}x"
         + "".join(
-            f", {speedups[f'func_warm@{name}']:.1f}x on {name}"
-            for name in WARM_PROGRAMS
+            f"batched {mode.name} speedup: {speedups.get(mode.value, 0.0):.1f}x"
+            + "".join(
+                f", {speedups[f'{mode.value}@{name}']:.1f}x on {name}"
+                for name in MISS_PROGRAMS
+            )
+            + "\n"
+            for mode in MISS_MODES[::-1]
         )
-        + "\n\n"
+        + "\n"
     )
     return header + table(["mode", "batched", "scalar", "speedup"], rows)
 
@@ -169,7 +180,8 @@ def test_engine_rate(benchmark, ctx, results_dir):
 
     payload = {
         "benchmark": RATE_BENCHMARK,
-        "func_warm_programs": list(WARM_PROGRAMS),
+        "func_warm_programs": list(MISS_PROGRAMS),
+        "detail_programs": list(MISS_PROGRAMS),
         "ops_per_run": RATE_OPS,
         "reps_per_arm": {"batched": RATE_REPS_BATCHED, "scalar": RATE_REPS},
         "scale": ctx.scale.name,

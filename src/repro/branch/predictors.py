@@ -52,17 +52,6 @@ class BranchPredictor:
         """
         raise NotImplementedError
 
-    def is_steady(self, addr: int, taken: bool) -> bool:
-        """Would :meth:`predict_update` predict correctly *and* change no
-        state (tables, history) for this outcome?
-
-        When True, any number of repetitions of the same (addr, taken)
-        pair leaves the predictor byte-identical apart from the prediction
-        counter — the branch-side steadiness probe of the detailed
-        pipeline's closed-form fast path.
-        """
-        raise NotImplementedError
-
     def taken_streak(self, addr: int, limit: int) -> int:
         """Apply up to *limit* taken-outcome :meth:`predict_update` calls
         in bulk, stopping before the first one that would mispredict or
@@ -71,10 +60,10 @@ class BranchPredictor:
         Returns the number applied.  Every applied step is byte-identical
         to a real ``predict_update(addr, True)``: the prediction counter
         advances and any history register shifts, but no table entry moves
-        and no misprediction is recorded.  The detailed pipeline uses this
-        to collapse the uniformly-taken middle of a loop-controlled run —
-        including the history-refill stretch right after the loop's final
-        not-taken branch — into one call.
+        and no misprediction is recorded.  The batched architectural pass
+        uses this to collapse the uniformly-taken middle of a
+        loop-controlled run — including the history-refill stretch right
+        after the loop's final not-taken branch — into one call.
         """
         raise NotImplementedError
 
@@ -112,10 +101,6 @@ class BimodalPredictor(BranchPredictor):
         if not correct:
             self.stats.mispredictions += 1
         return correct
-
-    def is_steady(self, addr: int, taken: bool) -> bool:
-        counter = self._table[(addr >> 2) & self._mask]
-        return counter == _MAX_COUNTER if taken else counter == 0
 
     def taken_streak(self, addr: int, limit: int) -> int:
         if limit <= 0:
@@ -164,18 +149,6 @@ class GsharePredictor(BranchPredictor):
         if not correct:
             self.stats.mispredictions += 1
         return correct
-
-    def is_steady(self, addr: int, taken: bool) -> bool:
-        # The history register must be at its own fixed point (all-ones for
-        # taken streaks, all-zeros for not-taken) or the shift would change
-        # it — and with it the table index — every repetition.
-        if taken:
-            if self._history != self._mask:
-                return False
-            return self._table[((addr >> 2) ^ self._mask) & self._mask] == _MAX_COUNTER
-        if self._history != 0:
-            return False
-        return self._table[(addr >> 2) & self._mask] == 0
 
     def taken_streak(self, addr: int, limit: int) -> int:
         if limit <= 0:

@@ -126,8 +126,8 @@ class SimulationEngine:
             a :class:`~repro.program.trace_io.TraceStream` for
             trace-driven simulation.
         batched: batched execution policy (all four modes: run-length
-            fast-forward for the functional modes, the memoized
-            run-at-a-time pipeline path for the detailed ones).
+            batches through one architectural pass, plus the pipeline's
+            memoized timing replay in the detailed modes).
             ``None`` (default) auto-detects: batching is used whenever
             the stream supports ``next_events`` and the tracker (if any)
             supports ``record_batch``, and falls back to the scalar
@@ -203,19 +203,24 @@ class SimulationEngine:
         return ops
 
     def _run_batched(self, mode: Mode, n_ops: int, tracker: Optional[Any]) -> int:
-        """Advance a functional mode through run-length batches.
+        """Advance any mode through one run-length batch.
 
-        FUNC_FAST consumes whole runs with no per-event work at all;
-        FUNC_WARM hands the batch to :meth:`FunctionalWarmer.execute_batch`,
-        which applies branch outcomes run by run in bulk, credits the
-        silent instruction fetches after iteration 0 as one counter add,
-        and replays the batch's data stream in program order through one
-        kernel call per stretch between L1I misses.  Signal accumulation
-        is a single vectorised call per batch.  Both land in
+        FUNC_FAST consumes whole runs with no per-event work at all.  The
+        other three modes hand the batch to the one architectural pass,
+        :meth:`FunctionalWarmer.execute_batch`: branch outcomes run by
+        run in bulk, the silent instruction fetches after iteration 0 as
+        one counter add, and the data stream in program order through one
+        kernel call per stretch between L1I misses.  For DETAIL and
+        DETAIL_WARM the pass also records each slice's misses,
+        mispredictions and fetch stalls, and the pipeline replays their
+        timing (:meth:`InOrderPipeline.replay`).  Signal accumulation is a
+        single vectorised call per batch.  All of it lands in
         byte-identical stream/tracker/machine state to the scalar loop.
         """
         runs = self.stream.next_events(n_ops)
-        if mode is Mode.FUNC_WARM and runs:
+        if runs and mode.is_detailed:
+            self.warmer.execute_batch(runs, self.pipeline.replay)
+        elif runs and mode is Mode.FUNC_WARM:
             self.warmer.execute_batch(runs)
         ops = 0
         for run in runs:
@@ -234,34 +239,26 @@ class SimulationEngine:
             raise SimulationError("n_ops must be non-negative")
         tracker = self.signal_tracker
         cycles = 0
+        start_cycle = self.pipeline.cycle
         # Wall-clock only feeds the rate accounting (Fig. 13), never
         # simulated state.
         start_time = time.perf_counter()  # simlint: disable=DET005
 
-        if mode.is_detailed:
-            pipeline = self.pipeline
-            start_cycle = pipeline.cycle
-            if self._batching(tracker):
-                runs = self.stream.next_events(n_ops)
-                execute_run = pipeline.execute_run
-                ops = 0
-                for run in runs:
-                    execute_run(run)
-                    ops += run.n * run.block.n_ops
-                if tracker is not None and runs:
-                    tracker.record_batch(runs)
-            else:
-                ops = self._run_scalar(pipeline.execute_event, n_ops, tracker)
-            if ops:
-                # Issue-cycle delta: window boundaries telescope exactly,
-                # so per-window cycles over a full run sum to the full
-                # run's cycle count.
-                cycles = pipeline.cycle - start_cycle
-        elif self._batching(tracker):
+        if self._batching(tracker):
             ops = self._run_batched(mode, n_ops, tracker)
         else:
-            execute = self.warmer.execute_event if mode is Mode.FUNC_WARM else None
+            if mode.is_detailed:
+                execute: Optional[Callable[..., None]] = self.pipeline.execute_event
+            elif mode is Mode.FUNC_WARM:
+                execute = self.warmer.execute_event
+            else:
+                execute = None
             ops = self._run_scalar(execute, n_ops, tracker)
+        if mode.is_detailed and ops:
+            # Issue-cycle delta: window boundaries telescope exactly,
+            # so per-window cycles over a full run sum to the full
+            # run's cycle count.
+            cycles = self.pipeline.cycle - start_cycle
 
         elapsed = time.perf_counter() - start_time  # simlint: disable=DET005
         self.accounting.ops[mode] += ops

@@ -5,18 +5,29 @@ predictor — warm while skipping all timing, exactly the SMARTS/PGSS
 fast-forward mode.  *Pure fast-forward* touches nothing; it exists for
 SimPoint-style skipping where architectural warmth is re-established later
 (and for measuring the cost of warming itself, Fig. 13).
+
+The batched warming pass (:meth:`FunctionalWarmer.execute_batch`) is also
+the architectural half of the batched detailed modes: detailed simulation
+changes the caches and predictor exactly as warming does, so it runs the
+same pass, records the misses, mispredictions and fetch stalls, and leaves
+only their timing to :meth:`~repro.cpu.pipeline.InOrderPipeline.replay`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..branch import BranchPredictor
 from ..memory import CacheHierarchy
-from ..program.mem_patterns import batch_addresses, batch_slices
+from ..program.mem_patterns import batch_slices, batch_stream
 from ..program.stream import BlockEvent, BlockRun
 
-__all__ = ["FunctionalWarmer"]
+__all__ = ["FunctionalWarmer", "Outcomes"]
+
+#: What the architectural pass records for the timing replay of one slice:
+#: ``(mispredicted iterations, fetch stalls, L1D misses)`` — see
+#: :meth:`FunctionalWarmer.execute_batch`.
+Outcomes = Tuple[List[int], List[Tuple[int, int, int]], List[int]]
 
 
 class FunctionalWarmer:
@@ -45,11 +56,18 @@ class FunctionalWarmer:
             hierarchy.warm_data(pat.address(k), pat.is_write)
         self.predictor.predict_update(block.branch_address, taken)
 
-    def execute_batch(self, runs: Sequence[BlockRun]) -> None:
+    def execute_batch(
+        self,
+        runs: Sequence[BlockRun],
+        replay: Optional[Callable[[List[BlockRun], Outcomes], None]] = None,
+    ) -> None:
         """Apply a batch of run-length records; state ends identical to
         :meth:`execute_event` applied to each expanded event in order.
 
-        The three sides of the batch are applied separately, which is
+        This is the one architectural pass of every batched mode that
+        touches the caches.  It goes a :func:`~repro.program.mem_patterns.
+        batch_slices` slice at a time, which bounds memory on long
+        batches, and applies each slice's three sides separately.  That is
         exact because they share no state but the L2, whose access order
         is kept:
 
@@ -65,8 +83,8 @@ class FunctionalWarmer:
           touches the L1I (data never does, and L2 evictions do not
           back-invalidate L1), so every later fetch is a silent hit: one
           counter add.  Blocks that wrap the L1I fetch on every iteration.
-        * **Data.** The batch's accesses are generated in program order
-          by :func:`~repro.program.mem_patterns.batch_addresses` and
+        * **Data.** The slice's accesses are generated in program order
+          by :func:`~repro.program.mem_patterns.batch_stream` and
           replayed through the kernel
           :meth:`~repro.memory.CacheHierarchy.warm_data_run`, one call per
           stretch between L1I misses.  An L1I hit never reaches the L2;
@@ -74,40 +92,32 @@ class FunctionalWarmer:
           that precedes it in program order is replayed.  The L2 then
           sees the event loop's access order exactly.
 
-        Generation and replay go a :func:`~repro.program.mem_patterns.
-        batch_slices` slice at a time, which bounds memory on long
-        batches.
+        With *replay* (the detailed modes), the pass also records what
+        the timing model needs and hands each slice to
+        ``replay(slice, (mispredicts, stalls, misses))`` as soon as its
+        outcomes exist, indexed relative to the slice: the iterations
+        whose branch mispredicted, ``(iteration, lines served by the L2,
+        lines served by memory)`` for every iteration whose fetch missed
+        the L1I, and ``access << 1 | went_to_memory`` for every L1D miss.
+        Without it nothing is recorded.
         """
-        predictor = self.predictor
-        predict_update = predictor.predict_update
-        for run in runs:
-            branch_address = run.block.branch_address
-            if run.takens is not None:
-                for taken in run.takens:
-                    predict_update(branch_address, taken)
-                continue
-            left = run.n - 1 if run.ends_entry else run.n
-            while left:
-                applied = predictor.taken_streak(branch_address, left)
-                if not applied:
-                    predict_update(branch_address, True)
-                    applied = 1
-                left -= applied
-            if run.ends_entry:
-                predict_update(branch_address, False)
-
         hierarchy = self.hierarchy
+        salt = hierarchy.address_salt
         warm_data_run = hierarchy.warm_data_run
         fetch_l1i = hierarchy.fetch_l1i
         fill_inst = hierarchy.fill_inst
         pinned_of = self._pinned
         l1i_stats = hierarchy.l1i.stats
+        record = replay is not None
         for part in batch_slices(runs):
-            addrs, writes = batch_addresses(part)
-            addrs = addrs.tolist()
-            writes = writes.tolist()
+            mispredicts = self._apply_branches(part, record)
+            stream = batch_stream(part, salt)
+            stalls: List[Tuple[int, int, int]] = []
+            misses: List[int] = []
+            miss_log = misses if record else None
             done = 0  # data accesses replayed so far
             at = 0  # data position of the current run's iteration 0
+            it = 0
             for run in part:
                 block = run.block
                 inst_lines = block.inst_lines
@@ -118,20 +128,57 @@ class FunctionalWarmer:
                         inst_lines
                     )
                 for i in range(1 if pinned else run.n):
+                    by_l2 = by_memory = 0
                     for line in inst_lines:
                         if fetch_l1i(line):
                             continue
                         upto = at + i * width
                         if upto > done:
-                            warm_data_run(addrs[done:upto], writes[done:upto])
+                            warm_data_run(stream[done:upto], done, miss_log)
                             done = upto
-                        fill_inst(line)
+                        if fill_inst(line):
+                            by_l2 += 1
+                        else:
+                            by_memory += 1
+                    if record and (by_l2 or by_memory):
+                        stalls.append((it + i, by_l2, by_memory))
                 if pinned:
                     silent = (run.n - 1) * len(inst_lines)
                     l1i_stats.accesses += silent
                     l1i_stats.hits += silent
                 at += run.n * width
-            if done:
-                warm_data_run(addrs[done:], writes[done:])
-            elif addrs:
-                warm_data_run(addrs, writes)
+                it += run.n
+            if done < len(stream):
+                warm_data_run(stream[done:] if done else stream, done, miss_log)
+            if replay is not None:
+                replay(part, (mispredicts, stalls, misses))
+
+    def _apply_branches(self, runs: Sequence[BlockRun], record: bool) -> List[int]:
+        """The branch side of :meth:`execute_batch` for one slice; returns
+        the mispredicted iterations, counted from the slice's first, when
+        *record* is set (an empty list otherwise)."""
+        predict_update = self.predictor.predict_update
+        taken_streak = self.predictor.taken_streak
+        mispredicts: List[int] = []
+        it = 0  # slice iteration of the current run's iteration 0
+        for run in runs:
+            branch_address = run.block.branch_address
+            if run.takens is not None:
+                for i, taken in enumerate(run.takens):
+                    if not predict_update(branch_address, taken) and record:
+                        mispredicts.append(it + i)
+            else:
+                left = run.n - 1 if run.ends_entry else run.n
+                i = 0
+                while i < left:
+                    applied = taken_streak(branch_address, left - i)
+                    if not applied:
+                        if not predict_update(branch_address, True) and record:
+                            mispredicts.append(it + i)
+                        applied = 1
+                    i += applied
+                if run.ends_entry and not predict_update(branch_address, False):
+                    if record:
+                        mispredicts.append(it + left)
+            it += run.n
+        return mispredicts

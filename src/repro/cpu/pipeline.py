@@ -16,21 +16,22 @@ windows; the detailed warm-up window preceding each measured sample (the
 SMARTS/PGSS methodology) is what re-establishes them after a long
 fast-forward, exactly as in the paper.
 
-Two execution entry points share one timing core (:meth:`_issue_timing`):
+Two entry points share one timing core (:meth:`_issue_timing`):
 
 * :meth:`execute_event` — the scalar reference path, one dynamic block at
-  a time;
-* :meth:`execute_run` — the batched path over run-length
-  :class:`~repro.program.stream.BlockRun` records.  It splits every block
-  execution into an *architectural phase* (cache accesses, predictor
-  update — none of which read the clock) and a *timing phase* (the
-  scoreboard — a pure function of the architectural outcomes and the
-  time-like state expressed relative to the current cycle).  Relative
-  timing contexts are interned to small integer ids and the timing
-  transition for (context, latencies, prediction outcome) is memoized,
-  so repeated block executions walk an integer chain instead of running
-  the scoreboard; steady spans collapse further into closed form (see
-  DESIGN.md §15).
+  a time, cache and predictor accesses included;
+* :meth:`replay` — the timing half of the batched detailed modes.  The
+  architectural pass (:meth:`~repro.cpu.functional.FunctionalWarmer.
+  execute_batch`) has already applied a slice's cache and predictor
+  transitions, which never read the clock, and recorded the outcomes the
+  scoreboard needs: misses, mispredictions and fetch stalls.  Timing is a
+  pure function of those outcomes and of the time-like state expressed
+  relative to the current cycle.  Relative contexts are interned to small
+  integer ids and the transition for (context, latencies, prediction
+  outcome) is memoized, so repeated block executions walk an integer
+  chain instead of running the scoreboard, and stretches of all-hit,
+  correctly predicted iterations collapse into closed form (see DESIGN.md
+  §15).
 
 Both paths leave every observable byte identical: cycle counts, cache
 tag/dirty/stat state, predictor tables and stats, and op accounting.
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..branch import BranchPredictor
 from ..config import MachineConfig
@@ -48,6 +49,7 @@ from ..isa import FU_CLASS, FU_LIMITS, N_REGS, Op
 from ..isa.instructions import FuClass
 from ..memory import CacheHierarchy
 from ..program.stream import BlockEvent, BlockRun
+from .functional import Outcomes
 
 __all__ = ["InOrderPipeline", "WindowResult"]
 
@@ -115,7 +117,7 @@ class InOrderPipeline:
         #: Completion-cycle min-heap of in-flight L1 misses (<= n_mshrs
         #: live entries; completed ones are drained lazily).
         self._mshrs: List[int] = []
-        # Batched-path memoization (see execute_run).  Relative timing
+        # Timing-replay memoization (see replay).  Relative timing
         # contexts are interned: _ctx_ids maps the full context tuple to a
         # small id, _ctx_states holds the tuple for materialization, and
         # _chain maps (context id, latencies, prediction outcome) to the
@@ -249,18 +251,12 @@ class InOrderPipeline:
             if t > cycle:
                 cycle = t
                 width_used = 0
-                class_used[0] = 0
-                class_used[1] = 0
-                class_used[2] = 0
-                class_used[3] = 0
+                class_used[0] = class_used[1] = class_used[2] = class_used[3] = 0
             # Structural hazards: machine width and per-class slots.
             while width_used >= width or class_used[fu] >= limits[fu]:
                 cycle += 1
                 width_used = 0
-                class_used[0] = 0
-                class_used[1] = 0
-                class_used[2] = 0
-                class_used[3] = 0
+                class_used[0] = class_used[1] = class_used[2] = class_used[3] = 0
             width_used += 1
             class_used[fu] += 1
 
@@ -277,10 +273,8 @@ class InOrderPipeline:
                         if earliest > cycle:
                             cycle = earliest
                             width_used = 0
-                            class_used[0] = 0
-                            class_used[1] = 0
-                            class_used[2] = 0
-                            class_used[3] = 0
+                            class_used[0] = class_used[1] = 0
+                            class_used[2] = class_used[3] = 0
                     heappush(mshrs, cycle + mlat)
                 if op == _OP_LOAD and dst > 0:
                     reg_ready[dst] = cycle + mlat
@@ -299,64 +293,30 @@ class InOrderPipeline:
         self._width_used = width_used
         self._fetch_ready = fetch_ready
 
-    def _build_plan(self, block: Any) -> Tuple[Any, ...]:
-        """Precompute the per-block constants of the batched path."""
-        from ..program.mem_patterns import PatternKind
+    def _plan(self, block: Any) -> Tuple[Any, ...]:
+        """The per-block constants of :meth:`replay`, built once per block.
 
-        patterns = [block.mem_patterns[j] for j in (block.mem_idx[p] for p in block.mem_positions)]
-        paw = tuple((pat.address, pat.is_write) for pat in patterns)
-        # Probe the most restrictive (largest-footprint) patterns first so
-        # a zero span is discovered before any fine-grained line walking.
-        probe_pats = tuple(sorted(patterns, key=lambda p: p.span, reverse=True))
-        l1d_size = self.hierarchy.l1d.config.size_bytes
-        never_silent = any(
-            pat.kind in (PatternKind.RANDOM, PatternKind.CHASE)
-            and pat.span > l1d_size
-            for pat in patterns
-        )
-        # All-strided blocks take the bound L1D net-silence probe (the
-        # joint walk also covers patterns that share cache sets); blocks
-        # with a hashed pattern probe per pattern below.
-        probe = self.hierarchy.data_silence_probe(patterns)
-        # Every pattern's address generator is unpacked so the hot loop
-        # computes addresses inline instead of calling into it: strided
-        # patterns carry (True, base, stride, span, is_write), hashed ones
-        # (False, base, seed, span, is_write) — see MemPattern.address.
-        pinfo = tuple(
-            (True, pat.base, pat.stride, pat.span, pat.is_write)
-            if pat.kind in (PatternKind.STREAM, PatternKind.REUSE)
-            else (False, pat.base, pat.seed, pat.span, pat.is_write)
-            for pat in patterns
-        )
-        p0 = pinfo[0][:4] if len(patterns) == 1 else None
-        n_pat = len(patterns)
-        # Two-access blocks get every latency pair precomputed so the hot
-        # loop indexes by a 0..8 level code instead of building tuples.
-        if n_pat == 2:
-            l1 = self._l1d_hit_latency
-            l2 = l1 + self.hierarchy.l2.hit_latency
-            mem = l2 + self.machine.memory_latency
-            levels = (l1, l2, mem)
-            lat_pairs = tuple((a, b) for a in levels for b in levels)
+        ``(width, int_keys, hit_lats, lat_of_code, weights)``: one- and
+        two-access blocks (and blocks without data accesses) key the chain
+        by one int whose low bits hold a base-3 level code (0 L1 hit, 1 L2,
+        2 memory; first access most significant), ``lat_of_code`` maps a
+        code to its latencies and ``weights`` gives each access's digit.
+        Wider blocks key the chain by their latency tuple.
+        """
+        width = len(block.mem_patterns)
+        l1 = self._l1d_hit_latency
+        l2 = l1 + self.hierarchy.l2.hit_latency
+        levels = (l1, l2, l2 + self.machine.memory_latency)
+        hit_lats = (l1,) * width
+        int_keys = width <= 2
+        if width == 2:
+            lat_of_code: Tuple[Tuple[int, ...], ...] = tuple(
+                (a, b) for a in levels for b in levels
+            )
         else:
-            lat_pairs = None
-        return (
-            paw,
-            probe_pats,
-            probe,
-            pinfo,
-            lat_pairs,
-            p0,
-            (self._l1d_hit_latency,) * n_pat,
-            never_silent,
-            n_pat,
-            block.live_in_regs,
-            block.written_regs,
-            block.div_fus,
-            block.branch_address,
-            len(block.inst_lines),
-            self.hierarchy.inst_lines_pinned(block.inst_lines),
-        )
+            lat_of_code = tuple((lat,) * width for lat in levels)
+        weights = (3, 1) if width == 2 else (1,) * width
+        return width, int_keys, hit_lats, lat_of_code, weights
 
     def _intern_context(
         self, bid: int, live_in: Tuple[int, ...], div_fus: Tuple[int, ...]
@@ -446,19 +406,19 @@ class InOrderPipeline:
         self, sid0: int, hit_lats: Tuple[int, ...], need: int, int_keys: bool
     ) -> Any:
         """Unroll the memoized transition chain from *sid0* under constant
-        steady-span inputs (all-hit latencies, correct taken prediction).
+        stretch inputs (all-hit latencies, correct prediction).
 
         After an L1 miss the live-in register offsets decay over a dozen
-        iterations before the context repeats — without this, every silent
-        span walks that decay one chain hit at a time.  The returned path
-        ``(cums, sids, wrels, loop_d, complete)`` lets a span apply in
-        O(1): ``cums[j]`` is the cycle delta after j steps, ``sids[j]``
+        iterations before the context repeats — without this, every
+        stretch walks that decay one chain hit at a time.  The returned
+        path ``(cums, sids, wrels, loop_d, complete)`` lets a stretch apply
+        in O(1): ``cums[j]`` is the cycle delta after j steps, ``sids[j]``
         the context after j steps, ``wrels`` each step's written-register
         offsets.  When *complete*, the walk reached a self-loop fixed
         point and ``loop_d`` extends it to any length in closed form;
-        otherwise the path is a prefix (the chain had no entry yet for
-        the next step — the caller applies what exists and trickles on,
-        which memoizes further steps for the next build).
+        otherwise the path is a prefix (the chain had no entry yet for the
+        next step: the caller applies what exists and steps on, learning
+        further edges for the next build).
 
         Walks at least *need* steps when it can; returns None when not
         even two steps are known.  *int_keys* selects the integer
@@ -491,824 +451,236 @@ class InOrderPipeline:
                 loop_d = t[0]
                 break
             s = ns
-        # A one-step incomplete walk is not worth caching — but a one-step
-        # *complete* walk is the common warm case: the span starts at the
+        # A one-step incomplete walk is not worth caching, but a one-step
+        # complete walk is the common warm case: the stretch starts at the
         # fixed point itself.
         if not complete and len(wrels) < 2:
             return None
-        return (
-            tuple(cums),
-            tuple(sids),
-            tuple(wrels),
-            loop_d,
-            complete,
-            len(chain),
+        return tuple(cums), tuple(sids), tuple(wrels), loop_d, complete, len(chain)
+
+    def _learn(
+        self,
+        block: Any,
+        sid: int,
+        pending: Any,
+        key: Any,
+        lats: Any,
+        correct: bool,
+        cycle: int,
+    ) -> int:
+        """Issue one unmemoized step from context *sid* through the real
+        scoreboard, record its chain edge under *key*, and return the
+        context it leads to.  On return the absolute state is current
+        and :attr:`cycle` holds the new cycle."""
+        live_in = block.live_in_regs
+        written = block.written_regs
+        div_fus = block.div_fus
+        self.cycle = cycle
+        if pending is not None:
+            self._materialize(sid, pending, live_in, written, div_fus)
+        self._issue_timing(block, lats, 0, correct)
+        after = self.cycle
+        nsid = self._intern_context(block.bid, live_in, div_fus)
+        reg_ready = self._reg_ready
+        self._chain[key] = (
+            after - cycle,
+            nsid,
+            tuple([(v - after) if (v := reg_ready[r]) > after else 0 for r in written]),
         )
+        return nsid
 
-    def execute_run(self, run: BlockRun) -> None:
-        """Run a whole run-length record through the pipeline, batched.
+    def replay(self, runs: Sequence[BlockRun], outcomes: Outcomes) -> None:
+        """Replay the timing of one slice of runs from its recorded
+        architectural outcomes.
 
-        Byte-identical in every observable (cycle count, cache and
-        predictor state including stats, memory-access counters) to
-        :meth:`execute_event` over ``run.events()``, but built to spend
-        far fewer Python operations per block execution:
+        :meth:`~repro.cpu.functional.FunctionalWarmer.execute_batch` has
+        already applied the slice's cache and predictor transitions and
+        recorded *outcomes*: the mispredicted iterations, the fetch stalls
+        and the L1D misses, all relative to the slice.  Every other
+        iteration was all L1 hits, correctly predicted.  Timing is a pure
+        function of those inputs, so the cycle count and scoreboard end
+        exactly as :meth:`execute_event` over the expanded events leaves
+        them.
 
-        * the first iteration performs the real I-fetch accesses (with
-          deferred counters) — afterwards every instruction line of the
-          block is resident at the MRU slot of its own L1I set and stays
-          there for the rest of the run (nothing else touches the L1I),
-          so later iterations fetch with zero stall and their I-cache hit
-          counters are applied arithmetically at the end.  When iteration
-          0 itself fetches entirely from the L1I (no stall), it enters
-          the memoized loop like any other iteration — a warm run can
-          then collapse into a single closed-form span;
-        * data accesses are probed for *silent* spans — stretches of
-          iterations whose accesses would all hit L1 at the MRU slot
-          without flipping a dirty bit.  Silent accesses change nothing
-          but the hit counters, so the whole span's cache work collapses
-          to one arithmetic bump and its latencies are known constants;
-        * once the uniformly-taken middle of a loop-controlled run finds
-          the branch predictor at a fixed point
-          (:meth:`~repro.branch.BranchPredictor.is_steady`), remaining
-          predictions are bulk-counted and skipped;
-        * the scoreboard itself is memoized: the relative timing context
-          is interned to an integer id and each (context, latencies,
-          outcome) transition is recorded once, so repeats walk
-          ``cycle += delta; context = next`` without touching the
-          scoreboard arrays (absolute state is re-anchored on exit); a
-          self-loop transition inside a silent + predictor-steady span
-          finishes the span in closed form.
-
-        Any condition that cannot be proven cheaply falls back to the
-        memoized per-iteration path, and from there to the real scalar
-        scoreboard — never to an approximation.
+        Each run is walked as stretches of constant input between
+        *special* iterations (a miss, a misprediction or a fetch stall).
+        A stretch applies through the memoized chain: the pre-walked path
+        from its context (:meth:`_build_path`), closed form past a fixed
+        point.  A special iteration takes one chain step keyed by its
+        inputs; one with a fetch stall, and every iteration of an
+        ``n == 1`` run, goes straight to :meth:`_issue_timing`.  An
+        unmemoized step runs the real scoreboard and is recorded for next
+        time (:meth:`_learn`).
         """
-        block = run.block
-        n = run.n
-        if n == 1:
-            self.execute_event(BlockEvent(block, run.taken_at(0), run.k_start))
-            return
-        hierarchy = self.hierarchy
+        mispredicts, stalls, misses = outcomes
+        l2_extra = self.hierarchy.l2.hit_latency
+        mem_extra = l2_extra + self.machine.memory_latency
+        l1 = self._l1d_hit_latency
+        miss_lat = (l1 + l2_extra, l1 + mem_extra)  # by went_to_memory
+        end = 1 << 62
+        b_iter = iter(mispredicts)
+        next_b = next(b_iter, end)
+        s_iter = iter(stalls)
+        next_s, s_l2, s_mem = next(s_iter, (end, 0, 0))
+        m_iter = iter(misses)
+        next_m = next(m_iter, end)  # access << 1 | went_to_memory
 
-        if len(self._chain) >= _MEMO_CAP:
-            self._chain.clear()
-            self._ctx_ids.clear()
-            self._ctx_states.clear()
-            self._paths.clear()
-
-        bid = block.bid
-        plan = self._plans.get(bid)
-        if plan is None:
-            plan = self._build_plan(block)
-            self._plans[bid] = plan
-        (
-            paw,
-            probe_pats,
-            probe,
-            pinfo,
-            lat_pairs,
-            p0,
-            hit_lats,
-            never_silent,
-            n_pat,
-            live_in,
-            written,
-            div_fus,
-            branch_address,
-            n_lines,
-            inst_pinned,
-        ) = plan
-        if not inst_pinned:
-            # Degenerate geometry: the block's own fetch lines collide
-            # within a set, so iteration 0 does not pin them all at MRU.
-            for event in run.events():
-                self.execute_event(event)
-            return
-
-        predictor = self.predictor
-        predict_update = predictor.predict_update
-        taken_streak = predictor.taken_streak
-        l1d = hierarchy.l1d
-        l1d_access = l1d.access_quiet
-        l2_access = hierarchy.l2.access_quiet
-        salt = hierarchy.address_salt
-        l1_hit = self._l1d_hit_latency
-        l2_lat = l1_hit + hierarchy.l2.hit_latency
-        mem_lat = l2_lat + self.machine.memory_latency
-        silent_span = hierarchy.silent_data_span
-        span_hashed = l1d.silent_span_hashed
         chain = self._chain
         chain_get = chain.get
         paths = self._paths
         paths_get = paths.get
-        reg_ready = self._reg_ready
-        if n_pat == 1:
-            f0, w0 = paw[0]
-            l2_lats = (l2_lat,)
-            mem_lats = (mem_lat,)
-            strided0, b0, x0, sp0 = p0
-        else:
-            f0 = None
-        single = f0 is not None
-        pair2 = n_pat == 2
-        if single or pair2:
-            # One- and two-access blocks run the access_quiet state
-            # transition inline (see Cache.hot_refs) — the L1D-miss/L2
-            # walk is the hottest sequence of the whole mode.
-            d_tags, d_dirty, d_shift, d_assoc, d_pow2, d_mask, d_nsets = (
-                l1d.hot_refs()
-            )
-            u_tags, u_dirty, u_shift, u_assoc, u_pow2, u_mask, u_nsets = (
-                hierarchy.l2.hot_refs()
-            )
-        int_keys = single or pair2  # integer chain keys for these blocks
-        d_wb = u_wb = 0  # deferred writeback counts from inlined accesses
-
-        takens = run.takens
-        last_i = n - 1
-        if takens is None:
-            uniform_until = last_i - 1 if run.ends_entry else last_i
-        else:
-            uniform_until = -1
-
-        # Completed misses from earlier runs would otherwise linger in the
-        # heap and tax every context build; draining them is invisible
-        # (the scalar path drains lazily, to the same effect).
-        mshrs = self._mshrs
-        c0 = self.cycle
-        while mshrs and mshrs[0] <= c0:
-            heappop(mshrs)
-
-        pending = None  # written-reg offsets of the last walked transition
-        mem_extra = 0  # deferred hierarchy.memory_accesses increments
-        l1d_n = l1d_h = l2_n = l2_h = 0  # deferred cache access/hit counts
-        pred_left = 0  # taken predictions already applied in bulk
-        silent_left = 0
-        probe_skip = False  # span ended at a known non-silent iteration
-        span_hint = -1  # probe-free silent span proven by a line fill
-        line_mask = (1 << d_shift) - 1 if single else 0
-
-        # Iteration 0's I-fetch is always real — the accesses pin every
-        # instruction line at the MRU slot of its L1I set for the rest of
-        # the run (and their MRU rotations are observable state).
-        l1i_access = hierarchy.l1i.access_quiet
-        l2_hit_extra = hierarchy.l2.hit_latency
-        memory_latency = self.machine.memory_latency
-        fetch_stall = 0
-        l1i_h0 = 0
-        for line in block.inst_lines:
-            a = line ^ salt
-            if l1i_access(a):
-                l1i_h0 += 1
-            else:
-                l2_n += 1
-                if l2_access(a):
-                    l2_h += 1
-                    fetch_stall += l2_hit_extra
-                else:
-                    mem_extra += 1
-                    fetch_stall += l2_hit_extra + memory_latency
-
-        if fetch_stall:
-            # Rare cold fetch: run iteration 0 through the real scoreboard
-            # (the memo chain assumes stall-free fetch) and rejoin at 1.
-            k = run.k_start
-            buf = []
-            for f, w in paw:
-                a = f(k) ^ salt
-                l1d_n += 1
-                if l1d_access(a, w):
-                    l1d_h += 1
-                    buf.append(l1_hit)
-                else:
-                    l2_n += 1
-                    if l2_access(a, w):
-                        l2_h += 1
-                        buf.append(l2_lat)
-                    else:
-                        mem_extra += 1
-                        buf.append(mem_lat)
-            correct = predict_update(branch_address, run.taken_at(0))
-            self._issue_timing(block, buf, fetch_stall, correct)
-            i = 1
-            k += 1
-        else:
+        plans = self._plans
+        it0 = 0  # slice iteration of the run's iteration 0
+        at0 = 0  # slice access index of the run's first access
+        for run in runs:
+            block = run.block
+            n = run.n
+            plan = plans.get(block.bid)
+            if plan is None:
+                plan = plans[block.bid] = self._plan(block)
+            width, int_keys, hit_lats, lat_of_code, weights = plan
+            if len(chain) >= _MEMO_CAP:
+                chain.clear()
+                self._ctx_ids.clear()
+                self._ctx_states.clear()
+                paths.clear()
+            bid = block.bid
+            live_in = block.live_in_regs
+            div_fus = block.div_fus
+            hit_key = None if int_keys else (True,) + hit_lats
+            end_m = (at0 + n * width) << 1
+            cycle = self.cycle
+            sid = -1  # no context interned: the absolute state is current
+            pending = None  # written-reg offsets of the last walked step
             i = 0
-            k = run.k_start
+            while i < n:
+                # The next special iteration, relative to the run.
+                s = n if n > 1 else 0  # a lone iteration is special
+                if next_b - it0 < s:
+                    s = next_b - it0
+                if next_s - it0 < s:
+                    s = next_s - it0
+                if next_m < end_m:
+                    sm = ((next_m >> 1) - at0) // width
+                    if sm < s:
+                        s = sm
 
-        sid = self._intern_context(bid, live_in, div_fus)
-        cycle = self.cycle  # local through the loop; synced around calls
-        while i <= last_i:
-            if never_silent and single and pred_left > 0:
-                # Never-silent single-access blocks (a cache-thrashing
-                # loop) spend the uniformly-predicted middle of the run
-                # here: address, inline access, memoized timing step —
-                # none of the span/branch bookkeeping of the general
-                # path, which cannot apply to them.  The access body is
-                # the same inline access_quiet transition as below.
-                stop = i + pred_left
-                if d_assoc == 4:
-                    # 4-way L1D (the default geometry): the recency
-                    # rotation is unrolled into element moves — no range
-                    # object, no slice allocations — while remaining the
-                    # exact access_quiet transition.  A thrashing block
-                    # rotates or evicts on nearly every access, so this
-                    # is the hottest store sequence of the whole mode.
-                    while i < stop:
-                        if strided0:
-                            a = (b0 + (k * x0) % sp0) ^ salt
-                        else:
-                            h = ((k + x0) * 2654435761) & 0xFFFFFFFF
-                            h ^= h >> 16
-                            h = (h * 0x45D9F3B) & 0xFFFFFFFF
-                            h ^= h >> 16
-                            a = (b0 + ((h % sp0) & -8)) ^ salt
-                        l1d_n += 1
-                        code = 0
-                        line = a >> d_shift
-                        b = (line & d_mask if d_pow2 else line % d_nsets) * 4
-                        if d_tags[b] == line:
-                            if w0:
-                                d_dirty[b] = True
-                            l1d_h += 1
-                        elif d_tags[b + 1] == line:
-                            dd = d_dirty[b + 1]
-                            d_tags[b + 1] = d_tags[b]
-                            d_tags[b] = line
-                            d_dirty[b + 1] = d_dirty[b]
-                            d_dirty[b] = dd or w0
-                            l1d_h += 1
-                        elif d_tags[b + 2] == line:
-                            dd = d_dirty[b + 2]
-                            d_tags[b + 2] = d_tags[b + 1]
-                            d_tags[b + 1] = d_tags[b]
-                            d_tags[b] = line
-                            d_dirty[b + 2] = d_dirty[b + 1]
-                            d_dirty[b + 1] = d_dirty[b]
-                            d_dirty[b] = dd or w0
-                            l1d_h += 1
-                        elif d_tags[b + 3] == line:
-                            dd = d_dirty[b + 3]
-                            d_tags[b + 3] = d_tags[b + 2]
-                            d_tags[b + 2] = d_tags[b + 1]
-                            d_tags[b + 1] = d_tags[b]
-                            d_tags[b] = line
-                            d_dirty[b + 3] = d_dirty[b + 2]
-                            d_dirty[b + 2] = d_dirty[b + 1]
-                            d_dirty[b + 1] = d_dirty[b]
-                            d_dirty[b] = dd or w0
-                            l1d_h += 1
-                        else:
-                            if d_dirty[b + 3] and d_tags[b + 3] != -1:
-                                d_wb += 1
-                            d_tags[b + 3] = d_tags[b + 2]
-                            d_tags[b + 2] = d_tags[b + 1]
-                            d_tags[b + 1] = d_tags[b]
-                            d_tags[b] = line
-                            d_dirty[b + 3] = d_dirty[b + 2]
-                            d_dirty[b + 2] = d_dirty[b + 1]
-                            d_dirty[b + 1] = d_dirty[b]
-                            d_dirty[b] = w0
-                            l2_n += 1
-                            line = a >> u_shift
-                            b = (
-                                line & u_mask if u_pow2 else line % u_nsets
-                            ) * u_assoc
-                            if u_tags[b] == line:
-                                if w0:
-                                    u_dirty[b] = True
-                                l2_h += 1
-                                code = 1
-                            else:
-                                bend = b + u_assoc
-                                for j in range(b + 1, bend):
-                                    if u_tags[j] == line:
-                                        dd = u_dirty[j]
-                                        u_tags[b + 1 : j + 1] = u_tags[b:j]
-                                        u_dirty[b + 1 : j + 1] = u_dirty[b:j]
-                                        u_tags[b] = line
-                                        u_dirty[b] = dd or w0
-                                        l2_h += 1
-                                        code = 1
-                                        break
-                                else:
-                                    if (
-                                        u_dirty[bend - 1]
-                                        and u_tags[bend - 1] != -1
-                                    ):
-                                        u_wb += 1
-                                    u_tags[b + 1 : bend] = u_tags[b : bend - 1]
-                                    u_dirty[b + 1 : bend] = u_dirty[
-                                        b : bend - 1
-                                    ]
-                                    u_tags[b] = line
-                                    u_dirty[b] = w0
-                                    mem_extra += 1
-                                    code = 2
-                        t = chain_get((sid << 6) | 32 | code)
-                        if t is None:
+                m = s - i  # the stretch before it: all hits, predicted
+                if m and sid < 0:
+                    # Completed misses would linger in the heap and tax
+                    # every context; draining them is invisible (the
+                    # scoreboard drains lazily, to the same effect).
+                    mshrs = self._mshrs
+                    while mshrs and mshrs[0] <= cycle:
+                        heappop(mshrs)
+                    sid = self._intern_context(bid, live_in, div_fus)
+                while m:
+                    path = paths_get(sid)
+                    if path is None or (
+                        not path[4] and m > len(path[2]) and len(chain) != path[5]
+                    ):
+                        built = self._build_path(sid, hit_lats, m, int_keys)
+                        if built is not None:
+                            path = paths[sid] = built
+                    if path is not None:
+                        cums, sids, wrels, loop_d, complete, _ = path
+                        last = len(wrels)
+                        if m <= last:
+                            cycle += cums[m]
+                            sid = sids[m]
+                            pending = wrels[m - 1]
                             break
+                        cycle += cums[last]
+                        sid = sids[last]
+                        pending = wrels[last - 1]
+                        if complete:
+                            # Past the fixed point: closed form.
+                            cycle += (m - last) * loop_d
+                            break
+                        m -= last
+                        continue
+                    key = (sid << 6) | 32 if int_keys else (sid,) + hit_key
+                    t = chain_get(key)
+                    if t is None:
+                        sid = self._learn(
+                            block, sid, pending, key, hit_lats, True, cycle
+                        )
+                        cycle = self.cycle
+                        pending = None
+                    elif t[1] == sid:
+                        cycle += m * t[0]
+                        pending = t[2]
+                        break
+                    else:
                         cycle += t[0]
                         sid = t[1]
                         pending = t[2]
-                        i += 1
-                        k += 1
-                else:
-                    while i < stop:
-                        if strided0:
-                            a = (b0 + (k * x0) % sp0) ^ salt
-                        else:
-                            h = ((k + x0) * 2654435761) & 0xFFFFFFFF
-                            h ^= h >> 16
-                            h = (h * 0x45D9F3B) & 0xFFFFFFFF
-                            h ^= h >> 16
-                            a = (b0 + ((h % sp0) & -8)) ^ salt
-                        l1d_n += 1
-                        code = 0
-                        line = a >> d_shift
-                        b = (line & d_mask if d_pow2 else line % d_nsets) * d_assoc
-                        if d_tags[b] == line:
-                            if w0:
-                                d_dirty[b] = True
-                            l1d_h += 1
-                        else:
-                            bend = b + d_assoc
-                            for j in range(b + 1, bend):
-                                if d_tags[j] == line:
-                                    dd = d_dirty[j]
-                                    d_tags[b + 1 : j + 1] = d_tags[b:j]
-                                    d_dirty[b + 1 : j + 1] = d_dirty[b:j]
-                                    d_tags[b] = line
-                                    d_dirty[b] = dd or w0
-                                    l1d_h += 1
-                                    break
-                            else:
-                                if d_dirty[bend - 1] and d_tags[bend - 1] != -1:
-                                    d_wb += 1
-                                d_tags[b + 1 : bend] = d_tags[b : bend - 1]
-                                d_dirty[b + 1 : bend] = d_dirty[b : bend - 1]
-                                d_tags[b] = line
-                                d_dirty[b] = w0
-                                l2_n += 1
-                                line = a >> u_shift
-                                b = (
-                                    line & u_mask if u_pow2 else line % u_nsets
-                                ) * u_assoc
-                                if u_tags[b] == line:
-                                    if w0:
-                                        u_dirty[b] = True
-                                    l2_h += 1
-                                    code = 1
-                                else:
-                                    bend = b + u_assoc
-                                    for j in range(b + 1, bend):
-                                        if u_tags[j] == line:
-                                            dd = u_dirty[j]
-                                            u_tags[b + 1 : j + 1] = u_tags[b:j]
-                                            u_dirty[b + 1 : j + 1] = u_dirty[b:j]
-                                            u_tags[b] = line
-                                            u_dirty[b] = dd or w0
-                                            l2_h += 1
-                                            code = 1
-                                            break
-                                    else:
-                                        if (
-                                            u_dirty[bend - 1]
-                                            and u_tags[bend - 1] != -1
-                                        ):
-                                            u_wb += 1
-                                        u_tags[b + 1 : bend] = u_tags[
-                                            b : bend - 1
-                                        ]
-                                        u_dirty[b + 1 : bend] = u_dirty[
-                                            b : bend - 1
-                                        ]
-                                        u_tags[b] = line
-                                        u_dirty[b] = w0
-                                        mem_extra += 1
-                                        code = 2
-                        t = chain_get((sid << 6) | 32 | code)
-                        if t is None:
-                            break
-                        cycle += t[0]
-                        sid = t[1]
-                        pending = t[2]
-                        i += 1
-                        k += 1
-                pred_left = stop - i
-                if i < stop:
-                    # Unmemoized transition: finish this iteration through
-                    # the real scoreboard and record it for next time.
-                    lats = (hit_lats, l2_lats, mem_lats)[code]
-                    pred_left -= 1
+                    m -= 1
+                if s == n:
+                    break
+
+                # The special iteration's inputs.
+                base = at0 + s * width
+                lim = (base + width) << 1
+                code = 0
+                lats = hit_lats
+                if next_m < lim:
+                    if int_keys:
+                        while next_m < lim:
+                            code += (1 + (next_m & 1)) * weights[(next_m >> 1) - base]
+                            next_m = next(m_iter, end)
+                        lats = lat_of_code[code]
+                    else:
+                        lats = list(hit_lats)
+                        while next_m < lim:
+                            lats[(next_m >> 1) - base] = miss_lat[next_m & 1]
+                            next_m = next(m_iter, end)
+                        lats = tuple(lats)
+                correct = next_b - it0 != s
+                if not correct:
+                    next_b = next(b_iter, end)
+                if n == 1 or next_s - it0 == s:
+                    # Straight to the scoreboard: a lone iteration gains
+                    # nothing from the chain, and a fetch stall is outside
+                    # its inputs.
+                    stall = 0
+                    if next_s - it0 == s:
+                        stall = s_l2 * l2_extra + s_mem * mem_extra
+                        next_s, s_l2, s_mem = next(s_iter, (end, 0, 0))
                     self.cycle = cycle
                     if pending is not None:
-                        self._materialize(sid, pending, live_in, written, div_fus)
+                        self._materialize(
+                            sid, pending, live_in, block.written_regs, div_fus
+                        )
                         pending = None
-                    self._issue_timing(block, lats, 0, True)
-                    after = self.cycle
-                    nsid = self._intern_context(bid, live_in, div_fus)
-                    chain[(sid << 6) | 32 | code] = (
-                        after - cycle,
-                        nsid,
-                        tuple(
-                            [
-                                (v - after) if (v := reg_ready[r]) > after else 0
-                                for r in written
-                            ]
-                        ),
-                    )
-                    cycle = after
-                    sid = nsid
-                    i += 1
-                    k += 1
-                continue
-            # Data side: inside a proven-silent span the latencies are the
-            # L1 hit constant and no cache state moves; otherwise probe
-            # for a new span, and failing that do the real accesses.
-            if silent_left > 0:
-                lats = hit_lats
-                code = 0
-                silent_left -= 1
-            else:
-                lats = None
-                if never_silent or probe_skip:
-                    probe_skip = False
+                    self._issue_timing(block, lats, stall, correct)
+                    cycle = self.cycle
+                    sid = -1
                 else:
-                    lim = last_i - i + 1
-                    if span_hint >= 0:
-                        m = span_hint if span_hint < lim else lim
-                        span_hint = -1
-                    elif probe is not None:
-                        m = probe(k, lim)
-                    elif single:
-                        m = span_hashed(f0, k, lim, w0, salt)
+                    if sid < 0:
+                        sid = self._intern_context(bid, live_in, div_fus)
+                    if int_keys:
+                        key = (sid << 6) | (32 if correct else 0) | code
                     else:
-                        m = lim
-                        for pat in probe_pats:
-                            m = silent_span(pat, k, m)
-                            if m == 0:
-                                break
-                    if m > 0:
-                        l1d_n += m * n_pat
-                        l1d_h += m * n_pat
-                        # A span cut short (not by the run end) ended at a
-                        # provably non-silent iteration — skip re-probing
-                        # it and go straight to the real accesses.
-                        probe_skip = m < lim
-                        if m > 1 and takens is None and i <= uniform_until:
-                            # Whole-span fast-forward: bulk-predict as much
-                            # of the span as the predictor stays quiet for,
-                            # then apply the precomputed chain unroll from
-                            # this context in closed form.
-                            cover = pred_left
-                            if cover < m:
-                                # Ask for the whole remaining uniform
-                                # stretch at once — the surplus carries to
-                                # the next span via pred_left, so a steady
-                                # predictor is consulted once per run.
-                                want = uniform_until - i + 1 - cover
-                                if want > 0:
-                                    cover += taken_streak(branch_address, want)
-                            mm = m if m < cover else cover
-                            if mm > 1:
-                                path = paths_get(sid)
-                                if path is None or (
-                                    not path[4]
-                                    and mm > len(path[2])
-                                    and len(chain) != path[5]
-                                ):
-                                    np = self._build_path(
-                                        sid, hit_lats, mm, int_keys
-                                    )
-                                    if np is not None:
-                                        path = np
-                                        paths[sid] = np
-                                if path is not None:
-                                    cums = path[0]
-                                    pwrels = path[2]
-                                    last = len(pwrels)
-                                    if mm > last:
-                                        if path[4]:
-                                            # Past the fixed point: extend
-                                            # the walk in closed form.
-                                            cycle += (mm - last) * path[3]
-                                        else:
-                                            # Prefix only: apply what the
-                                            # chain knows, trickle the rest
-                                            # (memoizing missing steps).
-                                            mm = last
-                                    cycle += cums[mm if mm < last else last]
-                                    sid = path[1][mm if mm < last else last]
-                                    pending = pwrels[
-                                        (mm if mm < last else last) - 1
-                                    ]
-                                    pred_left = cover - mm
-                                    silent_left = m - mm
-                                    i += mm
-                                    k += mm
-                                    continue
-                            # Streak already applied; the per-iteration
-                            # branch side below consumes it via pred_left.
-                            pred_left = cover
-                        lats = hit_lats
-                        code = 0
-                        silent_left = m - 1
-                if lats is None:
-                    if single:
-                        l1d_n += 1
-                        if strided0:
-                            off = (k * x0) % sp0
-                            a = (b0 + off) ^ salt
-                        else:
-                            h = ((k + x0) * 2654435761) & 0xFFFFFFFF
-                            h ^= h >> 16
-                            h = (h * 0x45D9F3B) & 0xFFFFFFFF
-                            h ^= h >> 16
-                            a = (b0 + ((h % sp0) & -8)) ^ salt
-                        # Inlined Cache.access_quiet on the L1D, falling
-                        # through to the L2 on a miss — byte-for-byte the
-                        # same state transition as the method calls.
-                        line = a >> d_shift
-                        b = (line & d_mask if d_pow2 else line % d_nsets) * d_assoc
-                        if d_tags[b] == line:
-                            if w0:
-                                d_dirty[b] = True
-                            l1d_h += 1
-                            lats = hit_lats
-                            code = 0
-                        else:
-                            bend = b + d_assoc
-                            for j in range(b + 1, bend):
-                                if d_tags[j] == line:
-                                    dd = d_dirty[j]
-                                    d_tags[b + 1 : j + 1] = d_tags[b:j]
-                                    d_dirty[b + 1 : j + 1] = d_dirty[b:j]
-                                    d_tags[b] = line
-                                    d_dirty[b] = dd or w0
-                                    l1d_h += 1
-                                    lats = hit_lats
-                                    code = 0
-                                    break
-                            else:
-                                if d_dirty[bend - 1] and d_tags[bend - 1] != -1:
-                                    d_wb += 1
-                                d_tags[b + 1 : bend] = d_tags[b : bend - 1]
-                                d_dirty[b + 1 : bend] = d_dirty[b : bend - 1]
-                                d_tags[b] = line
-                                d_dirty[b] = w0
-                                if strided0:
-                                    # The fill just placed this line at MRU
-                                    # (dirty when writing), so the rest of
-                                    # its line group is silent by
-                                    # construction — no probe needed.
-                                    g = ((off | line_mask) - off) // x0
-                                    gw = (sp0 - off + x0 - 1) // x0 - 1
-                                    if gw < g:
-                                        g = gw
-                                    if g > 0:
-                                        span_hint = g
-                                l2_n += 1
-                                line = a >> u_shift
-                                b = (
-                                    line & u_mask if u_pow2 else line % u_nsets
-                                ) * u_assoc
-                                if u_tags[b] == line:
-                                    if w0:
-                                        u_dirty[b] = True
-                                    l2_h += 1
-                                    lats = l2_lats
-                                    code = 1
-                                else:
-                                    bend = b + u_assoc
-                                    for j in range(b + 1, bend):
-                                        if u_tags[j] == line:
-                                            dd = u_dirty[j]
-                                            u_tags[b + 1 : j + 1] = u_tags[b:j]
-                                            u_dirty[b + 1 : j + 1] = u_dirty[b:j]
-                                            u_tags[b] = line
-                                            u_dirty[b] = dd or w0
-                                            l2_h += 1
-                                            lats = l2_lats
-                                            code = 1
-                                            break
-                                    else:
-                                        if (
-                                            u_dirty[bend - 1]
-                                            and u_tags[bend - 1] != -1
-                                        ):
-                                            u_wb += 1
-                                        u_tags[b + 1 : bend] = u_tags[b : bend - 1]
-                                        u_dirty[b + 1 : bend] = u_dirty[
-                                            b : bend - 1
-                                        ]
-                                        u_tags[b] = line
-                                        u_dirty[b] = w0
-                                        mem_extra += 1
-                                        lats = mem_lats
-                                        code = 2
-                    elif pair2:
-                        # Two-access blocks: both accesses inline (same
-                        # transition as Cache.access_quiet), the latency
-                        # pair looked up by base-3 level code.
-                        code = 0
-                        for st, bb, xx, spn, w in pinfo:
-                            if st:
-                                a = (bb + (k * xx) % spn) ^ salt
-                            else:
-                                h = ((k + xx) * 2654435761) & 0xFFFFFFFF
-                                h ^= h >> 16
-                                h = (h * 0x45D9F3B) & 0xFFFFFFFF
-                                h ^= h >> 16
-                                a = (bb + ((h % spn) & -8)) ^ salt
-                            l1d_n += 1
-                            c = 0
-                            line = a >> d_shift
-                            b = (
-                                line & d_mask if d_pow2 else line % d_nsets
-                            ) * d_assoc
-                            if d_tags[b] == line:
-                                if w:
-                                    d_dirty[b] = True
-                                l1d_h += 1
-                            else:
-                                bend = b + d_assoc
-                                for j in range(b + 1, bend):
-                                    if d_tags[j] == line:
-                                        dd = d_dirty[j]
-                                        d_tags[b + 1 : j + 1] = d_tags[b:j]
-                                        d_dirty[b + 1 : j + 1] = d_dirty[b:j]
-                                        d_tags[b] = line
-                                        d_dirty[b] = dd or w
-                                        l1d_h += 1
-                                        break
-                                else:
-                                    if (
-                                        d_dirty[bend - 1]
-                                        and d_tags[bend - 1] != -1
-                                    ):
-                                        d_wb += 1
-                                    d_tags[b + 1 : bend] = d_tags[b : bend - 1]
-                                    d_dirty[b + 1 : bend] = d_dirty[
-                                        b : bend - 1
-                                    ]
-                                    d_tags[b] = line
-                                    d_dirty[b] = w
-                                    l2_n += 1
-                                    line = a >> u_shift
-                                    b = (
-                                        line & u_mask
-                                        if u_pow2
-                                        else line % u_nsets
-                                    ) * u_assoc
-                                    if u_tags[b] == line:
-                                        if w:
-                                            u_dirty[b] = True
-                                        l2_h += 1
-                                        c = 1
-                                    else:
-                                        bend = b + u_assoc
-                                        for j in range(b + 1, bend):
-                                            if u_tags[j] == line:
-                                                dd = u_dirty[j]
-                                                u_tags[b + 1 : j + 1] = u_tags[
-                                                    b:j
-                                                ]
-                                                u_dirty[b + 1 : j + 1] = (
-                                                    u_dirty[b:j]
-                                                )
-                                                u_tags[b] = line
-                                                u_dirty[b] = dd or w
-                                                l2_h += 1
-                                                c = 1
-                                                break
-                                        else:
-                                            if (
-                                                u_dirty[bend - 1]
-                                                and u_tags[bend - 1] != -1
-                                            ):
-                                                u_wb += 1
-                                            u_tags[b + 1 : bend] = u_tags[
-                                                b : bend - 1
-                                            ]
-                                            u_dirty[b + 1 : bend] = u_dirty[
-                                                b : bend - 1
-                                            ]
-                                            u_tags[b] = line
-                                            u_dirty[b] = w
-                                            mem_extra += 1
-                                            c = 2
-                            code = code * 3 + c
-                        lats = lat_pairs[code]
+                        key = (sid, correct) + lats
+                    t = chain_get(key)
+                    if t is None:
+                        sid = self._learn(
+                            block, sid, pending, key, lats, correct, cycle
+                        )
+                        cycle = self.cycle
+                        pending = None
                     else:
-                        buf = []
-                        for st, bb, xx, spn, w in pinfo:
-                            if st:
-                                a = (bb + (k * xx) % spn) ^ salt
-                            else:
-                                h = ((k + xx) * 2654435761) & 0xFFFFFFFF
-                                h ^= h >> 16
-                                h = (h * 0x45D9F3B) & 0xFFFFFFFF
-                                h ^= h >> 16
-                                a = (bb + ((h % spn) & -8)) ^ salt
-                            l1d_n += 1
-                            if l1d_access(a, w):
-                                l1d_h += 1
-                                buf.append(l1_hit)
-                            else:
-                                l2_n += 1
-                                if l2_access(a, w):
-                                    l2_h += 1
-                                    buf.append(l2_lat)
-                                else:
-                                    mem_extra += 1
-                                    buf.append(mem_lat)
-                        lats = tuple(buf)
+                        cycle += t[0]
+                        sid = t[1]
+                        pending = t[2]
+                i = s + 1
 
-            # Branch side: the uniformly-taken middle is applied through
-            # the predictor's bulk fast path — every bulk-applied step is
-            # byte-identical to a real predict_update(addr, True).
-            if pred_left > 0:
-                correct = True
-                pred_left -= 1
-            elif takens is None and i <= uniform_until:
-                streak = taken_streak(branch_address, uniform_until - i + 1)
-                if streak:
-                    pred_left = streak - 1
-                    correct = True
-                else:
-                    correct = predict_update(branch_address, True)
-            else:
-                taken = i <= uniform_until if takens is None else takens[i]
-                correct = predict_update(branch_address, taken)
-
-            # Timing side: walk the memoized transition if known.
-            if int_keys:
-                ckey = (sid << 6) | (32 if correct else 0) | code
-            else:
-                ckey = (sid, correct) + lats
-            t = chain_get(ckey)
-            if t is not None:
-                cycle += t[0]
-                nsid = t[1]
-                pending = t[2]
-                if nsid == sid and silent_left > 0 and pred_left > 0:
-                    # Fixed point with constant inputs: every further
-                    # iteration of the silent + predictor-bulk span
-                    # repeats this transition.  Apply it in closed form.
-                    mm = silent_left if silent_left < pred_left else pred_left
-                    cycle += mm * t[0]
-                    silent_left -= mm
-                    pred_left -= mm
-                    i += mm
-                    k += mm
-                sid = nsid
-            else:
-                self.cycle = cycle
-                if pending is not None:
-                    self._materialize(sid, pending, live_in, written, div_fus)
-                    pending = None
-                self._issue_timing(block, lats, 0, correct)
-                after = self.cycle
-                nsid = self._intern_context(bid, live_in, div_fus)
-                chain[ckey] = (
-                    after - cycle,
-                    nsid,
-                    tuple(
-                        [
-                            (v - after) if (v := reg_ready[r]) > after else 0
-                            for r in written
-                        ]
-                    ),
-                )
-                cycle = after
-                sid = nsid
-            i += 1
-            k += 1
-
-        self.cycle = cycle
-        if pending is not None:
-            self._materialize(sid, pending, live_in, written, div_fus)
-        if mem_extra:
-            hierarchy.memory_accesses += mem_extra
-        if l1d_n:
-            l1d_stats = l1d.stats
-            l1d_stats.accesses += l1d_n
-            l1d_stats.hits += l1d_h
-        if d_wb:
-            l1d.stats.writebacks += d_wb
-        if l2_n:
-            l2_stats = hierarchy.l2.stats
-            l2_stats.accesses += l2_n
-            l2_stats.hits += l2_h
-        if u_wb:
-            hierarchy.l2.stats.writebacks += u_wb
-        # Iteration 0 fetched for real (hits counted above); iterations
-        # 1..n-1 fetched every instruction line from warm, MRU-resident
-        # L1I sets: pure hits, applied arithmetically.
-        l1i_stats = hierarchy.l1i.stats
-        l1i_stats.accesses += n * n_lines
-        l1i_stats.hits += last_i * n_lines + l1i_h0
+            self.cycle = cycle
+            if pending is not None:
+                self._materialize(sid, pending, live_in, block.written_regs, div_fus)
+            it0 += n
+            at0 += n * width
 
     def run_window(self, events: List[BlockEvent]) -> WindowResult:
         """Execute a list of events and report ops/cycles for the window."""

@@ -8,23 +8,10 @@ and an L2 miss additionally pays the memory latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import MachineConfig
-from ..program.mem_patterns import PatternKind
 from .cache import _EMPTY, Cache
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..program.mem_patterns import MemPattern
 
 __all__ = ["AccessResult", "CacheHierarchy"]
 
@@ -133,52 +120,6 @@ class CacheHierarchy:
             return AccessResult(lat, 2)
         return AccessResult(lat, 3)
 
-    def data_silent_hit(self, addr: int, is_write: bool = False) -> bool:
-        """Would a data access at *addr* be an L1 hit with no state change?
-
-        A silent L1 hit never reaches the L2, so it is the condition under
-        which a data access leaves the entire hierarchy byte-identical
-        (counters aside) — see :meth:`Cache.is_silent_hit`.
-        """
-        return self.l1d.is_silent_hit(addr ^ self._salt, is_write)
-
-    def silent_data_span(self, pattern: "MemPattern", k_start: int, limit: int) -> int:
-        """How many consecutive executions of *pattern* stay silent?
-
-        Returns the largest ``m <= limit`` such that the accesses for
-        ``k in [k_start, k_start + m)`` would all be silent L1 hits
-        (:meth:`data_silent_hit`) against the *current* data-cache state.
-        Because silent accesses change no state, the answer is valid for
-        the whole span at once — the memory-side steadiness probe of the
-        detailed pipeline's closed-form fast path.
-
-        Strided patterns are probed one cache line at a time (consecutive
-        executions sharing a line are vouched for together); hashed
-        patterns are probed per execution, after a fast rejection when
-        their footprint cannot possibly be L1-resident.
-        """
-        if limit <= 0:
-            return 0
-        kind = pattern.kind
-        l1d = self.l1d
-        if kind is PatternKind.STREAM or kind is PatternKind.REUSE:
-            return l1d.silent_span_strided(
-                pattern.base,
-                pattern.stride,
-                pattern.span,
-                k_start,
-                limit,
-                pattern.is_write,
-                self._salt,
-            )
-        # RANDOM / CHASE: scattered addresses.  A footprint larger than the
-        # L1 cannot be fully resident, so the span is zero without probing.
-        if pattern.span > l1d.config.size_bytes:
-            return 0
-        return l1d.silent_span_hashed(
-            pattern.address, k_start, limit, pattern.is_write, self._salt
-        )
-
     def inst_lines_pinned(self, inst_lines: Sequence[int]) -> bool:
         """Does one pass over a block's *inst_lines* pin them all at MRU?
 
@@ -190,42 +131,6 @@ class CacheHierarchy:
         """
         return self.l1i.distinct_sets(inst_lines, self._salt)
 
-    def data_silence_probe(
-        self, patterns: Sequence["MemPattern"]
-    ) -> Optional[Callable[[int, int], int]]:
-        """Bind the L1D net-silence probe for one block's data accesses.
-
-        Returns ``probe(k, limit)``: the largest ``m <= limit`` such that
-        iterations ``k .. k + m - 1`` of the block would make only silent
-        L1 hits against the current state.  One strided access walks
-        :meth:`Cache.silent_span_strided`, two the unrolled
-        :meth:`Cache.silent_block_pair_span`, three or more the joint
-        :meth:`Cache.silent_block_span` (which also covers accesses that
-        share sets).  ``None`` when a hashed (RANDOM/CHASE) pattern rules
-        out the strided walks; such blocks probe per pattern, if at all.
-        """
-        if not patterns or any(
-            pat.kind is not PatternKind.STREAM and pat.kind is not PatternKind.REUSE
-            for pat in patterns
-        ):
-            return None
-        l1d = self.l1d
-        salt = self._salt
-        progs = tuple((p.base, p.stride, p.span, p.is_write) for p in patterns)
-        if len(progs) == 1:
-            base, stride, span, is_write = progs[0]
-            return partial(
-                l1d.silent_span_strided,
-                base,
-                stride,
-                span,
-                is_write=is_write,
-                salt=salt,
-            )
-        if len(progs) == 2:
-            return partial(l1d.silent_block_pair_span, *progs, salt=salt)
-        return partial(l1d.silent_block_span, progs, salt=salt)
-
     def warm_data(self, addr: int, is_write: bool = False) -> None:
         """Touch the data side without caring about latency (warming mode)."""
         addr ^= self._salt
@@ -233,33 +138,45 @@ class CacheHierarchy:
             if not self.l2.access(addr, is_write):
                 self.memory_accesses += 1
 
-    def warm_data_run(self, addrs: Sequence[int], writes: Sequence[bool]) -> None:
-        """:meth:`warm_data` applied to each ``(addr, is_write)`` pair of
-        *addrs* and *writes*, in order.
+    def warm_data_run(
+        self,
+        stream: Sequence[int],
+        start: int = 0,
+        misses: Optional[List[int]] = None,
+    ) -> None:
+        """:meth:`warm_data` applied to each access of *stream*, in order.
 
-        The replay kernel of functional warming: the L1D MRU check, way
-        scan, rotate-or-allocate, dirty bit and writeback run inline, an
-        L1D miss repeats them on the L2 (MRU way first) and counts a
-        memory access, and the access/hit/writeback counters are added
-        once per call, for the pairs actually applied.  A 4-way L1D —
-        the default geometry — has its way scan and rotation unrolled
-        into element moves.  The tag and dirty lists are the caches' live
-        storage (:meth:`Cache.hot_refs`), so state and counters end
-        exactly as the per-access method calls leave them.
+        Each entry packs one access as ``(addr ^ address_salt) << 1 |
+        is_write`` (:func:`~repro.program.mem_patterns.batch_stream`).
+        When *misses* is given, each L1D miss appends ``index << 1 |
+        went_to_memory`` to it, with accesses indexed from *start*: the
+        outcomes the detailed pipeline's timing replay needs.
+
+        The replay kernel of the batched architectural pass: the L1D MRU
+        check, way scan, rotate-or-allocate, dirty bit and writeback run
+        inline, an L1D miss repeats them on the L2 (MRU way first) and
+        counts a memory access, and the access/hit/writeback counters are
+        added once per call.  A 4-way L1D — the default geometry — has its
+        way scan and rotation unrolled into element moves.  The tag and
+        dirty lists are the caches' live storage (:meth:`Cache.hot_refs`),
+        so state and counters end exactly as the per-access method calls
+        leave them.
         """
-        salt = self._salt
         l1d = self.l1d
         l2 = self.l2
         tags1, dirty1, shift1, assoc1, _, _, sets1 = l1d.hot_refs()
         tags2, dirty2, shift2, assoc2, _, _, sets2 = l2.hot_refs()
+        # Shifting the packed entry past its write bit too yields the line.
+        shift1 += 1
+        shift2 += 1
         four = assoc1 == 4
+        note = misses.append if misses is not None else None
         misses1 = hits2 = wb1 = wb2 = 0
-        for addr, w in zip(addrs, writes):
-            addr ^= salt
-            line = addr >> shift1
+        for i, x in enumerate(stream, start):
+            line = x >> shift1
             b = line % sets1 * assoc1
             if tags1[b] == line:
-                if w:
+                if x & 1:
                     dirty1[b] = True
                 continue
             if four:
@@ -268,7 +185,7 @@ class CacheHierarchy:
                     tags1[b + 1] = tags1[b]
                     dirty1[b + 1] = dirty1[b]
                     tags1[b] = line
-                    dirty1[b] = d or w
+                    dirty1[b] = True if x & 1 else d
                     continue
                 if tags1[b + 2] == line:
                     d = dirty1[b + 2]
@@ -277,7 +194,7 @@ class CacheHierarchy:
                     dirty1[b + 2] = dirty1[b + 1]
                     dirty1[b + 1] = dirty1[b]
                     tags1[b] = line
-                    dirty1[b] = d or w
+                    dirty1[b] = True if x & 1 else d
                     continue
                 if tags1[b + 3] == line:
                     d = dirty1[b + 3]
@@ -288,7 +205,7 @@ class CacheHierarchy:
                     dirty1[b + 2] = dirty1[b + 1]
                     dirty1[b + 1] = dirty1[b]
                     tags1[b] = line
-                    dirty1[b] = d or w
+                    dirty1[b] = True if x & 1 else d
                     continue
                 if dirty1[b + 3] and tags1[b + 3] != _EMPTY:
                     wb1 += 1
@@ -299,50 +216,56 @@ class CacheHierarchy:
                 dirty1[b + 2] = dirty1[b + 1]
                 dirty1[b + 1] = dirty1[b]
                 tags1[b] = line
-                dirty1[b] = w
+                dirty1[b] = (x & 1) == 1
             else:
                 end = b + assoc1
                 ways = tags1[b:end]
                 if line in ways:
-                    i = b + ways.index(line)
-                    d = dirty1[i]
-                    tags1[b + 1 : i + 1] = tags1[b:i]
-                    dirty1[b + 1 : i + 1] = dirty1[b:i]
+                    j = b + ways.index(line)
+                    d = dirty1[j]
+                    tags1[b + 1 : j + 1] = tags1[b:j]
+                    dirty1[b + 1 : j + 1] = dirty1[b:j]
                     tags1[b] = line
-                    dirty1[b] = d or w
+                    dirty1[b] = True if x & 1 else d
                     continue
                 if dirty1[end - 1] and ways[-1] != _EMPTY:
                     wb1 += 1
                 tags1[b + 1 : end] = ways[:-1]
                 dirty1[b + 1 : end] = dirty1[b : end - 1]
                 tags1[b] = line
-                dirty1[b] = w
+                dirty1[b] = (x & 1) == 1
             misses1 += 1
-            line = addr >> shift2
+            line = x >> shift2
             b = line % sets2 * assoc2
             if tags2[b] == line:
-                if w:
+                if x & 1:
                     dirty2[b] = True
                 hits2 += 1
+                if note is not None:
+                    note(i << 1)
                 continue
             end = b + assoc2
             ways = tags2[b:end]
             if line in ways:
-                i = b + ways.index(line)
-                d = dirty2[i]
-                tags2[b + 1 : i + 1] = tags2[b:i]
-                dirty2[b + 1 : i + 1] = dirty2[b:i]
+                j = b + ways.index(line)
+                d = dirty2[j]
+                tags2[b + 1 : j + 1] = tags2[b:j]
+                dirty2[b + 1 : j + 1] = dirty2[b:j]
                 tags2[b] = line
-                dirty2[b] = d or w
+                dirty2[b] = True if x & 1 else d
                 hits2 += 1
+                if note is not None:
+                    note(i << 1)
                 continue
             if dirty2[end - 1] and ways[-1] != _EMPTY:
                 wb2 += 1
             tags2[b + 1 : end] = ways[:-1]
             dirty2[b + 1 : end] = dirty2[b : end - 1]
             tags2[b] = line
-            dirty2[b] = w
-        applied = min(len(addrs), len(writes))
+            dirty2[b] = (x & 1) == 1
+            if note is not None:
+                note(i << 1 | 1)
+        applied = len(stream)
         stats = l1d.stats
         stats.accesses += applied
         stats.hits += applied - misses1
@@ -359,10 +282,13 @@ class CacheHierarchy:
         :meth:`fill_inst` for the same *addr*."""
         return self.l1i.access(addr ^ self._salt)
 
-    def fill_inst(self, addr: int) -> None:
-        """The L2 half of :meth:`warm_inst`, after :meth:`fetch_l1i` missed."""
-        if not self.l2.access(addr ^ self._salt):
-            self.memory_accesses += 1
+    def fill_inst(self, addr: int) -> bool:
+        """The L2 half of :meth:`warm_inst`, after :meth:`fetch_l1i` missed;
+        returns whether the L2 hit."""
+        if self.l2.access(addr ^ self._salt):
+            return True
+        self.memory_accesses += 1
+        return False
 
     def warm_inst(self, addr: int) -> None:
         """Touch the instruction side without caring about latency."""

@@ -40,7 +40,8 @@ class BasicBlock:
         instructions: the static instruction sequence (last one is the
             terminating ``BRANCH``).
         mem_patterns: address generators, indexed by
-            ``Instruction.mem_index``.
+            ``Instruction.mem_index``; the memory instructions use them
+            in order, once each.
         random_taken_prob: when not ``None``, the terminator's outcome is
             drawn with this probability instead of being loop-controlled —
             used to model data-dependent (hard-to-predict) branches.
@@ -60,17 +61,15 @@ class BasicBlock:
             raise ProgramError("a basic block must end in a BRANCH")
         if any(i.op is Op.BRANCH for i in instructions[:-1]):
             raise ProgramError("only the terminator may be a BRANCH")
-        n_mem = sum(1 for i in instructions if i.mem_index is not None)
-        if n_mem != len(mem_patterns):
+        # The batched paths generate a block's addresses in pattern order
+        # and the scoreboard consumes latencies in instruction order, so
+        # the two orders must be one.
+        uses = [i.mem_index for i in instructions if i.mem_index is not None]
+        if uses != list(range(len(mem_patterns))):
             raise ProgramError(
-                f"block has {n_mem} memory instructions but "
-                f"{len(mem_patterns)} patterns"
+                f"memory instructions use patterns {uses}; they must use "
+                f"0..{len(mem_patterns) - 1} once each, in program order"
             )
-        for inst in instructions:
-            if inst.mem_index is not None and not (
-                0 <= inst.mem_index < len(mem_patterns)
-            ):
-                raise ProgramError("mem_index out of range")
         if random_taken_prob is not None and not 0.0 <= random_taken_prob <= 1.0:
             raise ProgramError("random_taken_prob must be in [0, 1]")
 

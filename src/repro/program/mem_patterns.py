@@ -36,8 +36,10 @@ __all__ = [
     "PatternKind",
     "MemPattern",
     "SLICE_ACCESSES",
+    "SMALL_SLICE",
     "batch_addresses",
     "batch_slices",
+    "batch_stream",
     "pattern_row",
 ]
 
@@ -48,7 +50,13 @@ _AVALANCHE_MULT = 0x45D9F3B
 _MASK32 = 0xFFFFFFFF
 #: Most data accesses :func:`batch_slices` puts in one slice: bounds the
 #: arrays a batch's address stream is generated and replayed in.
-SLICE_ACCESSES = 1 << 16
+SLICE_ACCESSES = 1 << 13
+#: :func:`batch_stream` generates a slice in Python while its cost there,
+#: counted per strided access and :data:`_HASHED_COST` per hashed one, is
+#: below this: numpy's fixed cost per call outweighs its per-access saving.
+SMALL_SLICE = 128
+#: A hashed access's Python cost in strided accesses.
+_HASHED_COST = 3
 
 
 class PatternKind(Enum):
@@ -104,6 +112,18 @@ class MemPattern:
         h ^= h >> 16
         return self.base + ((h % self.span) & ~0x7)
 
+    def packed_run(self, k_start: int, n: int, salt: int = 0) -> List[int]:
+        """Executions ``k_start .. k_start + n - 1`` packed for the replay
+        kernel: ``(address(k) ^ salt) << 1 | is_write`` each."""
+        w = int(self.is_write)
+        ks = range(k_start, k_start + n)
+        if self.kind is PatternKind.STREAM or self.kind is PatternKind.REUSE:
+            # :meth:`address` inline: a third of the cost of a call each.
+            base, stride, span = self.base, self.stride, self.span
+            return [(base + k * stride % span ^ salt) << 1 | w for k in ks]
+        address = self.address
+        return [(address(k) ^ salt) << 1 | w for k in ks]
+
     def footprint_lines(self, line_bytes: int = 64) -> int:
         """Approximate number of distinct cache lines the pattern touches."""
         if self.kind is PatternKind.STREAM or self.kind is PatternKind.REUSE:
@@ -137,10 +157,10 @@ def batch_slices(runs: Sequence["BlockRun"]) -> Iterator[List["BlockRun"]]:
     :data:`SLICE_ACCESSES` data accesses each.
 
     Slices end at run boundaries.  A run with more accesses than that on
-    its own is cut into iteration chunks, each yielded alone as a run
-    with the same block and a shifted ``k_start`` (its branch fields are
-    those of the whole run; only ``block``, ``n`` and ``k_start`` mean
-    anything in a chunk).
+    its own is cut into iteration chunks, each yielded alone.  The chunks
+    are runs in their own right: expanded one after another they give
+    the run's events, because only the last chunk ends the entry and each
+    carries its own slice of ``takens``.
     """
     part: List["BlockRun"] = []
     size = 0
@@ -153,8 +173,17 @@ def batch_slices(runs: Sequence["BlockRun"]) -> Iterator[List["BlockRun"]]:
             size = 0
         if accesses > SLICE_ACCESSES:
             step = SLICE_ACCESSES // width
+            takens = run.takens
             for i in range(0, run.n, step):
-                yield [run._replace(n=min(step, run.n - i), k_start=run.k_start + i)]
+                end = min(i + step, run.n)
+                yield [
+                    run._replace(
+                        n=end - i,
+                        k_start=run.k_start + i,
+                        ends_entry=run.ends_entry and end == run.n,
+                        takens=None if takens is None else takens[i:end],
+                    )
+                ]
             continue
         part.append(run)
         size += accesses
@@ -225,6 +254,38 @@ def batch_addresses(runs: Sequence["BlockRun"]) -> Tuple[np.ndarray, np.ndarray]
     addrs = base + (k * stride[row]) % span
     addrs[hashed] = _hashed(k[hashed], base[hashed], span[hashed], seed[row[hashed]])
     return addrs, writes
+
+
+def batch_stream(runs: Sequence["BlockRun"], salt: int = 0) -> List[int]:
+    """The packed replay stream of a batch of runs: one
+    ``(addr ^ salt) << 1 | is_write`` entry per data access, in the
+    order of :func:`batch_addresses` — the input of
+    :meth:`~repro.memory.CacheHierarchy.warm_data_run`.
+
+    Small batches (:data:`SMALL_SLICE`) are generated pattern by pattern
+    in Python (:meth:`MemPattern.packed_run`); larger ones by
+    :func:`batch_addresses`.
+    """
+    cost = 0
+    for run in runs:
+        for row in run.block.pattern_rows:
+            cost += run.n * (_HASHED_COST if row[0] else 1)
+        if cost >= SMALL_SLICE:
+            addrs, writes = batch_addresses(runs)
+            return ((addrs ^ salt) << 1 | writes).tolist()
+    stream: List[int] = []
+    for run in runs:
+        patterns = run.block.mem_patterns
+        if len(patterns) == 1:
+            stream += patterns[0].packed_run(run.k_start, run.n, salt)
+        elif patterns:
+            # Interleave the per-pattern columns iteration-major.
+            width = len(patterns)
+            chunk = [0] * (run.n * width)
+            for j, pat in enumerate(patterns):
+                chunk[j::width] = pat.packed_run(run.k_start, run.n, salt)
+            stream += chunk
+    return stream
 
 
 def _hashed(

@@ -17,7 +17,10 @@ checked here three ways:
 
 The batched FUNC_WARM warmer gets its own suite: it credits silent cache
 hits and predictor steps in bulk, so besides state it must reproduce
-every counter — a wrong hit count leaves snapshots equal.
+every counter — a wrong hit count leaves snapshots equal.  The detailed
+modes, which run the same pass and replay its outcomes through the
+memoized scoreboard, get the same suite with cycle counts and timing
+snapshots added.
 """
 
 import dataclasses
@@ -38,6 +41,7 @@ from repro import (
 )
 from repro.config import CacheConfig
 from repro.cpu.multicore import MultiCoreEngine
+from repro.program import mem_patterns
 from repro.program import ADVERSARIAL_NAMES, WORKLOAD_NAMES
 from repro.sampling.pgss import Pgss, PgssConfig
 from conftest import make_two_phase_program
@@ -345,6 +349,96 @@ class TestFuncWarmEquivalence:
             r2 = batched.run(mode, n_ops)
             assert (r1.ops, r1.cycles) == (r2.ops, r2.cycles)
             _assert_same_warm_state(scalar, batched)
+
+
+def _detail_to_end(scalar, batched, seed, max_chunk=40_000):
+    """Run both engines to the end in equal random DETAIL / DETAIL_WARM
+    chunks, comparing cycles, full snapshots (timing included) and every
+    counter after every chunk."""
+    rng = random.Random(seed)
+    while not scalar.exhausted:
+        mode = rng.choice((Mode.DETAIL, Mode.DETAIL_WARM))
+        n_ops = rng.randint(1, max_chunk)
+        r1 = scalar.run(mode, n_ops)
+        r2 = batched.run(mode, n_ops)
+        assert (r1.ops, r1.cycles, r1.exhausted) == (r2.ops, r2.cycles, r2.exhausted)
+        assert scalar.snapshot() == batched.snapshot()
+        _assert_same_warm_state(scalar, batched)
+    assert batched.exhausted
+
+
+class TestDetailEquivalence:
+    """The detailed modes' architectural pass plus timing replay against
+    the scalar pipeline, on every workload and on the geometries that
+    used to take a fallback of their own."""
+
+    @pytest.mark.parametrize("predictor", ("gshare", "bimodal"))
+    @pytest.mark.parametrize("name", ALL_WORKLOADS)
+    def test_every_workload_in_random_chunks(self, name, predictor):
+        scalar, batched = _warm_pair(_workload(name), predictor=predictor)
+        _detail_to_end(scalar, batched, seed=f"{name}/{predictor}/detail")
+
+    @pytest.mark.parametrize("name", ("181.mcf", "adv.footprint_step"))
+    def test_8_way_l1d_with_non_power_of_two_sets(self, name):
+        l1d = CacheConfig(8 * 96 * 64, 8)
+        machine = dataclasses.replace(DEFAULT_MACHINE, l1d=l1d)
+        scalar, batched = _warm_pair(_workload(name), machine=machine)
+        _detail_to_end(scalar, batched, seed=f"{name}/8-way/detail")
+
+    def test_salted_core_on_shared_l2(self):
+        programs = [_workload("164.gzip"), _workload("183.equake")]
+        scalar = MultiCoreEngine(programs)
+        batched = MultiCoreEngine(programs)
+        for engine in scalar.engines:
+            engine.batched = False
+        assert batched.engines[1].hierarchy.address_salt != 0
+        rng = random.Random(13)
+        while not scalar.all_exhausted:
+            for core in (0, 1):
+                mode = rng.choice((Mode.DETAIL, Mode.DETAIL_WARM))
+                n_ops = rng.randint(1, 20_000)
+                r1 = scalar.engines[core].run(mode, n_ops)
+                r2 = batched.engines[core].run(mode, n_ops)
+                assert (r1.ops, r1.cycles) == (r2.ops, r2.cycles)
+                one, other = scalar.engines[core], batched.engines[core]
+                assert one.snapshot() == other.snapshot()
+                _assert_same_warm_state(one, other)
+        assert batched.all_exhausted
+
+    @pytest.mark.parametrize(
+        "l1i",
+        (CacheConfig(128, 1), CacheConfig(128, 1, line_bytes=32)),
+        ids=("64B-lines", "32B-lines"),
+    )
+    def test_l1i_whose_blocks_do_not_pin_their_fetch_lines(self, l1i):
+        """Blocks that wrap the L1I stall on fetch in every iteration;
+        each such iteration goes to the scoreboard with its stall."""
+        machine = dataclasses.replace(DEFAULT_MACHINE, l1i=l1i)
+        program = _workload("164.gzip")
+        assert any(
+            not _distinct_l1i_sets(block.inst_lines, l1i) for block in program.blocks
+        )
+        scalar, batched = _warm_pair(program, machine=machine)
+        _detail_to_end(scalar, batched, seed="l1i/detail")
+
+    def test_runs_cut_across_slice_boundaries(self, monkeypatch):
+        """With tiny slices, long runs are replayed a chunk at a time and
+        a random-branch run's outcomes are split between chunks."""
+        monkeypatch.setattr(mem_patterns, "SLICE_ACCESSES", 64)
+        scalar, batched = _warm_pair(_workload("197.parser"))
+        chunked = []
+        execute_batch = batched.warmer.execute_batch
+
+        def spy(runs, replay=None):
+            chunked.extend(
+                run for run in runs if run.n * len(run.block.mem_patterns) > 64
+            )
+            execute_batch(runs, replay)
+
+        batched.warmer.execute_batch = spy
+        _detail_to_end(scalar, batched, seed="slices")
+        assert any(run.takens is None for run in chunked)
+        assert any(run.takens is not None for run in chunked)
 
 
 def _distinct_l1i_sets(inst_lines, l1i):

@@ -113,9 +113,9 @@ class TestGshareSpecific:
 
 
 class TestBulkFastPaths:
-    """is_steady / taken_streak — the batched pipeline's branch probes.
+    """taken_streak — the batched architectural pass's bulk branch path.
 
-    Both claim byte-identity with sequences of real ``predict_update``
+    It claims byte-identity with a sequence of real ``predict_update``
     calls; the reference clones the predictor through a snapshot and
     replays the calls one at a time.
     """
@@ -132,26 +132,6 @@ class TestBulkFastPaths:
             addr = rng.choice(addrs)
             # Loop-shaped outcomes: mostly taken with periodic exits.
             predictor.predict_update(addr, rng.random() < 0.85)
-
-    @pytest.mark.parametrize("taken", (True, False))
-    def test_is_steady_implies_no_state_change(self, predictor, taken):
-        self._train(predictor)
-        checked = 0
-        for addr in (0x1000, 0x104C, 0x2020, 0x5FF4):
-            # Drive the address to its fixed point for this outcome.
-            for _ in range(20):
-                predictor.predict_update(addr, taken)
-            if not predictor.is_steady(addr, taken):
-                continue  # gshare history may belong to the other outcome
-            checked += 1
-            before = predictor.snapshot()
-            assert predictor.predict_update(addr, taken) is True
-            assert predictor.snapshot() == before
-        if isinstance(predictor, BimodalPredictor):
-            assert checked > 0  # no history: saturation always steadies
-
-    def test_not_steady_while_training(self, predictor):
-        assert not predictor.is_steady(0x1000, True)  # weak-taken start
 
     @pytest.mark.parametrize("limit", (0, 1, 7, 40))
     def test_taken_streak_matches_sequential_updates(self, predictor, limit):

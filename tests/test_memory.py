@@ -252,7 +252,7 @@ def _warm_counters(h):
 
 
 class TestWarmDataRun:
-    """The replay kernel against a loop of per-access warm_data calls."""
+    """The replay kernel against a loop of per-access calls."""
 
     @given(
         l1d=_geometry(),
@@ -271,9 +271,14 @@ class TestWarmDataRun:
             min_size=1,
             max_size=6,
         ),
+        start=st.integers(min_value=0, max_value=1000),
+        record=st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_kernel_matches_warm_data_loop(self, l1d, l2, salt, chunks):
+    def test_kernel_matches_warm_data_loop(self, l1d, l2, salt, chunks, start, record):
+        """State and counters match, and each recorded L1D miss names
+        its access and whether it went to memory, as ``access_data``
+        reports for the same access."""
         machine = dataclasses.replace(DEFAULT_MACHINE, l1d=l1d, l2=l2)
         kernel, loop = CacheHierarchy(machine, address_salt=salt), CacheHierarchy(
             machine, address_salt=salt
@@ -283,60 +288,32 @@ class TestWarmDataRun:
             for h in (kernel, loop)
         ]
         for other_core, ops in chunks:
-            addrs = [addr for addr, _ in ops]
-            writes = [w for _, w in ops]
             if other_core:
                 for other in others:
                     for addr, w in ops:
                         other.warm_data(addr, w)
                 continue
-            kernel.warm_data_run(addrs, writes)
-            for addr, w in ops:
-                loop.warm_data(addr, w)
+            stream = [(addr ^ salt) << 1 | w for addr, w in ops]
+            misses = [] if record else None
+            kernel.warm_data_run(stream, start, misses)
+            levels = [loop.access_data(addr, w).level for addr, w in ops]
+            if record:
+                assert misses == [
+                    (start + i) << 1 | (level == 3)
+                    for i, level in enumerate(levels)
+                    if level > 1
+                ]
         assert kernel.snapshot() == loop.snapshot()
         assert _warm_counters(kernel) == _warm_counters(loop)
         assert others[0].snapshot() == others[1].snapshot()
         assert _warm_counters(others[0]) == _warm_counters(others[1])
-
-    def test_short_write_flags_count_only_applied_accesses(self):
-        """Accesses past the end of a short *writes* are not applied, so
-        the counters must not count them either."""
-        kernel = CacheHierarchy(DEFAULT_MACHINE)
-        loop = CacheHierarchy(DEFAULT_MACHINE)
-        addrs = [i * 4096 for i in range(40)] * 2
-        writes = [i % 2 == 1 for i in range(50)]
-        kernel.warm_data_run(addrs, writes)
-        for addr, w in zip(addrs, writes):
-            loop.warm_data(addr, w)
-        assert kernel.snapshot() == loop.snapshot()
-        assert _warm_counters(kernel) == _warm_counters(loop)
-        assert kernel.l1d.stats.accesses == 50
+        # Dirty bits stay bools, as the per-access path leaves them.
+        assert all(type(d) is bool for d in kernel.l1d.snapshot()[1])
+        assert all(type(d) is bool for d in kernel.l2.snapshot()[1])
 
 
 class TestQuietAccessAndHotRefs:
-    """access_quiet / hot_refs — the batched pipeline's inline primitives."""
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=0x4000), st.booleans()
-            ),
-            min_size=1,
-            max_size=200,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_access_quiet_matches_access_state(self, ops):
-        """Same transitions and writebacks as access(), counters aside."""
-        loud = small_cache(assoc=2, sets=4)
-        quiet = small_cache(assoc=2, sets=4)
-        for addr, is_write in ops:
-            assert loud.access(addr, is_write) == quiet.access_quiet(
-                addr, is_write
-            )
-        assert loud.snapshot() == quiet.snapshot()
-        assert loud.stats.writebacks == quiet.stats.writebacks
-        assert quiet.stats.accesses == 0 and quiet.stats.hits == 0
+    """hot_refs — the replay kernel's view of a cache's live storage."""
 
     def test_hot_refs_expose_live_storage(self):
         c = small_cache()
@@ -353,112 +330,3 @@ class TestQuietAccessAndHotRefs:
         old_tags = c.hot_refs()[0]
         c.flush()
         assert c.hot_refs()[0] is not old_tags
-
-
-class TestSilentProbes:
-    """Net-silence probes versus the execute-and-compare oracle.
-
-    An iteration is net-silent exactly when really executing its
-    accesses leaves the cache byte-identical, so the reference replays
-    iterations on a clone and diffs snapshots.  This covers both the
-    per-access MRU-rest case and the shared-set case where individual
-    accesses rotate the set but the iteration permutes it back.
-    """
-
-    SALTS = (0, 1 << 36)
-
-    def _brute_span(self, cache, accesses, k_start, limit, salt):
-        """accesses: (addr_of(k), is_write) pairs, program order."""
-        clone = Cache(cache.config, name="clone")
-        clone.restore(cache.snapshot())
-        m = 0
-        while m < limit:
-            before = clone.snapshot()
-            for addr_of, w in accesses:
-                clone.access_quiet(addr_of(k_start + m) ^ salt, w)
-            if clone.snapshot() != before:
-                break
-            m += 1
-        return m
-
-    @pytest.mark.parametrize("salt", SALTS)
-    @pytest.mark.parametrize("is_write", (False, True))
-    def test_strided_span_matches_oracle(self, salt, is_write):
-        from repro.program import MemPattern, PatternKind
-
-        cache = small_cache(assoc=4, sets=8)
-        pat = MemPattern(
-            PatternKind.REUSE, base=0x8000, span=1024, stride=48,
-            is_write=is_write,
-        )
-        # Warm an arbitrary prefix of the footprint (real accesses so the
-        # MRU/dirty state is whatever access() leaves behind).
-        for k in range(11):
-            cache.access(pat.address(k) ^ salt, is_write)
-        for k_start in range(0, 40, 7):
-            got = cache.silent_span_strided(
-                pat.base, pat.stride, pat.span, k_start, 64, is_write, salt
-            )
-            want = self._brute_span(
-                cache, [(pat.address, is_write)], k_start, 64, salt
-            )
-            assert got == want
-
-    @pytest.mark.parametrize("salt", SALTS)
-    def test_hashed_span_matches_oracle(self, salt):
-        from repro.program import MemPattern, PatternKind
-
-        cache = small_cache(assoc=4, sets=8)
-        pat = MemPattern(PatternKind.RANDOM, base=0x8000, span=512, stride=7)
-        for k in range(64):
-            cache.access(pat.address(k) ^ salt)
-        for k_start in range(0, 48, 5):
-            got = cache.silent_span_hashed(
-                pat.address, k_start, 32, False, salt
-            )
-            want = self._brute_span(
-                cache, [(pat.address, False)], k_start, 32, salt
-            )
-            assert got == want
-
-    @given(
-        st.integers(min_value=8, max_value=96),   # stride 1
-        st.integers(min_value=8, max_value=96),   # stride 2
-        st.booleans(),                            # write 1
-        st.booleans(),                            # write 2
-        st.integers(min_value=0, max_value=24),   # warm iterations
-        st.integers(min_value=0, max_value=16),   # probe start
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_pair_span_matches_block_span_and_oracle(
-        self, s1, s2, w1, w2, warm, k_start
-    ):
-        """The unrolled two-access walk equals the general walk and the
-        oracle for any geometry, including set- and line-sharing pairs."""
-        from repro.program import MemPattern, PatternKind
-
-        p1 = MemPattern(
-            PatternKind.STREAM, base=0x4000, span=2048, stride=s1, is_write=w1
-        )
-        p2 = MemPattern(
-            PatternKind.REUSE, base=0x4400, span=512, stride=s2, is_write=w2
-        )
-        progs = (
-            (p1.base, p1.stride, p1.span, p1.is_write),
-            (p2.base, p2.stride, p2.span, p2.is_write),
-        )
-        salt = 1 << 36
-        cache = small_cache(assoc=4, sets=8)
-        for k in range(warm):
-            cache.access(p1.address(k) ^ salt, w1)
-            cache.access(p2.address(k) ^ salt, w2)
-        snap = cache.snapshot()
-        got_pair = cache.silent_block_pair_span(
-            progs[0], progs[1], k_start, 40, salt
-        )
-        got_block = cache.silent_block_span(progs, k_start, 40, salt)
-        want = self._brute_span(
-            cache, [(p1.address, w1), (p2.address, w2)], k_start, 40, salt
-        )
-        assert got_pair == got_block == want
-        assert cache.snapshot() == snap  # probes are side-effect free

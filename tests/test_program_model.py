@@ -100,6 +100,30 @@ class TestBasicBlock:
         with pytest.raises(ProgramError):
             BasicBlock(0, 0x1000, insts, mem_patterns=[])
 
+    @pytest.mark.parametrize(
+        "uses, n_patterns",
+        [((1, 0), 2), ((0, 0), 2), ((0,), 2)],
+        ids=("out-of-order", "shared", "unused"),
+    )
+    def test_memory_instructions_use_patterns_in_order(self, uses, n_patterns):
+        """Instruction order and pattern order must agree: the batched
+        paths generate addresses in one and consume latencies in the
+        other."""
+        insts = [Instruction(Op.LOAD, dst=1, src1=2, mem_index=j) for j in uses]
+        insts.append(Instruction(Op.BRANCH, src1=1))
+        pats = [
+            MemPattern(PatternKind.REUSE, base=0x1000 * (j + 1), span=256)
+            for j in range(n_patterns)
+        ]
+        with pytest.raises(ProgramError):
+            BasicBlock(0, 0x1000, insts, mem_patterns=pats)
+        in_order = [
+            Instruction(Op.LOAD, dst=1, src1=2, mem_index=j)
+            for j in range(n_patterns)
+        ]
+        in_order.append(Instruction(Op.BRANCH, src1=1))
+        assert BasicBlock(0, 0x1000, in_order, mem_patterns=pats).mem_positions
+
     def test_branch_address(self):
         insts = [
             Instruction(Op.IALU, dst=1, src1=2),

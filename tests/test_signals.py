@@ -39,6 +39,7 @@ from repro.errors import ConfigurationError, ProgramError
 from repro.phase import OnlinePhaseClassifier
 from repro.program import ADVERSARIAL_NAMES
 from repro.isa import Instruction, Op
+from repro.program import mem_patterns
 from repro.program.block import BasicBlock
 from repro.program.mem_patterns import (
     SLICE_ACCESSES,
@@ -103,6 +104,42 @@ class TestBatchAddresses:
         assert addrs.dtype == np.int64 and writes.dtype == bool
         assert list(zip(addrs.tolist(), writes.tolist())) == expected
 
+    @given(
+        blocks=st.lists(st.lists(_patterns, max_size=3), min_size=1, max_size=4),
+        runs=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.integers(min_value=1, max_value=12),
+                st.integers(min_value=0, max_value=1 << 30),
+            ),
+            max_size=8,
+        ),
+        salt=st.sampled_from((0, 1 << 41)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_packed_stream_on_both_generators(self, blocks, runs, salt):
+        """``batch_stream`` packs ``(addr ^ salt) << 1 | is_write`` per
+        access in program order, whichever generator the slice's size
+        picks."""
+        blocks = [_block_with(pats) for pats in blocks]
+        batch = [
+            BlockRun(blocks[i % len(blocks)], n, k_start, True)
+            for i, n, k_start in runs
+        ]
+        expected = [
+            (pat.address(event.k) ^ salt) << 1 | pat.is_write
+            for run in batch
+            for event in run.events()
+            for pat in event.block.mem_patterns
+        ]
+        cut = mem_patterns.SMALL_SLICE
+        try:
+            for small_slice in (0, 1 << 30):
+                mem_patterns.SMALL_SLICE = small_slice
+                assert mem_patterns.batch_stream(batch, salt) == expected
+        finally:
+            mem_patterns.SMALL_SLICE = cut
+
     def test_slices_cut_long_runs_and_keep_order(self):
         """Slices hold at most SLICE_ACCESSES accesses; a run longer than
         that alone is chunked, and the slices' streams concatenate to the
@@ -123,6 +160,25 @@ class TestBatchAddresses:
         whole, _ = batch_addresses(batch)
         sliced = np.concatenate([batch_addresses(part)[0] for part in parts])
         assert sliced.tolist() == whole.tolist()
+
+    @pytest.mark.parametrize("ends_entry", (True, False))
+    @pytest.mark.parametrize("random_branch", (False, True))
+    def test_chunks_are_runs_whose_events_concatenate_to_the_run(
+        self, ends_entry, random_branch
+    ):
+        """Each chunk of a long run carries its own branch outcomes, so
+        the branch side can be applied a slice at a time."""
+        strided = MemPattern(PatternKind.STREAM, base=1 << 26, span=1 << 20)
+        block = _block_with([strided, strided])
+        n = SLICE_ACCESSES + 5
+        takens = (
+            tuple(i % 3 != 0 for i in range(n)) if random_branch else None
+        )
+        run = BlockRun(block, n, 7, ends_entry, takens)
+        chunks = [chunk for part in batch_slices([run]) for chunk in part]
+        assert len(chunks) > 2
+        events = [event for chunk in chunks for event in chunk.events()]
+        assert events == list(run.events())
 
 
 # ----------------------------------------------------------------------
