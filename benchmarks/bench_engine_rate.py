@@ -10,12 +10,12 @@ stalls) at least 10x the scalar DETAIL loop, and the batched warmer
 slice) at least 3x the scalar FUNC_WARM loop, with and without BBV.
 
 ``164.gzip`` calibrates every mode.  Two more programs get FUNC_WARM
-and DETAIL rows, because most of their data accesses miss the L1D and
-so take the slow paths of the replay kernel
-(``CacheHierarchy.warm_data_run``) and, in DETAIL, put a special
-iteration into nearly every stretch of the timing replay: ``181.mcf``
-(hashed pointer chasing) and ``adv.footprint_step`` (16 KB and 128 KB
-strides that miss on every access).  Their FUNC_WARM rows have a 2x
+and DETAIL rows because most of their data accesses miss the L1D: for
+each such access the replay kernel (``CacheHierarchy.warm_data_run``)
+evicts an L1D line and looks the line up in the L2, and DETAIL puts a
+special iteration into nearly every stretch of the timing replay.  They
+are ``181.mcf`` (hashed pointer chasing) and ``adv.footprint_step``
+(16 KB and 128 KB strides that miss on every access).  Their FUNC_WARM rows have a 2x
 floor; their DETAIL rows are recorded only.
 
 Shared machines drift in effective speed by tens of percent over

@@ -1,15 +1,17 @@
 """A set-associative cache with true-LRU replacement.
 
-The implementation favours access speed in pure Python: each set is a
-contiguous slice of a flat tag list, MRU-ordered so a hit is usually found
-in the first one or two comparisons and LRU eviction is just the last slot.
-State is snapshotable for checkpoint/livepoint support.
+The implementation favours access speed in pure Python: each set is its
+own MRU-ordered list of tags, so a hit is usually found in the first one or
+two comparisons, a hit below MRU is a ``remove``/``insert`` pair and a miss
+pops the LRU tag and inserts the new one.  The dirty resident lines are one
+``set``, so dirty bits never move with their tags.  State is snapshotable
+for checkpoint/livepoint support, as flat MRU-ordered tag and dirty lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Tuple
+from typing import Iterable, List, Set, Tuple
 
 from ..config import CacheConfig
 from ..errors import SnapshotError
@@ -58,12 +60,8 @@ class Cache:
         self.name = name
         self._line_shift = config.line_bytes.bit_length() - 1
         self._n_sets = config.n_sets
-        self._set_mask = self._n_sets - 1
-        self._power_of_two_sets = (self._n_sets & (self._n_sets - 1)) == 0
         self._assoc = config.assoc
-        # Flat MRU-ordered storage: set s occupies slots [s*assoc, (s+1)*assoc).
-        self._tags: List[int] = [_EMPTY] * (self._n_sets * self._assoc)
-        self._dirty: List[bool] = [False] * (self._n_sets * self._assoc)
+        self.flush()
         self.stats = CacheStats()
 
     @property
@@ -76,11 +74,6 @@ class Cache:
         """Number of sets in this cache."""
         return self._n_sets
 
-    def _set_index(self, line: int) -> int:
-        if self._power_of_two_sets:
-            return line & self._set_mask
-        return line % self._n_sets
-
     def access(self, addr: int, is_write: bool = False) -> bool:
         """Look up *addr*; allocate on miss.  Returns True on hit.
 
@@ -89,54 +82,42 @@ class Cache:
         the miss to the next level.
         """
         line = addr >> self._line_shift
-        base = self._set_index(line) * self._assoc
-        tags = self._tags
-        dirty = self._dirty
+        if is_write:
+            self._dirty.add(line)
+        ways = self._sets[line % self._n_sets]
         stats = self.stats
         stats.accesses += 1
-        end = base + self._assoc
-        for i in range(base, end):
-            if tags[i] == line:
-                stats.hits += 1
-                # Move to MRU position by rotating the set's slice only —
-                # a del/insert pair would memmove the whole flat list.
-                if i != base:
-                    d = dirty[i]
-                    tags[base + 1 : i + 1] = tags[base:i]
-                    dirty[base + 1 : i + 1] = dirty[base:i]
-                    tags[base] = line
-                    dirty[base] = d
-                if is_write:
-                    dirty[base] = True
-                return True
-        # Miss: evict LRU (last slot of the set).
-        if dirty[end - 1] and tags[end - 1] != _EMPTY:
+        if ways[0] == line:
+            stats.hits += 1
+            return True
+        if line in ways:
+            ways.remove(line)
+            ways.insert(0, line)
+            stats.hits += 1
+            return True
+        victim = ways.pop()
+        ways.insert(0, line)
+        if victim in self._dirty:
+            self._dirty.remove(victim)
             stats.writebacks += 1
-        tags[base + 1 : end] = tags[base : end - 1]
-        dirty[base + 1 : end] = dirty[base : end - 1]
-        tags[base] = line
-        dirty[base] = is_write
         return False
 
-    def hot_refs(self) -> Tuple[Any, ...]:
+    def hot_refs(self) -> Tuple[List[List[int]], Set[int], int, int]:
         """Internal-state references for callers that inline the access path.
 
-        Returns ``(tags, dirty, line_shift, assoc, pow2_sets, set_mask,
-        n_sets)``.  The replay kernel
+        Returns ``(sets, dirty, line_shift, n_sets)``: the MRU-ordered tag
+        list of each set (set ``line % n_sets`` holds *line*) and the set of
+        dirty resident lines.  The replay kernel
         (:meth:`~repro.memory.CacheHierarchy.warm_data_run`) binds these as
-        locals and runs the :meth:`access` state transition inline — the
-        lists are the live storage, so inlined transitions and method calls
-        remain interchangeable at every point.
+        locals and runs the :meth:`access` state transition inline — they
+        are the live storage, so inlined transitions and method calls
+        remain interchangeable at every point.  :meth:`flush` and
+        :meth:`restore` rebind them, so fetch them again after either.  The
+        dirty set is only ever tested for membership and updated, never
+        iterated, so its order cannot reach any result (pgss-lint DET006
+        has nothing to flag).
         """
-        return (
-            self._tags,
-            self._dirty,
-            self._line_shift,
-            self._assoc,
-            self._power_of_two_sets,
-            self._set_mask,
-            self._n_sets,
-        )
+        return (self._sets, self._dirty, self._line_shift, self._n_sets)
 
     def distinct_sets(self, addrs: Iterable[int], salt: int = 0) -> bool:
         """Do the lines holding *addrs* fall in pairwise distinct sets?
@@ -146,35 +127,45 @@ class Cache:
         """
         shift = self._line_shift
         lines = {(addr ^ salt) >> shift for addr in addrs}
-        return len({self._set_index(line) for line in lines}) == len(lines)
+        return len({line % self._n_sets for line in lines}) == len(lines)
 
     def contains(self, addr: int) -> bool:
         """Return True if *addr*'s line is resident (no state change)."""
         line = addr >> self._line_shift
-        base = self._set_index(line) * self._assoc
-        return line in self._tags[base : base + self._assoc]
+        return line in self._sets[line % self._n_sets]
 
     def flush(self) -> None:
         """Invalidate every line and clear dirty bits (stats survive)."""
-        n = self._n_sets * self._assoc
-        self._tags = [_EMPTY] * n
-        self._dirty = [False] * n
+        self._sets: List[List[int]] = [
+            [_EMPTY] * self._assoc for _ in range(self._n_sets)
+        ]
+        self._dirty: Set[int] = set()
 
     def snapshot(self) -> Tuple[List[int], List[bool]]:
-        """Return a copy of the tag/dirty state for checkpointing."""
-        return (list(self._tags), list(self._dirty))
+        """Return a copy of the tag/dirty state for checkpointing.
+
+        The flat format: set *s* occupies slots ``[s*assoc, (s+1)*assoc)``
+        of both lists, MRU first.
+        """
+        tags = [tag for ways in self._sets for tag in ways]
+        dirty = self._dirty
+        return (tags, [tag in dirty for tag in tags])
 
     def restore(self, state: Tuple[List[int], List[bool]]) -> None:
         """Restore state captured by :meth:`snapshot`."""
         tags, dirty = state
-        if len(tags) != self._n_sets * self._assoc:
+        n = self._n_sets * self._assoc
+        if len(tags) != n:
             raise SnapshotError("snapshot geometry does not match this cache")
-        self._tags = list(tags)
-        self._dirty = list(dirty)
+        if len(dirty) != n:
+            raise SnapshotError("snapshot dirty bits do not match its tags")
+        a = self._assoc
+        self._sets = [list(tags[b : b + a]) for b in range(0, n, a)]
+        self._dirty = {t for t, d in zip(tags, dirty) if d and t != _EMPTY}
 
     def resident_lines(self) -> int:
         """Number of valid lines currently resident."""
-        return sum(1 for t in self._tags if t != _EMPTY)
+        return sum(len(ways) - ways.count(_EMPTY) for ways in self._sets)
 
     def __repr__(self) -> str:
         c = self.config

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import MachineConfig
-from .cache import _EMPTY, Cache
+from .cache import Cache
 
 __all__ = ["AccessResult", "CacheHierarchy"]
 
@@ -152,119 +152,64 @@ class CacheHierarchy:
         went_to_memory`` to it, with accesses indexed from *start*: the
         outcomes the detailed pipeline's timing replay needs.
 
-        The replay kernel of the batched architectural pass: the L1D MRU
-        check, way scan, rotate-or-allocate, dirty bit and writeback run
-        inline, an L1D miss repeats them on the L2 (MRU way first) and
-        counts a memory access, and the access/hit/writeback counters are
-        added once per call.  A 4-way L1D — the default geometry — has its
-        way scan and rotation unrolled into element moves.  The tag and
-        dirty lists are the caches' live storage (:meth:`Cache.hot_refs`),
-        so state and counters end exactly as the per-access method calls
-        leave them.
+        The replay kernel of the batched architectural pass: the
+        :meth:`Cache.access` transition runs inline on the L1D — dirty the
+        line on a write, then MRU check, ``remove``/``insert`` to MRU on a
+        hit below it, or pop the LRU tag (a writeback if it was dirty) and
+        insert the line on a miss — and an L1D miss repeats it on the L2
+        and counts a memory access.  The access/hit/writeback counters are
+        added once per call.  The set lists and dirty sets are the caches'
+        live storage (:meth:`Cache.hot_refs`), so state and counters end
+        exactly as the per-access method calls leave them, for any
+        associativity.
         """
         l1d = self.l1d
         l2 = self.l2
-        tags1, dirty1, shift1, assoc1, _, _, sets1 = l1d.hot_refs()
-        tags2, dirty2, shift2, assoc2, _, _, sets2 = l2.hot_refs()
+        sets1, dirty1, shift1, n1 = l1d.hot_refs()
+        sets2, dirty2, shift2, n2 = l2.hot_refs()
         # Shifting the packed entry past its write bit too yields the line.
         shift1 += 1
         shift2 += 1
-        four = assoc1 == 4
         note = misses.append if misses is not None else None
         misses1 = hits2 = wb1 = wb2 = 0
         for i, x in enumerate(stream, start):
             line = x >> shift1
-            b = line % sets1 * assoc1
-            if tags1[b] == line:
-                if x & 1:
-                    dirty1[b] = True
+            if x & 1:
+                dirty1.add(line)
+            ways = sets1[line % n1]
+            if ways[0] == line:
                 continue
-            if four:
-                if tags1[b + 1] == line:
-                    d = dirty1[b + 1]
-                    tags1[b + 1] = tags1[b]
-                    dirty1[b + 1] = dirty1[b]
-                    tags1[b] = line
-                    dirty1[b] = True if x & 1 else d
-                    continue
-                if tags1[b + 2] == line:
-                    d = dirty1[b + 2]
-                    tags1[b + 2] = tags1[b + 1]
-                    tags1[b + 1] = tags1[b]
-                    dirty1[b + 2] = dirty1[b + 1]
-                    dirty1[b + 1] = dirty1[b]
-                    tags1[b] = line
-                    dirty1[b] = True if x & 1 else d
-                    continue
-                if tags1[b + 3] == line:
-                    d = dirty1[b + 3]
-                    tags1[b + 3] = tags1[b + 2]
-                    tags1[b + 2] = tags1[b + 1]
-                    tags1[b + 1] = tags1[b]
-                    dirty1[b + 3] = dirty1[b + 2]
-                    dirty1[b + 2] = dirty1[b + 1]
-                    dirty1[b + 1] = dirty1[b]
-                    tags1[b] = line
-                    dirty1[b] = True if x & 1 else d
-                    continue
-                if dirty1[b + 3] and tags1[b + 3] != _EMPTY:
-                    wb1 += 1
-                tags1[b + 3] = tags1[b + 2]
-                tags1[b + 2] = tags1[b + 1]
-                tags1[b + 1] = tags1[b]
-                dirty1[b + 3] = dirty1[b + 2]
-                dirty1[b + 2] = dirty1[b + 1]
-                dirty1[b + 1] = dirty1[b]
-                tags1[b] = line
-                dirty1[b] = (x & 1) == 1
-            else:
-                end = b + assoc1
-                ways = tags1[b:end]
-                if line in ways:
-                    j = b + ways.index(line)
-                    d = dirty1[j]
-                    tags1[b + 1 : j + 1] = tags1[b:j]
-                    dirty1[b + 1 : j + 1] = dirty1[b:j]
-                    tags1[b] = line
-                    dirty1[b] = True if x & 1 else d
-                    continue
-                if dirty1[end - 1] and ways[-1] != _EMPTY:
-                    wb1 += 1
-                tags1[b + 1 : end] = ways[:-1]
-                dirty1[b + 1 : end] = dirty1[b : end - 1]
-                tags1[b] = line
-                dirty1[b] = (x & 1) == 1
+            if line in ways:
+                ways.remove(line)
+                ways.insert(0, line)
+                continue
+            victim = ways.pop()
+            ways.insert(0, line)
+            if victim in dirty1:
+                dirty1.remove(victim)
+                wb1 += 1
             misses1 += 1
             line = x >> shift2
-            b = line % sets2 * assoc2
-            if tags2[b] == line:
-                if x & 1:
-                    dirty2[b] = True
-                hits2 += 1
+            if x & 1:
+                dirty2.add(line)
+            ways = sets2[line % n2]
+            if ways[0] == line:
+                pass
+            elif line in ways:
+                ways.remove(line)
+                ways.insert(0, line)
+            else:
+                victim = ways.pop()
+                ways.insert(0, line)
+                if victim in dirty2:
+                    dirty2.remove(victim)
+                    wb2 += 1
                 if note is not None:
-                    note(i << 1)
+                    note(i << 1 | 1)
                 continue
-            end = b + assoc2
-            ways = tags2[b:end]
-            if line in ways:
-                j = b + ways.index(line)
-                d = dirty2[j]
-                tags2[b + 1 : j + 1] = tags2[b:j]
-                dirty2[b + 1 : j + 1] = dirty2[b:j]
-                tags2[b] = line
-                dirty2[b] = True if x & 1 else d
-                hits2 += 1
-                if note is not None:
-                    note(i << 1)
-                continue
-            if dirty2[end - 1] and ways[-1] != _EMPTY:
-                wb2 += 1
-            tags2[b + 1 : end] = ways[:-1]
-            dirty2[b + 1 : end] = dirty2[b : end - 1]
-            tags2[b] = line
-            dirty2[b] = (x & 1) == 1
+            hits2 += 1
             if note is not None:
-                note(i << 1 | 1)
+                note(i << 1)
         applied = len(stream)
         stats = l1d.stats
         stats.accesses += applied

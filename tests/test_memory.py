@@ -113,6 +113,14 @@ class TestCacheBasics:
         with pytest.raises(SnapshotError):
             c2.restore(c1.snapshot())
 
+    def test_restore_rejects_mismatched_dirty_length(self):
+        """A checkpoint whose dirty list is shorter than its tag list is
+        refused at restore, not at some later access."""
+        c = small_cache(assoc=2, sets=4)
+        tags, dirty = c.snapshot()
+        with pytest.raises(SnapshotError):
+            c.restore((tags, dirty[:-1]))
+
     def test_capacity_bounded(self):
         c = small_cache(assoc=2, sets=4)
         for i in range(100):
@@ -244,6 +252,86 @@ def _geometry():
     )
 
 
+class FlatListCache:
+    """Reference model: the cache as one flat MRU-ordered tag list.
+
+    Set *s* occupies slots ``[s*assoc, (s+1)*assoc)`` of ``tags`` and
+    ``dirty``, the layout of :meth:`Cache.snapshot`.  A hit rotates the
+    set's slice to bring the line to MRU; a miss shifts the whole set and
+    counts a writeback when the LRU slot it drops is valid and dirty.
+    """
+
+    def __init__(self, config):
+        self.line_shift = config.line_bytes.bit_length() - 1
+        self.n_sets = config.n_sets
+        self.assoc = config.assoc
+        self.tags = [-1] * (self.n_sets * self.assoc)
+        self.dirty = [False] * (self.n_sets * self.assoc)
+        self.accesses = self.hits = self.writebacks = 0
+
+    def access(self, addr, is_write=False):
+        line = addr >> self.line_shift
+        base = line % self.n_sets * self.assoc
+        tags = self.tags
+        dirty = self.dirty
+        self.accesses += 1
+        end = base + self.assoc
+        for i in range(base, end):
+            if tags[i] == line:
+                self.hits += 1
+                if i != base:
+                    d = dirty[i]
+                    tags[base + 1 : i + 1] = tags[base:i]
+                    dirty[base + 1 : i + 1] = dirty[base:i]
+                    tags[base] = line
+                    dirty[base] = d
+                if is_write:
+                    dirty[base] = True
+                return True
+        if dirty[end - 1] and tags[end - 1] != -1:
+            self.writebacks += 1
+        tags[base + 1 : end] = tags[base : end - 1]
+        dirty[base + 1 : end] = dirty[base : end - 1]
+        tags[base] = line
+        dirty[base] = is_write
+        return False
+
+    def snapshot(self):
+        return (list(self.tags), list(self.dirty))
+
+
+class TestCacheAgainstFlatListOracle:
+    """Cache's per-set storage against the flat-list reference model."""
+
+    @given(
+        config=_geometry(),
+        ops=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=0x3000), st.booleans()),
+            max_size=300,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_access_matches_oracle(self, config, ops):
+        """Every hit/miss, the snapshot and the counters match the oracle,
+        and restoring a snapshot mid-sequence changes nothing."""
+        cache, oracle = Cache(config), FlatListCache(config)
+        for k, (addr, w) in enumerate(ops):
+            assert cache.access(addr, w) is oracle.access(addr, w)
+            if k == len(ops) // 2:
+                snap = cache.snapshot()
+                assert snap == oracle.snapshot()
+                cache.restore(snap)
+                assert cache.snapshot() == snap
+        assert cache.snapshot() == oracle.snapshot()
+        stats = cache.stats
+        assert (stats.accesses, stats.hits, stats.writebacks) == (
+            oracle.accesses,
+            oracle.hits,
+            oracle.writebacks,
+        )
+        assert all(type(d) is bool for d in cache.snapshot()[1])
+
+
 def _warm_counters(h):
     return (
         [(c.stats.accesses, c.stats.hits, c.stats.writebacks) for c in (h.l1i, h.l1d, h.l2)],
@@ -317,16 +405,18 @@ class TestQuietAccessAndHotRefs:
 
     def test_hot_refs_expose_live_storage(self):
         c = small_cache()
-        tags, dirty, line_shift, assoc, pow2, set_mask, n_sets = c.hot_refs()
+        sets, dirty, line_shift, n_sets = c.hot_refs()
         c.access(0x1000, is_write=True)
         line = 0x1000 >> line_shift
-        base = (line & set_mask if pow2 else line % n_sets) * assoc
-        assert tags[base] == line
-        assert dirty[base] is True
+        assert sets[line % n_sets][0] == line
+        assert line in dirty
+        c.access(0x1000 + n_sets * 64)  # same set: the line drops below MRU
+        assert sets[line % n_sets][1] == line
 
     def test_hot_refs_must_be_refetched_after_flush(self):
-        """flush() rebinds the storage lists, invalidating old refs."""
+        """flush() rebinds the storage, invalidating old refs."""
         c = small_cache()
-        old_tags = c.hot_refs()[0]
+        old_sets, old_dirty = c.hot_refs()[:2]
         c.flush()
-        assert c.hot_refs()[0] is not old_tags
+        assert c.hot_refs()[0] is not old_sets
+        assert c.hot_refs()[1] is not old_dirty
