@@ -1,7 +1,10 @@
 """Engine-rate bench: scalar vs. batched throughput for every mode.
 
 Measures the raw simulation rate (ops/second) of every execution mode
-through both dispatch paths and asserts the batched layer delivers its
+through the engine, which runs every mode in run-length batches, and
+through the scalar event loop that the test suite keeps as its reference
+(``tests/scalar_reference.py``: one block event at a time, per-access
+cache and predictor calls).  It asserts the batched engine delivers its
 headline speedups: FUNC_FAST with BBV tracking at least 5x the scalar
 event loop, the batched detailed modes (the architectural pass plus a
 memoized timing replay of its recorded misses, mispredictions and fetch
@@ -35,12 +38,20 @@ consumption (CI trend lines, the README performance section).
 import dataclasses
 import json
 import platform
+import sys
 import time
+from functools import partial
+from pathlib import Path
 
 from repro import BbvTracker, Mode, SimulationEngine, get_workload
 from repro.experiments.formatting import table
 
 from conftest import record
+
+# The scalar arm is the test suite's reference loop.  Appended, not
+# prepended, so ``conftest`` above stays this directory's.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from scalar_reference import run_scalar  # noqa: E402
 
 #: Calibration workload and op budget (per timed run).
 RATE_BENCHMARK = "164.gzip"
@@ -59,7 +70,7 @@ MISS_MODES = (Mode.FUNC_WARM, Mode.DETAIL)
 RATE_REPS = 5
 RATE_REPS_BATCHED = 10
 
-#: Modes with a distinct batched dispatch path (scalar arm also timed).
+#: Modes whose scalar arm is also timed.
 BATCHED_MODES = (Mode.DETAIL, Mode.DETAIL_WARM, Mode.FUNC_FAST, Mode.FUNC_WARM)
 
 
@@ -74,12 +85,12 @@ def _program(ctx, name):
 def _rate_once(ctx, name, mode, with_bbv, batched):
     tracker = BbvTracker() if with_bbv else None
     engine = SimulationEngine(
-        _program(ctx, name), machine=ctx.machine, signal_tracker=tracker,
-        batched=None if batched else False,
+        _program(ctx, name), machine=ctx.machine, signal_tracker=tracker
     )
-    engine.run(mode, WARMUP_OPS)
+    advance = engine.run if batched else partial(run_scalar, engine)
+    advance(mode, WARMUP_OPS)
     start = time.perf_counter()  # simlint: disable=DET005
-    run = engine.run(mode, RATE_OPS)
+    run = advance(mode, RATE_OPS)
     elapsed = time.perf_counter() - start  # simlint: disable=DET005
     assert run.ops >= RATE_OPS, f"{name} ended inside the timed run"
     return run.ops / elapsed if elapsed > 0 else 0.0
@@ -155,7 +166,7 @@ def format_result(result):
     ]
     speedups = result["speedups"]
     header = (
-        "Engine throughput — batched vs. scalar dispatch "
+        "Engine throughput — batched engine vs. scalar event loop "
         f"({RATE_BENCHMARK} unless tagged @program, {RATE_OPS:,} ops per "
         f"timed run, best of {RATE_REPS_BATCHED} batched / {RATE_REPS} "
         "scalar interleaved reps)\n"

@@ -13,13 +13,12 @@ in-order superscalar with a split 4-way 64 KB L1 and a unified 1 MB L2
   skipping).
 """
 
-from .pipeline import InOrderPipeline, WindowResult
+from .pipeline import InOrderPipeline
 from .engine import Mode, ModeAccounting, SimulationEngine
 from .multicore import CoreResult, MultiCoreEngine, MultiCorePgss
 
 __all__ = [
     "InOrderPipeline",
-    "WindowResult",
     "Mode",
     "ModeAccounting",
     "SimulationEngine",

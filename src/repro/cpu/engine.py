@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sampling.session import ModeSegment
@@ -115,26 +115,20 @@ class SimulationEngine:
         predictor: ``"gshare"`` or ``"bimodal"``.
         signal_tracker: optional phase-signal tracker (duck-typed against
             :class:`~repro.signals.SignalTracker`: any object with a
-            ``record(block, taken, k)`` method); when attached it
-            observes every event in every mode, mirroring the paper's
-            always-on profiling hardware.
+            ``record_batch(runs)`` method); when attached it observes
+            every batch in every mode, mirroring the paper's always-on
+            profiling hardware.
         hierarchy: optional pre-built cache hierarchy — the injection
             point for chip-multiprocessor configurations where several
             engines share one L2 (see :mod:`repro.cpu.multicore`).
         stream: optional event source replacing the default
             execution-driven :class:`~repro.program.ProgramStream` — e.g.
             a :class:`~repro.program.trace_io.TraceStream` for
-            trace-driven simulation.
-        batched: batched execution policy (all four modes: run-length
-            batches through one architectural pass, plus the pipeline's
-            memoized timing replay in the detailed modes).
-            ``None`` (default) auto-detects: batching is used whenever
-            the stream supports ``next_events`` and the tracker (if any)
-            supports ``record_batch``, and falls back to the scalar
-            event loop otherwise.  ``True`` requires a batch-capable
-            stream (:class:`ConfigurationError` otherwise); ``False``
-            forces the scalar path — the batched/scalar equivalence
-            suite and the rate benchmarks rely on this switch.
+            trace-driven simulation.  It must provide ``next_events``.
+
+    Raises:
+        ConfigurationError: if the stream has no ``next_events`` or the
+            tracker no ``record_batch``.
     """
 
     def __init__(
@@ -145,23 +139,26 @@ class SimulationEngine:
         signal_tracker: Optional[Any] = None,
         hierarchy: Optional[CacheHierarchy] = None,
         stream: Optional[Any] = None,
-        batched: Optional[bool] = None,
     ) -> None:
         self.program = program
         self.machine = machine
         self.stream = stream if stream is not None else ProgramStream(program)
+        if not hasattr(self.stream, "next_events"):
+            raise ConfigurationError(
+                "the stream must provide next_events() "
+                f"(got {type(self.stream).__name__})"
+            )
+        if signal_tracker is not None and not hasattr(signal_tracker, "record_batch"):
+            raise ConfigurationError(
+                "the signal tracker must provide record_batch() "
+                f"(got {type(signal_tracker).__name__})"
+            )
         self.hierarchy = hierarchy if hierarchy is not None else CacheHierarchy(machine)
         self.predictor = _make_predictor(predictor, machine.branch_history_bits)
         self.pipeline = InOrderPipeline(machine, self.hierarchy, self.predictor)
         self.warmer = FunctionalWarmer(self.hierarchy, self.predictor)
         self.signal_tracker = signal_tracker
         self.accounting = ModeAccounting()
-        if batched and not hasattr(self.stream, "next_events"):
-            raise ConfigurationError(
-                "batched=True requires a stream with next_events() "
-                f"(got {type(self.stream).__name__})"
-            )
-        self.batched = batched
 
     @property
     def ops_completed(self) -> int:
@@ -173,50 +170,35 @@ class SimulationEngine:
         """True once the program has run to completion."""
         return self.stream.exhausted
 
-    def _batching(self, tracker: Optional[Any]) -> bool:
-        """Whether this run should take the batched (run-length) path."""
-        if self.batched is False:
-            return False
-        return hasattr(self.stream, "next_events") and (
-            tracker is None or hasattr(tracker, "record_batch")
-        )
+    def run(self, mode: Mode, n_ops: int) -> ModeRun:
+        """Advance the stream by at least *n_ops* operations in *mode*.
 
-    def _run_scalar(
-        self,
-        execute: Optional[Callable[..., None]],
-        n_ops: int,
-        tracker: Optional[Any],
-    ) -> int:
-        """The scalar event loop shared by every mode."""
-        next_event = self.stream.next_event
-        record = tracker.record if tracker is not None else None
-        ops = 0
-        while ops < n_ops:
-            event = next_event()
-            if event is None:
-                break
-            if execute is not None:
-                execute(event)
-            if record is not None:
-                record(event.block, event.taken, event.k)
-            ops += event.block.n_ops
-        return ops
+        Stops early (without error) if the program ends.  Returns the ops
+        actually consumed and, for detailed modes, the cycles elapsed.
 
-    def _run_batched(self, mode: Mode, n_ops: int, tracker: Optional[Any]) -> int:
-        """Advance any mode through one run-length batch.
-
-        FUNC_FAST consumes whole runs with no per-event work at all.  The
-        other three modes hand the batch to the one architectural pass,
-        :meth:`FunctionalWarmer.execute_batch`: branch outcomes run by
-        run in bulk, the silent instruction fetches after iteration 0 as
-        one counter add, and the data stream in program order through one
-        kernel call per stretch between L1I misses.  For DETAIL and
-        DETAIL_WARM the pass also records each slice's misses,
+        Every mode takes one run-length batch from the stream's
+        ``next_events``.  FUNC_FAST consumes whole runs with no per-event
+        work at all.  The other three modes hand the batch to the one
+        architectural pass, :meth:`FunctionalWarmer.execute_batch`: branch
+        outcomes run by run in bulk, the silent instruction fetches after
+        iteration 0 as one counter add, and the data stream in program
+        order through one kernel call per stretch between L1I misses.  For
+        DETAIL and DETAIL_WARM the pass also records each slice's misses,
         mispredictions and fetch stalls, and the pipeline replays their
         timing (:meth:`InOrderPipeline.replay`).  Signal accumulation is a
-        single vectorised call per batch.  All of it lands in
-        byte-identical stream/tracker/machine state to the scalar loop.
+        single vectorised call per batch.  All of it lands in the state an
+        event-at-a-time loop over the expanded runs would leave, byte for
+        byte; ``tests/scalar_reference.py`` keeps that loop as the
+        equivalence suites' reference.
         """
+        if n_ops < 0:
+            raise SimulationError("n_ops must be non-negative")
+        cycles = 0
+        start_cycle = self.pipeline.cycle
+        # Wall-clock only feeds the rate accounting (Fig. 13), never
+        # simulated state.
+        start_time = time.perf_counter()  # simlint: disable=DET005
+
         runs = self.stream.next_events(n_ops)
         if runs and mode.is_detailed:
             self.warmer.execute_batch(runs, self.pipeline.replay)
@@ -225,35 +207,8 @@ class SimulationEngine:
         ops = 0
         for run in runs:
             ops += run.n * run.block.n_ops
-        if tracker is not None and runs:
-            tracker.record_batch(runs)
-        return ops
-
-    def run(self, mode: Mode, n_ops: int) -> ModeRun:
-        """Advance the stream by at least *n_ops* operations in *mode*.
-
-        Stops early (without error) if the program ends.  Returns the ops
-        actually consumed and, for detailed modes, the cycles elapsed.
-        """
-        if n_ops < 0:
-            raise SimulationError("n_ops must be non-negative")
-        tracker = self.signal_tracker
-        cycles = 0
-        start_cycle = self.pipeline.cycle
-        # Wall-clock only feeds the rate accounting (Fig. 13), never
-        # simulated state.
-        start_time = time.perf_counter()  # simlint: disable=DET005
-
-        if self._batching(tracker):
-            ops = self._run_batched(mode, n_ops, tracker)
-        else:
-            if mode.is_detailed:
-                execute: Optional[Callable[..., None]] = self.pipeline.execute_event
-            elif mode is Mode.FUNC_WARM:
-                execute = self.warmer.execute_event
-            else:
-                execute = None
-            ops = self._run_scalar(execute, n_ops, tracker)
+        if self.signal_tracker is not None and runs:
+            self.signal_tracker.record_batch(runs)
         if mode.is_detailed and ops:
             # Issue-cycle delta: window boundaries telescope exactly,
             # so per-window cycles over a full run sum to the full
@@ -270,7 +225,7 @@ class SimulationEngine:
 
         :class:`~repro.sampling.session.SamplingSession` drives the
         engine exclusively through this entry point, so every technique
-        inherits the same batched dispatch and accounting.  The segment
+        inherits the same batched execution and accounting.  The segment
         is duck-typed (``mode`` + ``ops``), keeping the engine free of a
         hard dependency on the sampling layer.
         """

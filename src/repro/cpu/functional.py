@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..branch import BranchPredictor
 from ..memory import CacheHierarchy
 from ..program.mem_patterns import batch_slices, batch_stream
-from ..program.stream import BlockEvent, BlockRun
+from ..program.stream import BlockRun
 
 __all__ = ["FunctionalWarmer", "Outcomes"]
 
@@ -45,24 +45,14 @@ class FunctionalWarmer:
         # CacheHierarchy.inst_lines_pinned)?
         self._pinned: Dict[int, bool] = {}
 
-    def execute_event(self, event: BlockEvent) -> None:
-        """Update caches and branch predictor for one block execution."""
-        block, taken, k = event
-        hierarchy = self.hierarchy
-        for line in block.inst_lines:
-            hierarchy.warm_inst(line)
-        patterns = block.mem_patterns
-        for pat in patterns:
-            hierarchy.warm_data(pat.address(k), pat.is_write)
-        self.predictor.predict_update(block.branch_address, taken)
-
     def execute_batch(
         self,
         runs: Sequence[BlockRun],
         replay: Optional[Callable[[List[BlockRun], Outcomes], None]] = None,
     ) -> None:
         """Apply a batch of run-length records; state ends identical to
-        :meth:`execute_event` applied to each expanded event in order.
+        fetching, accessing the data and updating the predictor for each
+        expanded event in order.
 
         This is the one architectural pass of every batched mode that
         touches the caches.  It goes a :func:`~repro.program.mem_patterns.

@@ -16,30 +16,28 @@ windows; the detailed warm-up window preceding each measured sample (the
 SMARTS/PGSS methodology) is what re-establishes them after a long
 fast-forward, exactly as in the paper.
 
-Two entry points share one timing core (:meth:`_issue_timing`):
+The timing core (:meth:`_issue_timing`) issues one block execution from
+its architectural outcomes.  :meth:`replay` drives it as the timing half
+of the batched detailed modes.  The architectural pass
+(:meth:`~repro.cpu.functional.FunctionalWarmer.execute_batch`) has already
+applied a slice's cache and predictor transitions, which never read the
+clock, and recorded the outcomes the scoreboard needs: misses,
+mispredictions and fetch stalls.  Timing is a pure function of those
+outcomes and of the time-like state expressed relative to the current
+cycle.  Relative contexts are interned to small integer ids and the
+transition for (context, latencies, prediction outcome) is memoized, so
+repeated block executions walk an integer chain instead of running the
+scoreboard, and stretches of all-hit, correctly predicted iterations
+collapse into closed form (see DESIGN.md §15).
 
-* :meth:`execute_event` — the scalar reference path, one dynamic block at
-  a time, cache and predictor accesses included;
-* :meth:`replay` — the timing half of the batched detailed modes.  The
-  architectural pass (:meth:`~repro.cpu.functional.FunctionalWarmer.
-  execute_batch`) has already applied a slice's cache and predictor
-  transitions, which never read the clock, and recorded the outcomes the
-  scoreboard needs: misses, mispredictions and fetch stalls.  Timing is a
-  pure function of those outcomes and of the time-like state expressed
-  relative to the current cycle.  Relative contexts are interned to small
-  integer ids and the transition for (context, latencies, prediction
-  outcome) is memoized, so repeated block executions walk an integer
-  chain instead of running the scoreboard, and stretches of all-hit,
-  correctly predicted iterations collapse into closed form (see DESIGN.md
-  §15).
-
-Both paths leave every observable byte identical: cycle counts, cache
-tag/dirty/stat state, predictor tables and stats, and op accounting.
+Cycle counts and scoreboard state end byte-identical to issuing every
+expanded event through the scoreboard one at a time, with its cache and
+predictor accesses in program order; ``tests/scalar_reference.py`` keeps
+that event loop as the reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Dict, List, Sequence, Tuple
 
@@ -48,10 +46,10 @@ from ..config import MachineConfig
 from ..isa import FU_CLASS, FU_LIMITS, N_REGS, Op
 from ..isa.instructions import FuClass
 from ..memory import CacheHierarchy
-from ..program.stream import BlockEvent, BlockRun
+from ..program.stream import BlockRun
 from .functional import Outcomes
 
-__all__ = ["InOrderPipeline", "WindowResult"]
+__all__ = ["InOrderPipeline"]
 
 _OP_LOAD = int(Op.LOAD)
 _OP_STORE = int(Op.STORE)
@@ -68,24 +66,6 @@ _FU_LIMIT_LIST: List[int] = [FU_LIMITS[FuClass(i)] for i in range(_N_FU)]
 #: Transition-memo size cap; distinct contexts per block are few, so this
 #: is a backstop against pathological key churn, not a working-set tuner.
 _MEMO_CAP = 65_536
-
-
-@dataclass(frozen=True)
-class WindowResult:
-    """Timing outcome of one detailed window.
-
-    Attributes:
-        ops: operations executed.
-        cycles: cycles elapsed.
-    """
-
-    ops: int
-    cycles: int
-
-    @property
-    def ipc(self) -> float:
-        """Instructions per cycle over the window (0.0 for empty windows)."""
-        return self.ops / self.cycles if self.cycles else 0.0
 
 
 class InOrderPipeline:
@@ -112,7 +92,6 @@ class InOrderPipeline:
         self._fetch_ready = 0
         self._width_used = 0
         self._class_used: List[int] = [0] * _N_FU
-        self._l1i_hit_latency = hierarchy.l1i.hit_latency
         self._l1d_hit_latency = hierarchy.l1d.hit_latency
         #: Completion-cycle min-heap of in-flight L1 misses (<= n_mshrs
         #: live entries; completed ones are drained lazily).
@@ -150,9 +129,9 @@ class InOrderPipeline:
         Same form as :meth:`_intern_context`: every ready time is an
         offset from :attr:`cycle`, and times in the past clamp to zero,
         because every consumer compares them against times at or beyond
-        the current cycle.  The relative form is also what the scalar and
-        batched paths agree on, so a snapshot of either restores the same
-        timing.
+        the current cycle.  The relative form is also what the timing
+        replay and an event-at-a-time walk of the scoreboard agree on, so
+        a snapshot of either restores the same timing.
         """
         cycle = self.cycle
         return {
@@ -174,35 +153,6 @@ class InOrderPipeline:
         self._reg_ready = [cycle + rel for rel in timing["reg_ready"]]
         # A sorted ascending list is already a valid heap.
         self._mshrs = [cycle + rel for rel in timing["mshrs"]]
-
-    def execute_event(self, event: BlockEvent) -> None:
-        """Run one dynamic basic-block execution through the pipeline."""
-        block, taken, k = event
-        hierarchy = self.hierarchy
-
-        # Architectural phase.  Cache and predictor transitions never read
-        # the clock, so running them up front (in program order: fetch,
-        # data accesses, terminating branch) leaves state byte-identical
-        # to issue-time interleaving while decoupling timing from them.
-        fetch_stall = 0
-        l1i_hit = self._l1i_hit_latency
-        for line in block.inst_lines:
-            extra = hierarchy.inst_latency(line) - l1i_hit
-            if extra > 0:
-                fetch_stall += extra
-
-        lats: List[int] = []
-        if block.mem_positions:
-            patterns = block.mem_patterns
-            mem_idx = block.mem_idx
-            data_latency = hierarchy.data_latency
-            for pos in block.mem_positions:
-                pat = patterns[mem_idx[pos]]
-                lats.append(data_latency(pat.address(k), pat.is_write))
-
-        correct = self.predictor.predict_update(block.branch_address, taken)
-
-        self._issue_timing(block, lats, fetch_stall, correct)
 
     def _issue_timing(
         self,
@@ -499,8 +449,8 @@ class InOrderPipeline:
         and the L1D misses, all relative to the slice.  Every other
         iteration was all L1 hits, correctly predicted.  Timing is a pure
         function of those inputs, so the cycle count and scoreboard end
-        exactly as :meth:`execute_event` over the expanded events leaves
-        them.
+        exactly as issuing each expanded event through
+        :meth:`_issue_timing` leaves them.
 
         Each run is walked as stretches of constant input between
         *special* iterations (a miss, a misprediction or a fetch stall).
@@ -681,14 +631,3 @@ class InOrderPipeline:
                 self._materialize(sid, pending, live_in, block.written_regs, div_fus)
             it0 += n
             at0 += n * width
-
-    def run_window(self, events: List[BlockEvent]) -> WindowResult:
-        """Execute a list of events and report ops/cycles for the window."""
-        start = self.cycle
-        ops = 0
-        for event in events:
-            self.execute_event(event)
-            ops += event.block.n_ops
-        # The final instructions issue at self.cycle; they complete a cycle
-        # later at minimum.
-        return WindowResult(ops=ops, cycles=self.cycle - start + 1)

@@ -46,24 +46,18 @@ WARMUP_OPS = RATE_OPS // 10
 def measure_rates(ctx: ExperimentContext) -> Dict[str, float]:
     """Measure ops/second for each mode, with and without BBV tracking.
 
-    The functional modes run through the batched fast-forward engine (the
-    production default); ``func_fast_scalar`` rows re-measure FUNC_FAST
-    with batching disabled, so the table carries the scalar-vs-batched
-    speedup alongside the paper's mode comparison.  The rate program is
-    built long enough for the warm-up plus ``RATE_OPS`` at any scale, so
-    every timed run covers the full op budget.
+    The rate program is built long enough for the warm-up plus
+    ``RATE_OPS`` at any scale, so every timed run covers the full op
+    budget.
     """
     scale = ctx.scale
     if scale.benchmark_ops < WARMUP_OPS + RATE_OPS:
         scale = replace(scale, benchmark_ops=WARMUP_OPS + RATE_OPS)
 
-    def one(mode: Mode, with_bbv: bool, batched: bool = True) -> float:
+    def one(mode: Mode, with_bbv: bool) -> float:
         program = get_workload(RATE_BENCHMARK, scale)
         tracker = BbvTracker() if with_bbv else None
-        engine = SimulationEngine(
-            program, machine=ctx.machine, signal_tracker=tracker,
-            batched=None if batched else False,
-        )
+        engine = SimulationEngine(program, machine=ctx.machine, signal_tracker=tracker)
         # Warm the interpreter and caches briefly before timing.
         engine.run(mode, WARMUP_OPS)
         # Timing measures simulator throughput for the figure; it never
@@ -79,9 +73,6 @@ def measure_rates(ctx: ExperimentContext) -> Dict[str, float]:
         for with_bbv in (False, True):
             key = f"{mode.value}{'+bbv' if with_bbv else ''}"
             rates[key] = one(mode, with_bbv)
-    for with_bbv in (False, True):
-        key = f"func_fast_scalar{'+bbv' if with_bbv else ''}"
-        rates[key] = one(Mode.FUNC_FAST, with_bbv, batched=False)
     return rates
 
 
@@ -226,11 +217,6 @@ def run(ctx: ExperimentContext) -> Dict[str, Any]:
     bbv_overhead_detail = (
         1.0 - rates["detail+bbv"] / rates["detail"] if rates["detail"] else 0.0
     )
-    batched_speedup = (
-        rates["func_fast+bbv"] / rates["func_fast_scalar+bbv"]
-        if rates.get("func_fast_scalar+bbv")
-        else 0.0
-    )
     pgss_detail_seconds = times["PGSS"]["warm"] + times["PGSS"]["detail"]
     return {
         "rates": rates,
@@ -238,7 +224,6 @@ def run(ctx: ExperimentContext) -> Dict[str, Any]:
         "totals": {t: sum(parts.values()) for t, parts in times.items()},
         "ff_vs_detail_ratio": detail_ratio,
         "bbv_overhead_detail": bbv_overhead_detail,
-        "batched_speedup": batched_speedup,
         "pgss_detail_seconds": pgss_detail_seconds,
     }
 
@@ -247,13 +232,12 @@ def format_result(result: Dict[str, Any]) -> str:
     """Fig.-13 tables: per-mode rates and per-technique totals."""
     rate_rows: List[List[str]] = []
     label = {
-        "func_fast": "Fast-Forward (batched)",
-        "func_fast_scalar": "Fast-Forward (scalar)",
+        "func_fast": "Fast-Forward",
         "func_warm": "Functional Fast-Forward",
         "detail_warm": "Detailed Warming",
         "detail": "Detailed Simulation",
     }
-    for key in ("func_fast", "func_fast_scalar", "func_warm", "detail_warm", "detail"):
+    for key in ("func_fast", "func_warm", "detail_warm", "detail"):
         rate_rows.append(
             [
                 label[key],
@@ -272,8 +256,6 @@ def format_result(result: Dict[str, Any]) -> str:
         f"functional warming is {result['ff_vs_detail_ratio']:.1f}x faster "
         f"than detail (paper: ~4x); BBV overhead on detail: "
         f"{100 * result['bbv_overhead_detail']:.1f}%\n"
-        f"batched fast-forward (with BBV) is "
-        f"{result.get('batched_speedup', 0.0):.1f}x the scalar event loop\n"
         f"PGSS combined detailed warming + simulation: "
         f"{result['pgss_detail_seconds']:.2f} s for the whole suite\n\n"
     )

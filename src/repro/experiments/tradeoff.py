@@ -127,17 +127,23 @@ def _smarts_periods(ctx: ExperimentContext) -> List[int]:
 
 
 def _pgss_spreads(ctx: ExperimentContext) -> List[int]:
-    return [
-        max(int(ctx.scale.pgss_spread * f), ctx.scale.pgss_best_period)
-        for f in PGSS_SPREAD_FACTORS
-    ]
+    # A spread below the period is clamped up to it, so low factors can
+    # coincide (three of five at PAPER scale); each point is swept once.
+    return list(
+        dict.fromkeys(
+            max(int(ctx.scale.pgss_spread * f), ctx.scale.pgss_best_period)
+            for f in PGSS_SPREAD_FACTORS
+        )
+    )
 
 
 def _stratified_budgets(ctx: ExperimentContext) -> List[int]:
-    return [
-        max(int(ctx.scale.stratified_samples * f), 2)
-        for f in STRATIFIED_SAMPLE_FACTORS
-    ]
+    return list(
+        dict.fromkeys(
+            max(int(ctx.scale.stratified_samples * f), 2)
+            for f in STRATIFIED_SAMPLE_FACTORS
+        )
+    )
 
 
 def cells(ctx: ExperimentContext) -> List[ExperimentCell]:

@@ -32,12 +32,13 @@ class AccessResult:
 class CacheHierarchy:
     """Split L1 I/D caches backed by a unified L2 and main memory.
 
-    The hierarchy exposes two call styles:
-
-    * :meth:`access_data` / :meth:`access_inst` — full result objects,
-      used by tests and tooling;
-    * :meth:`data_latency` / :meth:`inst_latency` — bare integer latencies,
-      used by the pipeline's hot loop.
+    Per-access calls come in two styles: :meth:`access_data` /
+    :meth:`access_inst` return full result objects, and
+    :meth:`data_latency` / :meth:`inst_latency` bare integer latencies.
+    The engine goes through the batched :meth:`warm_data_run` kernel and
+    :meth:`fetch_l1i` / :meth:`fill_inst` instead; the per-access forms
+    serve tests, tooling and the scalar reference loop the batched path
+    is checked against.
     """
 
     def __init__(

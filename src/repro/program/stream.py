@@ -41,12 +41,14 @@ class BlockEvent(NamedTuple):
 class BlockRun(NamedTuple):
     """A run-length record: *n* back-to-back executions of one block.
 
-    Produced by :meth:`ProgramStream.next_events`.  A run never spans an
-    entry boundary, so the branch-outcome pattern is fully determined by
-    two fields: for loop-controlled blocks (``random_taken_prob is None``)
-    every outcome is taken except, when *ends_entry* is true, the final
-    one; for random-branch blocks the per-event draws are carried in
-    *takens* verbatim, in RNG order.
+    Produced by :meth:`ProgramStream.next_events` and, for replayed
+    traces, :meth:`~repro.program.trace_io.TraceStream.next_events`.  A
+    loop-controlled run never spans an entry boundary, so the
+    branch-outcome pattern is fully determined by two fields: for
+    loop-controlled blocks (``random_taken_prob is None``) every outcome
+    is taken except, when *ends_entry* is true, the final one; for
+    random-branch blocks the per-event outcomes are carried in *takens*
+    verbatim, in RNG order.
 
     Attributes:
         block: the static block executed *n* times.

@@ -12,19 +12,20 @@ surrounding literature uses heavily:
 
 :class:`EventTrace` stores a dynamic basic-block event sequence compactly
 (three numpy arrays); :class:`TraceStream` replays one through the normal
-:class:`~repro.cpu.SimulationEngine` interface.
+:class:`~repro.cpu.SimulationEngine` interface, as run-length batches
+(:meth:`TraceStream.next_events`) like the execution-driven stream.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ProgramError, StreamExhausted
 from .program import Program
-from .stream import BlockEvent, ProgramStream
+from .stream import BlockEvent, BlockRun, ProgramStream
 
 __all__ = ["EventTrace", "TraceStream", "record_trace"]
 
@@ -91,8 +92,8 @@ class TraceStream:
     """Replays an :class:`EventTrace` through the stream interface.
 
     Drop-in compatible with :class:`~repro.program.ProgramStream` for the
-    simulation engine: ``next_event``/iteration, ``ops_emitted``,
-    ``exhausted``, and snapshot/restore.
+    simulation engine: ``next_events``, ``next_event``/iteration,
+    ``ops_emitted``, ``exhausted``, and snapshot/restore.
     """
 
     def __init__(self, program: Program, trace: EventTrace) -> None:
@@ -107,6 +108,19 @@ class TraceStream:
         self.trace = trace
         self._index = 0
         self.ops_emitted = 0
+        sizes = np.array([b.n_ops for b in program.blocks], dtype=np.int64)
+        #: Ops of events 0..i inclusive, for the budget search.
+        self._cum_ops = np.cumsum(sizes[trace.bids])
+        # A run ends after event i when the next event is another block or
+        # a non-consecutive k, or when event i is a loop-controlled
+        # block's not-taken exit.
+        loop = np.array([b.random_taken_prob is None for b in program.blocks])
+        bids, ks = trace.bids, trace.ks
+        self._run_ends = (
+            (bids[1:] != bids[:-1])
+            | (ks[1:] != ks[:-1] + 1)
+            | (~trace.taken[:-1] & loop[bids[:-1]])
+        )
 
     @property
     def exhausted(self) -> bool:
@@ -124,6 +138,49 @@ class TraceStream:
         self._index = i + 1
         self.ops_emitted += block.n_ops
         return event
+
+    def next_events(self, max_ops: int) -> List[BlockRun]:
+        """Replay events totalling at least *max_ops* ops as run-length
+        records.
+
+        The batched equivalent of calling :meth:`next_event` until the op
+        budget is crossed, with the budget rule of
+        :meth:`~repro.program.ProgramStream.next_events`: the event that
+        reaches it is the last one replayed.  Consecutive executions of
+        one block with consecutive execution counts form a run, which a
+        loop-controlled block's not-taken outcome ends
+        (``ends_entry``); random-branch blocks carry their recorded
+        outcomes in ``takens``.  Expanding the runs reproduces the
+        recorded events, and the stream lands where a scalar walk over
+        the same budget leaves it.
+
+        Returns an empty list if *max_ops* is not positive or the trace is
+        exhausted.
+        """
+        start = self._index
+        total = len(self.trace)
+        if max_ops <= 0 or start >= total:
+            return []
+        cum = self._cum_ops
+        base = int(cum[start - 1]) if start else 0
+        stop = min(int(np.searchsorted(cum, base + max_ops)) + 1, total)
+        cuts = np.flatnonzero(self._run_ends[start : stop - 1]) + (start + 1)
+        bounds: List[int] = [start, *cuts.tolist(), stop]
+        blocks = self.program.blocks
+        bids = self.trace.bids
+        taken = self.trace.taken
+        ks = self.trace.ks
+        runs: List[BlockRun] = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = blocks[int(bids[lo])]
+            takens: Optional[Tuple[bool, ...]] = None
+            if block.random_taken_prob is not None:
+                takens = tuple(taken[lo:hi].tolist())
+            ends_entry = takens is None and not taken[hi - 1]
+            runs.append(BlockRun(block, hi - lo, int(ks[lo]), ends_entry, takens))
+        self._index = stop
+        self.ops_emitted += int(cum[stop - 1]) - base
+        return runs
 
     def __iter__(self) -> Iterator[BlockEvent]:
         return self

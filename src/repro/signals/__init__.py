@@ -8,9 +8,8 @@ them; Caculo et al. (PAPERS.md) show memory-access vectors catch exactly
 those.  This package makes the signal a first-class abstraction:
 
 * :class:`SignalTracker` — the protocol every signal implements
-  (``record`` / ``record_batch`` / ``take_vector`` / ``snapshot`` /
-  ``restore``); the engine and the sampling plans are written against
-  it.
+  (``record_batch`` / ``take_vector`` / ``snapshot`` / ``restore``);
+  the engine and the sampling plans are written against it.
 * :class:`BbvTracker` — the paper's BBV (the default signal), with the
   reduced 5-bit and wide modulo hashes.
 * :class:`MavTracker` — an online reduced memory-access vector over

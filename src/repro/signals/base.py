@@ -7,8 +7,8 @@ layer exists so other projections of program behaviour — memory-access
 vectors, or weighted concatenations — plug into the same engine
 attachment point and classifier without either side changing.
 
-Every tracker implements :class:`SignalTracker`: scalar ``record`` and
-vectorised ``record_batch`` accumulation (bit-identical to each other),
+Every tracker implements :class:`SignalTracker`: ``record_batch`` to
+accumulate a run-length batch of dynamic block executions,
 ``take_vector`` to compile-and-reset the register file at a sampling
 period boundary, and ``snapshot``/``restore`` for engine checkpoints.
 
@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Dict, Protocol, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..program.block import BasicBlock
 
 if TYPE_CHECKING:
     from ..program.stream import BlockRun
@@ -40,30 +39,17 @@ class SignalTracker(Protocol):
     """Structural type of a phase-signal tracker.
 
     The engine duck-types its attached tracker against this protocol:
-    scalar modes call :meth:`record` once per dynamic basic block, the
-    batched paths call :meth:`record_batch` once per run-length batch,
-    and the sampling plans call :meth:`take_vector` at each signal
-    period boundary.
+    every mode calls :meth:`record_batch` once per run-length batch, and
+    the sampling plans call :meth:`take_vector` at each signal period
+    boundary.
     """
 
     #: Dynamic operations observed since construction / :meth:`reset`.
     total_ops: int
 
-    def record(self, block: BasicBlock, taken: bool, k: int = 0) -> None:
-        """Observe one dynamic execution of *block*.
-
-        Args:
-            block: the static block executed.
-            taken: outcome of the terminating branch.
-            k: the block's execution count before this event — the input
-                to its memory-address generators.  Control-flow signals
-                may ignore it.
-        """
-        ...
-
     def record_batch(self, runs: Sequence["BlockRun"]) -> None:
-        """Observe a batch of run-length records, bit-identical to
-        calling :meth:`record` for every expanded event."""
+        """Observe a batch of run-length records: every expanded event,
+        in order, exactly as if observed one at a time."""
         ...
 
     def take_vector(self, normalize: bool = True) -> np.ndarray:

@@ -13,13 +13,12 @@ untaken-branch op run-length exactly as the hardware would: ops retired
 since the *last taken branch* are credited to the bucket of the taken
 branch that ends the run.
 
-Two accumulation paths exist: :meth:`BbvTracker.record` observes one event
-at a time, and :meth:`BbvTracker.record_batch` consumes the run-length
-records produced by :meth:`~repro.program.ProgramStream.next_events`,
-folding each run's credits into closed form and applying a whole batch
-with vectorised numpy scatter-adds.  All credits are integer-valued and
-far below 2**53, so float64 accumulation is exact and the two paths
-produce bit-identical register files.
+:meth:`BbvTracker.record_batch` consumes the run-length records produced
+by a stream's ``next_events``, folding each run's credits into closed form
+and applying a whole batch with vectorised numpy scatter-adds.  All
+credits are integer-valued and far below 2**53, so float64 accumulation
+is exact and the register file is bit-identical to crediting one event
+at a time.
 """
 
 from __future__ import annotations
@@ -114,10 +113,9 @@ class BbvTracker:
         hash_fn: bucket function (defaults to the paper's 5-bit hash).
 
     The tracker is attached to a :class:`~repro.cpu.SimulationEngine`; the
-    engine calls :meth:`record` once per dynamic basic block (scalar
-    modes) or :meth:`record_batch` once per stream batch (batched modes).
-    At each BBV sampling-period boundary the driver calls
-    :meth:`take_vector` to compile and reset the register file.
+    engine calls :meth:`record_batch` once per stream batch.  At each BBV
+    sampling-period boundary the driver calls :meth:`take_vector` to
+    compile and reset the register file.
     """
 
     def __init__(self, hash_fn: Optional[BbvHash] = None) -> None:
@@ -137,21 +135,6 @@ class BbvTracker:
             bucket = self.hash_fn(block.branch_address)
             self._bucket_of_block[block.bid] = bucket
         return bucket
-
-    def record(self, block: BasicBlock, taken: bool, k: int = 0) -> None:
-        """Observe one dynamic basic-block execution.
-
-        Ops accumulate in a run counter; when the block's terminator is
-        taken, the run (including this block) is credited to the branch's
-        bucket, matching the Fig. 4 hardware.  The execution count *k* is
-        ignored: the BBV is a pure control-flow signal.
-        """
-        self.total_ops += block.n_ops
-        if taken:
-            self._registers[self.bucket_for(block)] += self._run_ops + block.n_ops
-            self._run_ops = 0
-        else:
-            self._run_ops += block.n_ops
 
     def _resolve_buckets(self, blocks: Sequence[BasicBlock]) -> None:
         """Hash any not-yet-cached blocks, vectorised when possible."""
@@ -176,13 +159,15 @@ class BbvTracker:
     def record_batch(self, runs: Sequence["BlockRun"]) -> None:
         """Observe a batch of run-length records in closed form.
 
-        Within one run every event shares a bucket, so the per-event
-        credits telescope: the ops from the run's start through its last
-        taken branch (plus the run counter carried in) land in that
-        bucket, and anything after the last taken branch carries out.
-        Across the batch the carried run counter is reconstructed from
-        prefix sums, and all credits are applied with one scatter-add —
-        bit-identical to calling :meth:`record` per expanded event.
+        Fig. 4 semantics: ops accumulate in a run counter, and each taken
+        terminator credits the run (including its own block) to the
+        branch's bucket.  Within one run every event shares a bucket, so
+        the per-event credits telescope: the ops from the run's start
+        through its last taken branch (plus the run counter carried in)
+        land in that bucket, and anything after the last taken branch
+        carries out.  Across the batch the carried run counter is
+        reconstructed from prefix sums, and all credits are applied with
+        one scatter-add — bit-identical to crediting per expanded event.
         """
         m = len(runs)
         if m == 0:

@@ -1,6 +1,6 @@
 """Weighted concatenation of several phase signals into one vector.
 
-:class:`ConcatenatedSignal` fans every engine event out to its child
+:class:`ConcatenatedSignal` fans every engine batch out to its child
 trackers and compiles their period vectors into one: each child vector
 is normalised, scaled by its weight, concatenated, and the whole vector
 re-normalised.  Because the children are unit vectors before weighting,
@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..program.block import BasicBlock
 from .base import SignalTracker
 from .vector import l2_norm
 
@@ -58,11 +57,6 @@ class ConcatenatedSignal:
     def total_ops(self) -> int:
         """Ops observed (children see identical streams; first reports)."""
         return self.trackers[0].total_ops
-
-    def record(self, block: BasicBlock, taken: bool, k: int = 0) -> None:
-        """Fan one dynamic event out to every child tracker."""
-        for tracker in self.trackers:
-            tracker.record(block, taken, k)
 
     def record_batch(self, runs: Sequence["BlockRun"]) -> None:
         """Fan a run-length batch out to every child tracker."""

@@ -20,8 +20,8 @@ strided and hashed generators over every ``k`` of the batch with numpy
 integer arithmetic that reproduces ``MemPattern.address`` bit-for-bit
 (products are masked to 32 bits, so uint64 wraparound is unobservable).
 All register increments are integer-valued counts far below 2**53, so
-float64 accumulation is exact and the scalar and batched paths produce
-bit-identical register files — the property ``tests/test_signals.py``
+float64 accumulation is exact and the register file is bit-identical to
+counting one access at a time — the property ``tests/test_signals.py``
 pins with hypothesis.
 """
 
@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Dict, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..program.block import BasicBlock
 from ..program.mem_patterns import batch_addresses, batch_slices
 from .base import pack_registers, unpack_registers
 from .vector import l2_norm
@@ -81,45 +80,28 @@ class MavTracker:
         #: Dynamic memory accesses observed since construction / reset.
         self.total_accesses = 0
 
-    def _bucket(self, unit: int) -> int:
-        """Bucket of one line/page number (scalar multiplicative hash)."""
-        return (unit * _HASH_MULT & _MASK32) % self.n_buckets
-
     def _bucket_batch(self, units: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`_bucket` (bit-identical; see module doc)."""
+        """Bucket of each line/page number: the multiplicative hash
+        ``(unit * 2654435761 & 0xFFFFFFFF) % n_buckets`` in uint64, which
+        the 32-bit mask makes bit-identical to Python integers."""
         mixed = units.astype(np.uint64) * np.uint64(_HASH_MULT) & np.uint64(
             _MASK32
         )
         return (mixed % np.uint64(self.n_buckets)).astype(np.int64)
 
-    def record(self, block: BasicBlock, taken: bool, k: int = 0) -> None:
-        """Observe one dynamic basic-block execution.
-
-        Every memory instruction in *block* generates its *k*-th address;
-        the access is counted once at line granularity and once at page
-        granularity.  The branch outcome is irrelevant to this signal.
-        """
-        self.total_ops += block.n_ops
-        patterns = block.mem_patterns
-        if not patterns:
-            return
-        registers = self._registers
-        n_buckets = self.n_buckets
-        for pattern in patterns:
-            address = pattern.address(k)
-            registers[self._bucket(address >> self.line_bits)] += 1.0
-            registers[n_buckets + self._bucket(address >> self.page_bits)] += 1.0
-        self.total_accesses += len(patterns)
-
     def record_batch(self, runs: Sequence["BlockRun"]) -> None:
         """Observe a batch of run-length records in closed form.
 
-        The batch's address stream comes from one
+        Every memory instruction of every expanded event generates its
+        *k*-th address, counted once at line granularity and once at page
+        granularity; branch outcomes are irrelevant to this signal.  The
+        batch's address stream comes from one
         :func:`~repro.program.mem_patterns.batch_addresses` call (per
         :func:`~repro.program.mem_patterns.batch_slices` slice, which
         bounds memory on long batches), and per-bucket counts from one
         ``bincount`` per granularity.  Counts are integers, so the
-        float64 register file ends bit-identical to the scalar path.
+        float64 register file ends bit-identical to counting one access
+        at a time.
         """
         registers = self._registers
         n_buckets = self.n_buckets

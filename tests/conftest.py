@@ -18,6 +18,7 @@ from repro import (
     Segment,
     get_workload,
 )
+from repro.program.stream import BlockRun
 
 
 @pytest.fixture(scope="session")
@@ -65,6 +66,12 @@ def make_two_phase_program(
         Segment("slow", ops_per_phase),
     ]
     return Program("two_phase", [fast_block, slow_block], behaviors, script, seed=seed)
+
+
+def record_event(tracker, block, taken, k=0):
+    """Feed *tracker* one dynamic execution of *block*: a one-iteration
+    batch through ``record_batch``, the trackers' only entry point."""
+    tracker.record_batch([BlockRun(block, 1, k, ends_entry=not taken)])
 
 
 @pytest.fixture()

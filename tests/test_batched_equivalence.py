@@ -1,11 +1,11 @@
 """Scalar vs. batched engine equivalence — the batching correctness gate.
 
-The batched fast-forward layer (``ProgramStream.next_events`` +
-``BbvTracker.record_batch`` + the engine's batched dispatch) claims to be
-*bit-identical* to the scalar event loop: same stream state (including RNG
-draw order), same BBV register file, same machine state, same op
-accounting.  Every sampling technique rests on that claim, so it is
-checked here three ways:
+The batched engine (``ProgramStream.next_events`` +
+``BbvTracker.record_batch`` + ``SimulationEngine.run``) claims to be
+*bit-identical* to the scalar event loop kept in ``scalar_reference``:
+same stream state (including RNG draw order), same BBV register file,
+same machine state, same op accounting.  Every sampling technique rests
+on that claim, so it is checked here three ways:
 
 * stream level: run expansion reproduces the scalar event sequence and
   lands in an equal ``snapshot()`` at arbitrary batch boundaries;
@@ -45,6 +45,7 @@ from repro.program import mem_patterns
 from repro.program import ADVERSARIAL_NAMES, WORKLOAD_NAMES
 from repro.sampling.pgss import Pgss, PgssConfig
 from conftest import make_two_phase_program
+from scalar_reference import ScalarEngine, assert_same_machine, run_scalar
 
 WORKLOADS = ("164.gzip", "197.parser", "256.bzip2")
 
@@ -116,8 +117,8 @@ class TestEngineEquivalence:
         rng = random.Random(seed)
         t1 = BbvTracker() if with_tracker else None
         t2 = BbvTracker() if with_tracker else None
-        scalar = SimulationEngine(program, signal_tracker=t1, batched=False)
-        batched = SimulationEngine(program, signal_tracker=t2, batched=True)
+        scalar = ScalarEngine(program, signal_tracker=t1)
+        batched = SimulationEngine(program, signal_tracker=t2)
         modes = list(Mode)
         for _ in range(12):
             mode = rng.choice(modes)
@@ -147,8 +148,8 @@ class TestEngineEquivalence:
         window's cycle count AND all cache/predictor state AND all
         statistics counters match the scalar loop exactly."""
         program = _workload("164.gzip")
-        scalar = SimulationEngine(program, batched=False)
-        batched = SimulationEngine(program, batched=True)
+        scalar = ScalarEngine(program)
+        batched = SimulationEngine(program)
         for mode, n_ops in windows:
             r1 = scalar.run(mode, n_ops)
             r2 = batched.run(mode, n_ops)
@@ -157,26 +158,15 @@ class TestEngineEquivalence:
                 r2.cycles,
                 r2.exhausted,
             )
-            h1, h2 = scalar.hierarchy, batched.hierarchy
-            assert h1.snapshot() == h2.snapshot()
-            assert h1.stats_summary() == h2.stats_summary()
-            assert h1.memory_accesses == h2.memory_accesses
-            for c1, c2 in zip((h1.l1i, h1.l1d, h1.l2), (h2.l1i, h2.l1d, h2.l2)):
-                assert c1.stats.writebacks == c2.stats.writebacks
-            assert scalar.predictor.snapshot() == batched.predictor.snapshot()
-            s1, s2 = scalar.predictor.stats, batched.predictor.stats
-            assert (s1.predictions, s1.mispredictions) == (
-                s2.predictions,
-                s2.mispredictions,
-            )
+            assert_same_machine(scalar, batched)
 
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_bbv_vector_sequence_identical(self, name):
         """Period-boundary BBV vectors are bit-identical on real workloads."""
         program = _workload(name)
         engines = [
-            SimulationEngine(program, signal_tracker=BbvTracker(), batched=batched)
-            for batched in (False, True)
+            engine_cls(program, signal_tracker=BbvTracker())
+            for engine_cls in (ScalarEngine, SimulationEngine)
         ]
         period = 8_000
         while not engines[0].exhausted:
@@ -191,7 +181,7 @@ class TestEngineEquivalence:
         """Batched FUNC_WARM still leaves caches/predictor exactly as
         DETAIL would — the SMARTS soundness requirement."""
         detail = SimulationEngine(two_phase_program)
-        warm = SimulationEngine(two_phase_program, batched=True)
+        warm = SimulationEngine(two_phase_program)
         detail.run(Mode.DETAIL, 30_000)
         warm.run(Mode.FUNC_WARM, 30_000)
         assert detail.hierarchy.snapshot() == warm.hierarchy.snapshot()
@@ -206,12 +196,11 @@ class TestPgssEquivalence:
         cfg = PgssConfig.from_scale(Scale.QUICK)
         pgss = Pgss(cfg)
         results = []
-        for batched in (False, True):
-            engine = SimulationEngine(
+        for engine_cls in (ScalarEngine, SimulationEngine):
+            engine = engine_cls(
                 program,
                 machine=pgss.machine,
                 signal_tracker=pgss._make_tracker(),
-                batched=batched,
             )
             controller = pgss.make_controller(engine)
             while controller.step():
@@ -230,22 +219,6 @@ class TestPgssEquivalence:
 ALL_WORKLOADS = WORKLOAD_NAMES + ADVERSARIAL_NAMES + ("168.wupwise",)
 
 
-def _assert_same_warm_state(scalar, batched):
-    """Machine state *and* every counter FUNC_WARM touches are equal."""
-    h1, h2 = scalar.hierarchy, batched.hierarchy
-    assert h1.snapshot() == h2.snapshot()
-    assert h1.stats_summary() == h2.stats_summary()
-    assert h1.memory_accesses == h2.memory_accesses
-    for c1, c2 in zip((h1.l1i, h1.l1d, h1.l2), (h2.l1i, h2.l1d, h2.l2)):
-        assert c1.stats.writebacks == c2.stats.writebacks
-    assert scalar.predictor.snapshot() == batched.predictor.snapshot()
-    s1, s2 = scalar.predictor.stats, batched.predictor.stats
-    assert (s1.predictions, s1.mispredictions) == (
-        s2.predictions,
-        s2.mispredictions,
-    )
-
-
 def _warm_to_end(scalar, batched, seed, max_chunk=40_000):
     """FUNC_WARM both engines to the end in equal random chunks,
     comparing after every chunk."""
@@ -255,14 +228,14 @@ def _warm_to_end(scalar, batched, seed, max_chunk=40_000):
         r1 = scalar.run(Mode.FUNC_WARM, n_ops)
         r2 = batched.run(Mode.FUNC_WARM, n_ops)
         assert (r1.ops, r1.exhausted) == (r2.ops, r2.exhausted)
-        _assert_same_warm_state(scalar, batched)
+        assert_same_machine(scalar, batched)
     assert batched.exhausted
 
 
 def _warm_pair(program, **kwargs):
     return (
-        SimulationEngine(program, batched=False, **kwargs),
-        SimulationEngine(program, batched=True, **kwargs),
+        ScalarEngine(program, **kwargs),
+        SimulationEngine(program, **kwargs),
     )
 
 
@@ -279,17 +252,15 @@ class TestFuncWarmEquivalence:
         programs = [_workload("164.gzip"), _workload("183.equake")]
         scalar = MultiCoreEngine(programs)
         batched = MultiCoreEngine(programs)
-        for engine in scalar.engines:
-            engine.batched = False
         assert batched.engines[1].hierarchy.address_salt != 0
         rng = random.Random(11)
         while not scalar.all_exhausted:
             for core in (0, 1):
                 n_ops = rng.randint(1, 20_000)
-                r1 = scalar.engines[core].run(Mode.FUNC_WARM, n_ops)
+                r1 = run_scalar(scalar.engines[core], Mode.FUNC_WARM, n_ops)
                 r2 = batched.engines[core].run(Mode.FUNC_WARM, n_ops)
                 assert r1.ops == r2.ops
-                _assert_same_warm_state(scalar.engines[core], batched.engines[core])
+                assert_same_machine(scalar.engines[core], batched.engines[core])
         assert batched.all_exhausted
 
     def test_random_branch_runs(self):
@@ -348,7 +319,7 @@ class TestFuncWarmEquivalence:
             r1 = scalar.run(mode, n_ops)
             r2 = batched.run(mode, n_ops)
             assert (r1.ops, r1.cycles) == (r2.ops, r2.cycles)
-            _assert_same_warm_state(scalar, batched)
+            assert_same_machine(scalar, batched)
 
 
 def _detail_to_end(scalar, batched, seed, max_chunk=40_000):
@@ -363,7 +334,7 @@ def _detail_to_end(scalar, batched, seed, max_chunk=40_000):
         r2 = batched.run(mode, n_ops)
         assert (r1.ops, r1.cycles, r1.exhausted) == (r2.ops, r2.cycles, r2.exhausted)
         assert scalar.snapshot() == batched.snapshot()
-        _assert_same_warm_state(scalar, batched)
+        assert_same_machine(scalar, batched)
     assert batched.exhausted
 
 
@@ -389,20 +360,18 @@ class TestDetailEquivalence:
         programs = [_workload("164.gzip"), _workload("183.equake")]
         scalar = MultiCoreEngine(programs)
         batched = MultiCoreEngine(programs)
-        for engine in scalar.engines:
-            engine.batched = False
         assert batched.engines[1].hierarchy.address_salt != 0
         rng = random.Random(13)
         while not scalar.all_exhausted:
             for core in (0, 1):
                 mode = rng.choice((Mode.DETAIL, Mode.DETAIL_WARM))
                 n_ops = rng.randint(1, 20_000)
-                r1 = scalar.engines[core].run(mode, n_ops)
+                r1 = run_scalar(scalar.engines[core], mode, n_ops)
                 r2 = batched.engines[core].run(mode, n_ops)
                 assert (r1.ops, r1.cycles) == (r2.ops, r2.cycles)
                 one, other = scalar.engines[core], batched.engines[core]
                 assert one.snapshot() == other.snapshot()
-                _assert_same_warm_state(one, other)
+                assert_same_machine(one, other)
         assert batched.all_exhausted
 
     @pytest.mark.parametrize(

@@ -19,6 +19,8 @@ from repro.errors import ConfigurationError
 from repro.isa import Instruction, Op
 from repro.program.block import BasicBlock
 from repro.program.stream import BlockRun
+from conftest import record_event
+from scalar_reference import record as scalar_record
 
 
 def make_block(bid: int, address: int, n_ops: int = 8) -> BasicBlock:
@@ -81,7 +83,7 @@ class TestTracker:
     def test_taken_branch_credits_bucket(self):
         tracker = BbvTracker()
         block = make_block(0, 0x1000, n_ops=8)
-        tracker.record(block, taken=True)
+        record_event(tracker, block, taken=True)
         vec = tracker.take_vector(normalize=False)
         assert vec.sum() == 8
         assert vec[tracker.bucket_for(block)] == 8
@@ -92,8 +94,8 @@ class TestTracker:
         tracker = BbvTracker()
         a = make_block(0, 0x1000, n_ops=8)
         b = make_block(1, 0x4000, n_ops=6)
-        tracker.record(a, taken=False)
-        tracker.record(b, taken=True)
+        record_event(tracker, a, taken=False)
+        record_event(tracker, b, taken=True)
         vec = tracker.take_vector(normalize=False)
         assert vec[tracker.bucket_for(b)] == 14
         assert vec.sum() == 14
@@ -101,27 +103,27 @@ class TestTracker:
     def test_trailing_untaken_run_not_counted_in_vector(self):
         tracker = BbvTracker()
         a = make_block(0, 0x1000, n_ops=8)
-        tracker.record(a, taken=False)
+        record_event(tracker, a, taken=False)
         assert tracker.take_vector(normalize=False).sum() == 0
 
     def test_take_vector_resets(self):
         tracker = BbvTracker()
         block = make_block(0, 0x1000)
-        tracker.record(block, taken=True)
+        record_event(tracker, block, taken=True)
         tracker.take_vector()
         assert tracker.peek_vector().sum() == 0
 
     def test_take_vector_normalized(self):
         tracker = BbvTracker()
-        tracker.record(make_block(0, 0x1000), taken=True)
-        tracker.record(make_block(1, 0x8000), taken=True)
+        record_event(tracker, make_block(0, 0x1000), taken=True)
+        record_event(tracker, make_block(1, 0x8000), taken=True)
         vec = tracker.take_vector(normalize=True)
         assert np.linalg.norm(vec) == pytest.approx(1.0)
 
     def test_total_ops_counts_everything(self):
         tracker = BbvTracker()
-        tracker.record(make_block(0, 0x1000, 8), taken=True)
-        tracker.record(make_block(1, 0x2000, 6), taken=False)
+        record_event(tracker, make_block(0, 0x1000, 8), taken=True)
+        record_event(tracker, make_block(1, 0x2000, 6), taken=False)
         assert tracker.total_ops == 14
 
     def test_bucket_cache_consistent(self):
@@ -132,17 +134,17 @@ class TestTracker:
 
     def test_snapshot_restore(self):
         tracker = BbvTracker()
-        tracker.record(make_block(0, 0x1000), taken=True)
-        tracker.record(make_block(1, 0x2000), taken=False)
+        record_event(tracker, make_block(0, 0x1000), taken=True)
+        record_event(tracker, make_block(1, 0x2000), taken=False)
         snap = tracker.snapshot()
-        tracker.record(make_block(2, 0x3000), taken=True)
+        record_event(tracker, make_block(2, 0x3000), taken=True)
         tracker.restore(snap)
         vec = tracker.take_vector(normalize=False)
         assert vec.sum() == 8  # only the first taken block
 
     def test_reset(self):
         tracker = BbvTracker()
-        tracker.record(make_block(0, 0x1000), taken=True)
+        record_event(tracker, make_block(0, 0x1000), taken=True)
         tracker.reset()
         assert tracker.total_ops == 0
         assert tracker.peek_vector().sum() == 0
@@ -150,7 +152,7 @@ class TestTracker:
     def test_wide_tracker(self):
         tracker = BbvTracker(WideBbvHash(128))
         assert tracker.n_buckets == 128
-        tracker.record(make_block(0, 0x1000), taken=True)
+        record_event(tracker, make_block(0, 0x1000), taken=True)
         assert tracker.take_vector(normalize=False).sum() == 8
 
     def test_matches_naive_reference_model(self):
@@ -167,7 +169,7 @@ class TestTracker:
         for _ in range(500):
             block = rng.choice(blocks)
             taken = rng.random() < 0.8
-            tracker.record(block, taken)
+            record_event(tracker, block, taken)
             if taken:
                 reference[tracker.hash_fn(block.branch_address)] += (
                     run_ops + block.n_ops
@@ -201,7 +203,8 @@ def _random_runs(rng, blocks, n_runs):
 
 class TestRecordBatch:
     def test_matches_scalar_record(self):
-        """Oracle: record_batch equals per-event record, bit for bit."""
+        """Oracle: record_batch equals the scalar reference's per-event
+        record, bit for bit."""
         import random
 
         rng = random.Random(4242)
@@ -210,7 +213,7 @@ class TestRecordBatch:
             runs = _random_runs(rng, blocks, rng.randint(1, 12))
             scalar, batched = BbvTracker(), BbvTracker()
             for block, taken in _runs_to_events(runs):
-                scalar.record(block, taken)
+                scalar_record(scalar, block, taken)
             batched.record_batch(runs)
             assert scalar.peek_vector().tolist() == batched.peek_vector().tolist()
             assert scalar.total_ops == batched.total_ops
@@ -226,7 +229,7 @@ class TestRecordBatch:
         for _ in range(6):
             runs = _random_runs(rng, blocks, 4)
             for block, taken in _runs_to_events(runs):
-                scalar.record(block, taken)
+                scalar_record(scalar, block, taken)
             batched.record_batch(runs)
         assert scalar.peek_vector().tolist() == batched.peek_vector().tolist()
         assert scalar._run_ops == batched._run_ops
@@ -247,11 +250,12 @@ class TestRecordBatch:
         assert tracker._run_ops == 24
 
     def test_interleaves_with_scalar_record(self):
-        """Mixing the two entry points keeps one consistent state."""
+        """The scalar reference and record_batch share one tracker state:
+        a run counter left by one carries into the other."""
         a = make_block(0, 0x1000, n_ops=8)
         b = make_block(1, 0x4000, n_ops=6)
         tracker = BbvTracker()
-        tracker.record(a, taken=False)
+        scalar_record(tracker, a, taken=False)
         tracker.record_batch([BlockRun(b, 1, 0, False, (True,))])
         vec = tracker.take_vector(normalize=False)
         assert vec[tracker.bucket_for(b)] == 14

@@ -41,6 +41,8 @@ from repro.analysis.dataflow import (
     extract_module,
     module_name_for,
 )
+from repro.analysis.determinism import ModuleLevelRandomRule
+from repro.analysis.determinism import UnseededRngRule as DeterminismUnseededRule
 from repro.analysis.leakage import LEAKAGE_RULES
 from repro.analysis.oracle_flow import (
     OracleIntoBudgetRule,
@@ -348,6 +350,58 @@ class TestOracleFlow:
         flow_lines = {f.line for f in flow}
         only_syntactic = {f.rule_id for f in syntactic if f.line not in flow_lines}
         assert only_syntactic == {"LEA001", "LEA002", "LEA003"}
+
+    def test_det001_is_not_subsumed_by_det101(self, tmp_path, capsys):
+        """DET101 flags every unseeded constructor DET001 flags, plus
+        ``default_rng(None)``, which DET001 misses.  DET001 alone flags a
+        bare ``random.seed()``: DET101 checks constructors only, and
+        DET002's list of global draws has no ``seed``.  DET001 also still
+        runs under ``--no-project``, which skips every DET1xx rule."""
+        source = """
+            '''Fixture: unseeded constructors and a bare reseed.'''
+
+            import random
+
+            import numpy as np
+
+            __all__ = ["constructors", "reseed"]
+
+
+            def constructors():
+                a = random.Random()
+                b = np.random.default_rng()
+                c = np.random.default_rng(None)
+                return a, b, c
+
+
+            def reseed():
+                random.seed()
+        """
+        root = write_tree(tmp_path, {"repro/sim/entropy.py": source})
+        lines = textwrap.dedent(source).splitlines()
+
+        def line_of(text):
+            return next(i for i, line in enumerate(lines, 1) if text in line)
+
+        syntactic = lint_paths(
+            [str(root)], [DeterminismUnseededRule(), ModuleLevelRandomRule()]
+        )
+        flow = project_findings(root, [UnseededRngRule()])
+        det001 = {f.line for f in syntactic if f.rule_id == "DET001"}
+        det101 = {f.line for f in flow}
+        constructors = {line_of("Random()"), line_of("default_rng()")}
+        reseed = line_of("random.seed()")
+        assert det001 == constructors | {reseed}
+        assert det101 == constructors | {line_of("default_rng(None)")}
+        assert det001 - det101 == {reseed}
+        assert not any(f.rule_id == "DET002" for f in syntactic)
+
+        path = root / "repro" / "sim" / "entropy.py"
+        lint_main([str(path), "--format", "json", "--no-project"])
+        document = json.loads(capsys.readouterr().out)
+        ids = {f["rule"] for f in document["findings"]}
+        assert "DET001" in ids
+        assert not any(rule_id.startswith("DET1") for rule_id in ids)
 
     def test_sink_lists_cover_the_sampling_api(self):
         """Every sampler config is an LEA103 sink and every plan builder

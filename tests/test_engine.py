@@ -190,40 +190,73 @@ class TestCheckpointing:
         assert sequential == list(reversed(reordered))
 
 
-class TestBatchedDispatch:
-    def test_auto_detect_uses_batched_path(self, two_phase_program):
-        engine = SimulationEngine(two_phase_program)
-        assert engine.batched is None
-        tracker = BbvTracker()
-        assert engine._batching(tracker)
-        assert engine._batching(None)
+class _EventOnlyStream:
+    """A stream with ``next_event`` but no ``next_events``."""
 
-    def test_batched_false_forces_scalar(self, two_phase_program):
-        engine = SimulationEngine(two_phase_program, batched=False)
-        assert not engine._batching(None)
-        run = engine.run(Mode.FUNC_FAST, 5_000)
-        assert run.ops >= 5_000
+    def __init__(self, stream):
+        self.next_event = stream.next_event
+        self.exhausted = False
+        self.ops_emitted = 0
+
+
+class _RecordOnlyTracker:
+    """A tracker with a one-event ``record`` but no ``record_batch``."""
+
+    total_ops = 0
+
+    def record(self, block, taken, k=0):
+        self.total_ops += block.n_ops
+
+
+def _spy_batches(stream):
+    """Wrap *stream*'s ``next_events``; returns the list of budgets asked."""
+    calls = []
+    next_events = stream.next_events
+
+    def spy(max_ops):
+        calls.append(max_ops)
+        return next_events(max_ops)
+
+    stream.next_events = spy
+    return calls
+
+
+class TestBatchedDispatch:
+    def test_every_mode_takes_next_events(self, two_phase_program):
+        """With or without a tracker, each run() is one next_events batch."""
+        for tracker in (None, BbvTracker()):
+            engine = SimulationEngine(two_phase_program, signal_tracker=tracker)
+            calls = _spy_batches(engine.stream)
+            for mode in Mode:
+                assert engine.run(mode, 5_000).ops >= 5_000
+            assert calls == [5_000] * len(Mode)
 
     def test_batched_true_requires_capable_stream(self, two_phase_program):
-        from repro.program.trace_io import record_trace
+        """Every engine is batched, so a stream without next_events is
+        rejected at construction."""
+        from repro import ProgramStream
 
-        trace = record_trace(two_phase_program, max_ops=20_000)
-        replay = trace.as_stream(two_phase_program)
-        with pytest.raises(ConfigurationError):
-            SimulationEngine(two_phase_program, stream=replay, batched=True)
+        stream = _EventOnlyStream(ProgramStream(two_phase_program))
+        with pytest.raises(ConfigurationError, match="next_events"):
+            SimulationEngine(two_phase_program, stream=stream)
 
-    def test_trace_stream_falls_back_to_scalar(self, two_phase_program):
-        """A replayed trace has no next_events; the engine silently uses
-        the scalar loop and still matches the live-stream result."""
+    def test_tracker_without_record_batch_is_rejected(self, two_phase_program):
+        with pytest.raises(ConfigurationError, match="record_batch"):
+            SimulationEngine(two_phase_program, signal_tracker=_RecordOnlyTracker())
+
+    def test_trace_stream_is_batched(self, two_phase_program):
+        """A replayed trace goes through next_events like the live stream
+        and leaves the same tracker state."""
         from repro.program.trace_io import record_trace
 
         trace = record_trace(two_phase_program, max_ops=20_000)
         replay = trace.as_stream(two_phase_program)
         tracker = BbvTracker()
         engine = SimulationEngine(two_phase_program, stream=replay, signal_tracker=tracker)
-        assert not engine._batching(tracker)
+        batches = _spy_batches(replay)
         run = engine.run(Mode.FUNC_FAST, 10_000)
         assert run.ops >= 10_000
+        assert batches == [10_000]
 
         live_tracker = BbvTracker()
         live = SimulationEngine(two_phase_program, signal_tracker=live_tracker)
@@ -231,7 +264,7 @@ class TestBatchedDispatch:
         assert tracker.peek_vector().tolist() == live_tracker.peek_vector().tolist()
 
     def test_batched_func_fast_touches_nothing(self, two_phase_program):
-        engine = SimulationEngine(two_phase_program, batched=True)
+        engine = SimulationEngine(two_phase_program)
         engine.run(Mode.FUNC_FAST, 30_000)
         assert engine.hierarchy.l1d.stats.accesses == 0
         assert engine.predictor.stats.predictions == 0

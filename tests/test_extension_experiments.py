@@ -1,5 +1,7 @@
 """Tests for the extension experiments: tradeoff and stratification gain."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.config import Scale
@@ -58,6 +60,27 @@ class TestTradeoff:
         warm = result["smarts"][0]
         cold = result["smarts_cold"][0]
         assert cold["a_mean_error"] > warm["a_mean_error"]
+
+    @pytest.mark.parametrize(
+        "scale", (Scale.QUICK, Scale.SCALED, Scale.PAPER), ids=lambda s: s.name
+    )
+    def test_sweep_points_are_distinct(self, scale):
+        """A clamped factor can land on another's point (PGSS spreads
+        below the period, at SCALED and PAPER); every sweep then lists
+        each point once, in order, and no cell is scheduled twice."""
+        at = SimpleNamespace(scale=scale, benchmarks=["164.gzip"])
+        sweeps = {
+            "smarts": tradeoff._smarts_periods(at),
+            "pgss": tradeoff._pgss_spreads(at),
+            "stratified": tradeoff._stratified_budgets(at),
+            "ranked": list(tradeoff.RANKED_SET_SIZES),
+        }
+        for name, points in sweeps.items():
+            assert points == sorted(set(points)), name
+        if scale is Scale.PAPER:
+            assert sweeps["pgss"] == [1_000_000, 2_000_000, 4_000_000]
+        ids = [cell.cell_id for cell in tradeoff.cells(at)]
+        assert len(ids) == len(set(ids))
 
     def test_format(self, ctx):
         text = tradeoff.format_result(tradeoff.run(ctx))

@@ -13,6 +13,7 @@ from repro.memory import CacheHierarchy
 from repro.program import MemPattern, PatternKind
 from repro.program.block import BasicBlock
 from repro.program.stream import BlockEvent, BlockRun
+from scalar_reference import warm_event
 
 
 @pytest.fixture()
@@ -34,19 +35,25 @@ def make_event(taken=True, k=0, with_load=True):
     return BlockEvent(block, taken, k)
 
 
+def warm(warmer, event):
+    """One event as a one-iteration batch through the warmer."""
+    block, taken, k = event
+    warmer.execute_batch([BlockRun(block, 1, k, ends_entry=not taken)])
+
+
 class TestFunctionalWarmer:
     def test_warms_icache(self, warmer):
-        warmer.execute_event(make_event())
+        warm(warmer, make_event())
         assert warmer.hierarchy.l1i.contains(0x2000)
 
     def test_warms_dcache_with_pattern_address(self, warmer):
         event = make_event(k=3)
-        warmer.execute_event(event)
+        warm(warmer, event)
         addr = event.block.mem_patterns[0].address(3)
         assert warmer.hierarchy.l1d.contains(addr)
 
     def test_updates_predictor(self, warmer):
-        warmer.execute_event(make_event(taken=True))
+        warm(warmer, make_event(taken=True))
         assert warmer.predictor.stats.predictions == 1
 
     def test_execution_count_advances_addresses(self, warmer):
@@ -55,8 +62,8 @@ class TestFunctionalWarmer:
         a0 = e0.block.mem_patterns[0].address(0)
         a1 = e1.block.mem_patterns[0].address(1)
         assert a0 != a1
-        warmer.execute_event(e0)
-        warmer.execute_event(e1)
+        warm(warmer, e0)
+        warm(warmer, e1)
         assert warmer.hierarchy.l1d.contains(a0)
         assert warmer.hierarchy.l1d.contains(a1)
 
@@ -71,7 +78,7 @@ class TestFunctionalWarmer:
             Instruction(Op.BRANCH, src1=1),
         ]
         block = BasicBlock(0, 0x3000, insts, pats)
-        warmer.execute_event(BlockEvent(block, True, 0))
+        warm(warmer, BlockEvent(block, True, 0))
         # Evicting the line must produce a writeback (it is dirty).
         stats = warmer.hierarchy.l1d.stats
         assert stats.accesses == 1
@@ -79,7 +86,7 @@ class TestFunctionalWarmer:
     def test_no_timing_state(self, warmer):
         """Warming must not require or mutate any pipeline object."""
         for k in range(50):
-            warmer.execute_event(make_event(k=k))
+            warm(warmer, make_event(k=k))
         # Only caches and predictor were touched; nothing else to assert —
         # the absence of a pipeline dependency is the contract.
         assert warmer.hierarchy.l1d.stats.accesses == 50
@@ -117,6 +124,6 @@ class TestExecuteBatch:
         batched.execute_batch(runs)
         for run in runs:
             for event in run.events():
-                scalar.execute_event(event)
+                warm_event(scalar, event)
         assert _warm_state(batched) == _warm_state(scalar)
         assert scalar.hierarchy.l2.stats.hits == 0

@@ -6,16 +6,15 @@ stalls, functional-unit limits, cache-miss latency, MSHR back-pressure,
 and branch-mispredict penalties.
 """
 
-import pytest
-
 from repro import DEFAULT_MACHINE, MachineConfig
 from repro.branch import BimodalPredictor
+from repro.cpu.functional import FunctionalWarmer
 from repro.cpu.pipeline import InOrderPipeline
 from repro.isa import Instruction, Op
 from repro.memory import CacheHierarchy
 from repro.program import MemPattern, PatternKind
 from repro.program.block import BasicBlock
-from repro.program.stream import BlockEvent
+from repro.program.stream import BlockRun
 
 
 def make_pipeline(machine: MachineConfig = DEFAULT_MACHINE):
@@ -24,10 +23,18 @@ def make_pipeline(machine: MachineConfig = DEFAULT_MACHINE):
     return InOrderPipeline(machine, hierarchy, predictor)
 
 
+def execute(pipeline, block, taken=True, k=0):
+    """One dynamic execution of *block* on the detailed path: the
+    warmer's architectural pass, then the pipeline's timing replay."""
+    warmer = FunctionalWarmer(pipeline.hierarchy, pipeline.predictor)
+    run = BlockRun(block, 1, k, ends_entry=not taken)
+    warmer.execute_batch([run], pipeline.replay)
+
+
 def run_block(pipeline, instructions, mem_patterns=(), taken=True, k=0, bid=0):
     block = BasicBlock(bid, 0x1000, instructions, mem_patterns)
     start = pipeline.cycle
-    pipeline.execute_event(BlockEvent(block, taken, k))
+    execute(pipeline, block, taken, k)
     return pipeline.cycle - start
 
 
@@ -204,13 +211,13 @@ class TestBranchTiming:
         # Train the predictor taken, then surprise it.
         block = BasicBlock(0, 0x1000, insts)
         for _ in range(8):
-            pipe.execute_event(BlockEvent(block, True, 0))
+            execute(pipe, block, True)
         before = pipe.cycle
-        pipe.execute_event(BlockEvent(block, False, 0))  # mispredict
+        execute(pipe, block, False)  # mispredict
         follow = independent_alus(3) + [Instruction(Op.BRANCH, src1=0)]
         block2 = BasicBlock(1, 0x1100, follow)
         pipe.hierarchy.warm_inst(0x1100)
-        pipe.execute_event(BlockEvent(block2, True, 0))
+        execute(pipe, block2, True)
         assert pipe.cycle - before >= machine.mispredict_penalty
 
     def test_icache_miss_stalls_fetch(self):
@@ -225,15 +232,20 @@ class TestBranchTiming:
 
 
 class TestWindowAccounting:
-    def test_run_window_counts_ops(self):
-        pipe = make_pipeline()
+    def test_run_of_ten_matches_ten_single_events(self):
+        """A ten-iteration run, replayed through the memoized chain, takes
+        the cycles of its ten events issued one at a time, and 80 ops at
+        4-wide issue need at least 19 cycles past the first."""
         insts = independent_alus(7) + [Instruction(Op.BRANCH, src1=0)]
         block = BasicBlock(0, 0x1000, insts)
-        events = [BlockEvent(block, True, i) for i in range(10)]
-        result = pipe.run_window(events)
-        assert result.ops == 80
-        assert result.cycles >= 20
-        assert result.ipc == pytest.approx(80 / result.cycles)
+        single = make_pipeline()
+        for i in range(10):
+            execute(single, block, True, i)
+        batched = make_pipeline()
+        warmer = FunctionalWarmer(batched.hierarchy, batched.predictor)
+        warmer.execute_batch([BlockRun(block, 10, 0, False)], batched.replay)
+        assert batched.cycle == single.cycle >= 19
+        assert batched.timing_snapshot() == single.timing_snapshot()
 
     def test_reset_timing(self):
         pipe = make_pipeline()
@@ -248,7 +260,7 @@ class TestWindowAccounting:
         block = BasicBlock(0, 0x1000, insts)
         last = 0
         for i in range(20):
-            pipe.execute_event(BlockEvent(block, True, i))
+            execute(pipe, block, True, i)
             assert pipe.cycle >= last
             last = pipe.cycle
 

@@ -49,7 +49,8 @@ from repro.program.mem_patterns import (
 )
 from repro.program.stream import BlockRun
 from repro.signals import PHASE_SIGNALS
-from conftest import make_two_phase_program
+from conftest import make_two_phase_program, record_event
+from scalar_reference import ScalarEngine, recorder
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +205,7 @@ class TestMavTracker:
         tracker = MavTracker(n_buckets=8)
         block = self._block()
         for k in range(5):
-            tracker.record(block, True, k=k)
+            record_event(tracker, block, True, k=k)
         assert tracker.total_ops == 5 * block.n_ops
         assert tracker.total_accesses == 5 * len(block.mem_patterns)
         raw = tracker.peek_vector()
@@ -215,7 +216,7 @@ class TestMavTracker:
 
     def test_take_vector_normalises_and_resets(self):
         tracker = MavTracker(n_buckets=8)
-        tracker.record(self._block(), True, k=0)
+        record_event(tracker, self._block(), True, k=0)
         vec = tracker.take_vector(normalize=True)
         assert math.isclose(float(np.linalg.norm(vec)), 1.0)
         assert not tracker.peek_vector().any()
@@ -226,7 +227,7 @@ class TestMavTracker:
         b = BlockBuilder(seed=3)
         block = b.build(ops=10, mix="int_light")
         tracker = MavTracker()
-        tracker.record(block, False, k=4)
+        record_event(tracker, block, False, k=4)
         assert tracker.total_ops == block.n_ops
         assert tracker.total_accesses == 0
         assert not tracker.peek_vector().any()
@@ -234,7 +235,7 @@ class TestMavTracker:
     def test_snapshot_is_compact_and_round_trips(self):
         tracker = MavTracker(n_buckets=8)
         for k in range(9):
-            tracker.record(self._block(), True, k=k)
+            record_event(tracker, self._block(), True, k=k)
         snap = tracker.snapshot()
         assert isinstance(snap["registers"], bytes)
         assert len(snap["registers"]) == 16 * 8  # raw float64 buffer
@@ -274,7 +275,7 @@ class TestMavTracker:
         b = BlockBuilder(seed=21)
         block = b.build(ops=12, mix="int")
         tracker = BbvTracker()
-        tracker.record(block, taken=True)
+        record_event(tracker, block, taken=True)
         snap = tracker.snapshot()
         assert isinstance(snap["registers"], bytes)
         assert len(snap["registers"]) == tracker.n_buckets * 8
@@ -304,8 +305,9 @@ class TestMavBatchedEquivalence:
         program = _programs()[name]
         scalar, batched = MavTracker(), MavTracker()
         stream_a, stream_b = ProgramStream(program), ProgramStream(program)
+        scalar_record = recorder(scalar)
         for event in stream_a:
-            scalar.record(event.block, event.taken, k=event.k)
+            scalar_record(event.block, event.taken, event.k)
         batched.record_batch(stream_b.next_events(10**9))
         assert np.array_equal(scalar.peek_vector(), batched.peek_vector())
         assert scalar.total_ops == batched.total_ops
@@ -325,13 +327,14 @@ class TestMavBatchedEquivalence:
         program = make_two_phase_program()
         scalar, batched = MavTracker(), MavTracker()
         stream_a, stream_b = ProgramStream(program), ProgramStream(program)
+        scalar_record = recorder(scalar)
         for max_ops in batches:
             got = 0
             while got < max_ops:
                 event = stream_a.next_event()
                 if event is None:
                     break
-                scalar.record(event.block, event.taken, k=event.k)
+                scalar_record(event.block, event.taken, event.k)
                 got += event.block.n_ops
             batched.record_batch(stream_b.next_events(max_ops))
             assert np.array_equal(
@@ -345,12 +348,8 @@ class TestMavBatchedEquivalence:
         and batched engines, for every signal kind."""
         program = get_workload("adv.footprint_step", Scale.QUICK)
         engines = [
-            SimulationEngine(
-                program,
-                signal_tracker=make_signal_tracker(signal),
-                batched=batched,
-            )
-            for batched in (False, True)
+            engine_cls(program, signal_tracker=make_signal_tracker(signal))
+            for engine_cls in (ScalarEngine, SimulationEngine)
         ]
         while not engines[0].exhausted:
             vecs = []
@@ -388,7 +387,7 @@ class TestConcatenatedSignal:
             mem_patterns=[b.pattern(PatternKind.REUSE, 4096, stride=64)],
         )
         for k in range(6):
-            combined.record(block, True, k=k)
+            record_event(combined, block, True, k=k)
         assert combined.total_ops == 6 * block.n_ops
         vec = combined.take_vector(normalize=True)
         assert vec.shape == (32 + 16,)
@@ -406,7 +405,7 @@ class TestConcatenatedSignal:
             mix="int",
             mem_patterns=[b.pattern(PatternKind.RANDOM, 1 << 16)],
         )
-        combined.record(block, True, k=3)
+        record_event(combined, block, True, k=3)
         snap = combined.snapshot()
         other = self._concat()
         other.restore(snap)
