@@ -33,7 +33,6 @@ from .errors import (
     SamplingError,
     SimulationError,
     SnapshotError,
-    StreamExhausted,
 )
 from .program import (
     BasicBlock,
@@ -81,7 +80,6 @@ __all__ = [
     "ProgramError",
     "SimulationError",
     "SnapshotError",
-    "StreamExhausted",
     "SamplingError",
     "EstimateError",
     "ClusteringError",

@@ -7,15 +7,12 @@ accidentally swallowing programming mistakes such as ``TypeError``.
 
 from __future__ import annotations
 
-from typing import Any, Sequence, Tuple
-
 __all__ = [
     "ReproError",
     "ConfigurationError",
     "ProgramError",
     "SimulationError",
     "SnapshotError",
-    "StreamExhausted",
     "SamplingError",
     "EstimateError",
     "ClusteringError",
@@ -43,23 +40,6 @@ class SimulationError(ReproError):
 
 class SnapshotError(SimulationError):
     """A checkpoint snapshot does not match the component restoring it."""
-
-
-class StreamExhausted(ReproError):
-    """A program stream ran out of events while more are required.
-
-    Raised by helpers that *must* consume a fixed number of operations;
-    plain iteration simply stops instead.
-
-    Attributes:
-        partial: the events consumed before the stream ended.  Consuming
-            them *is* destructive — the stream has already advanced — so
-            they are attached here rather than silently discarded.
-    """
-
-    def __init__(self, message: str = "", partial: Sequence[Any] = ()) -> None:
-        super().__init__(message)
-        self.partial: Tuple[Any, ...] = tuple(partial)
 
 
 class SamplingError(ReproError):

@@ -68,10 +68,12 @@ def run(ctx: ExperimentContext) -> Dict[str, Any]:
         for threshold in ctx.scale.thresholds:
             errors: Dict[str, float] = {}
             details: Dict[str, int] = {}
+            accounting: Dict[str, Dict[str, int]] = {}
             for benchmark in ctx.benchmarks:
                 res = run_single(ctx, benchmark, period, threshold)
                 errors[benchmark] = res["error_pct"]
                 details[benchmark] = res["detailed_ops"]
+                accounting[benchmark] = res["accounting_ops"]
             values = list(errors.values())
             grid.append(
                 {
@@ -79,6 +81,7 @@ def run(ctx: ExperimentContext) -> Dict[str, Any]:
                     "threshold_pi": threshold,
                     "errors": errors,
                     "detailed_ops": details,
+                    "accounting_ops": accounting,
                     "a_mean": arithmetic_mean(values),
                     "g_mean": geometric_mean(values),
                 }

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List
 
+from ..cpu.engine import Mode
 from ..errors import OrchestrationError
 from ..sampling.full import FullDetail
 from ..sampling.online_simpoint import OnlineSimPoint, OnlineSimPointConfig
@@ -73,6 +74,10 @@ def _summary(results: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
         "a_mean": arithmetic_mean(errors),
         "g_mean": geometric_mean(errors),
         "mean_detailed_ops": arithmetic_mean(details),
+        "accounting_ops": {
+            m.value: sum(r["accounting_ops"][m.value] for r in results.values())
+            for m in Mode
+        },
     }
 
 
@@ -305,6 +310,7 @@ def run(ctx: ExperimentContext) -> Dict[str, Any]:
             b: {
                 "error_pct": entry["errors"][b],
                 "detailed_ops": entry["detailed_ops"][b],
+                "accounting_ops": entry["accounting_ops"][b],
                 "ipc_estimate": 0.0,
             }
             for b in ctx.benchmarks

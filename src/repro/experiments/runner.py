@@ -160,7 +160,7 @@ class ExperimentContext:
         that declares ``uses_trace`` runs on the benchmark's cached
         reference trace; every other one runs on a fresh program.
 
-        Returns a plain dict with the result fields needed by the figures.
+        Returns the result's :meth:`~repro.sampling.SamplingResult.to_doc`.
         """
         config = technique.config
         payload = {
@@ -180,27 +180,7 @@ class ExperimentContext:
                 result = technique.run(program, trace=self.trace(benchmark))
             else:
                 result = technique.run(program)
-            return {
-                "technique": result.technique,
-                "benchmark": result.program,
-                "ipc_estimate": result.ipc_estimate,
-                "detailed_ops": result.detailed_ops,
-                "total_ops": result.total_ops,
-                "n_samples": result.n_samples,
-                "extras": _jsonable(result.extras),
-            }
+            return result.to_doc()
 
         return self.cache.json(payload, compute)
 
-
-def _jsonable(obj: Any) -> Any:
-    """Best-effort conversion of extras to JSON-compatible values."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if hasattr(obj, "item"):  # numpy scalar
-        return obj.item()
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    return str(obj)

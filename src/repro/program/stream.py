@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from ..errors import ProgramError, StreamExhausted
+from ..errors import ProgramError
 from .block import BasicBlock
 from .program import Program
 
@@ -247,31 +247,6 @@ class ProgramStream:
     def current_behavior_name(self) -> str:
         """Name of the behaviour the next event will come from."""
         return self._behavior.name
-
-    def take_ops(self, n_ops: int) -> List[BlockEvent]:
-        """Consume events totalling at least *n_ops* operations.
-
-        Raises:
-            StreamExhausted: if the stream ends before *n_ops* ops are
-                available.  The events consumed up to that point have
-                already been taken off the stream; they are attached to
-                the exception as ``partial`` so callers can still use
-                (or account for) them.
-        """
-        if n_ops <= 0:
-            return []
-        out: List[BlockEvent] = []
-        got = 0
-        while got < n_ops:
-            event = self.next_event()
-            if event is None:
-                raise StreamExhausted(
-                    f"needed {n_ops} ops, stream ended after {got}",
-                    partial=out,
-                )
-            out.append(event)
-            got += event.block.n_ops
-        return out
 
     def snapshot(self) -> Dict[str, Any]:
         """Capture the complete stream state for checkpointing."""

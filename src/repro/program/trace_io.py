@@ -23,7 +23,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ProgramError, StreamExhausted
+from ..errors import ProgramError
 from .program import Program
 from .stream import BlockEvent, BlockRun, ProgramStream
 
@@ -190,26 +190,6 @@ class TraceStream:
         if event is None:
             raise StopIteration
         return event
-
-    def take_ops(self, n_ops: int) -> List[BlockEvent]:
-        """Consume events totalling at least *n_ops* operations.
-
-        Raises:
-            StreamExhausted: if the trace ends first; the events already
-                consumed ride along as ``partial``.
-        """
-        out: List[BlockEvent] = []
-        got = 0
-        while got < n_ops:
-            event = self.next_event()
-            if event is None:
-                raise StreamExhausted(
-                    f"needed {n_ops} ops, trace ended after {got}",
-                    partial=out,
-                )
-            out.append(event)
-            got += event.block.n_ops
-        return out
 
     def snapshot(self) -> Dict[str, Any]:
         """Capture replay position."""

@@ -6,6 +6,8 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+import numpy as np
+
 from ..config import DEFAULT_MACHINE, MachineConfig
 from ..cpu.engine import ModeAccounting
 from ..errors import EstimateError
@@ -77,12 +79,53 @@ class SamplingResult:
             )
         return 100.0 * abs(self.ipc_estimate - true_ipc) / abs(true_ipc)
 
+    def to_doc(self) -> Dict[str, Any]:
+        """Every deterministic field as plain JSON values.
+
+        The one serialised form of a result: the experiment cache stores
+        it and the golden fixtures canonicalise it.  Per-mode ops are
+        keyed by ``Mode.value``; ``accounting.seconds`` (wall clock) is
+        the single field left out.
+        """
+        ci = self.ci
+        return {
+            "technique": self.technique,
+            "program": self.program,
+            "ipc_estimate": float(self.ipc_estimate),
+            "detailed_ops": int(self.detailed_ops),
+            "total_ops": int(self.total_ops),
+            "n_samples": int(self.n_samples),
+            "accounting_ops": {
+                mode.value: int(ops) for mode, ops in self.accounting.ops.items()
+            },
+            "ci": None
+            if ci is None
+            else {
+                "mean": float(ci.mean),
+                "half_width": float(ci.half_width),
+                "confidence": float(ci.confidence),
+                "n": int(ci.n),
+            },
+            "extras": _plain(self.extras),
+        }
+
     def __repr__(self) -> str:
         return (
             f"SamplingResult({self.technique} on {self.program}: "
             f"ipc={self.ipc_estimate:.4f}, detailed_ops={self.detailed_ops}, "
             f"samples={self.n_samples})"
         )
+
+
+def _plain(value: Any) -> Any:
+    """*value* as JSON values: numpy scalars unwrapped, tuples as lists."""
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
 
 
 def final_result(

@@ -5,6 +5,7 @@ stays fast; the full ten-benchmark reproduction lives in ``benchmarks/``.
 """
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -27,11 +28,14 @@ from repro.experiments import (
 from repro.sampling import (
     OnlineSimPoint,
     OnlineSimPointConfig,
+    SamplingResult,
+    SamplingTechnique,
     SimPoint,
     SimPointConfig,
     Smarts,
     SmartsConfig,
 )
+from repro.stats.sampling_theory import stratified_mean_ci
 
 
 @pytest.fixture()
@@ -115,7 +119,7 @@ class TestExperimentContext:
             direct = Smarts(SmartsConfig.from_scale(scale), ctx.machine).run(
                 ctx.program("164.gzip")
             )
-            assert cached["detailed_ops"] == direct.detailed_ops
+            assert cached == direct.to_doc()
             ops.append(cached["detailed_ops"])
         assert ops[0] != ops[1]
 
@@ -155,9 +159,29 @@ class TestExperimentContext:
             direct = technique.run(
                 ctx.program("164.gzip"), trace=ctx.trace("164.gzip")
             )
-            assert cached["ipc_estimate"] == direct.ipc_estimate
-            assert cached["detailed_ops"] == direct.detailed_ops
-            assert cached["n_samples"] == direct.n_samples
+            assert cached == direct.to_doc()
+
+    def test_run_cached_roundtrips_an_infinite_half_width(self, tmp_path):
+        # With every stratum a singleton the scatter is unobserved and the
+        # half width is inf, which the cache file holds as ``Infinity``.
+        ci = stratified_mean_ci({0: 10, 1: 20}, {0: [1.0], 1: [2.0]})
+        assert math.isinf(ci.half_width)
+        result = SamplingResult("Stub", "164.gzip", ci.mean, 0, 30, 2, ci=ci)
+
+        class Stub(SamplingTechnique):
+            name = "stub"
+
+            def run(self, program, **kwargs):
+                return result
+
+        ctx = ExperimentContext(
+            Scale.QUICK, cache_dir=tmp_path, benchmarks=["164.gzip"]
+        )
+        ctx.run_cached("164.gzip", Stub())
+        cached = ctx.run_cached("164.gzip", Stub())
+        assert ctx.cache.hits == 1
+        assert "Infinity" in next(tmp_path.glob("*.json")).read_text()
+        assert cached == result.to_doc()
 
     def test_program_fresh_instances(self, ctx):
         assert ctx.program("164.gzip") is not ctx.program("164.gzip")
@@ -254,3 +278,28 @@ class TestSweepFigures:
         assert rates["detail"] > 0
         # BBV overhead must be small on the detailed modes (paper: ~1%).
         assert rates["detail+bbv"] > 0.7 * rates["detail"]
+
+    def test_fig13_times_are_each_run_accounting_over_the_rates(self, ctx):
+        result = fig13.run(ctx)
+        rates, times = result["rates"], result["times"]
+        suite_ops = sum(ctx.trace(b).total_ops for b in ctx.benchmarks)
+        assert result["totals"]["FullDetail"] == suite_ops / rates["detail"]
+        period, threshold = fig11.best_configs(fig11.run(ctx))
+        runs = {
+            "FullDetail": fig12._full_run,
+            "SMARTS": fig12._smarts_run,
+            "TurboSMARTS": fig12._turbo_run,
+            "PGSS": lambda c, b: fig11.run_single(c, b, period, threshold),
+            "Stratified": fig12._stratified_run,
+            "RankedSet": fig12._ranked_run,
+        }
+        modes = ("func_fast", "func_warm", "detail_warm", "detail")
+        tracked = {"PGSS": modes, "Stratified": ("func_fast",)}
+        for technique, run_one in runs.items():
+            docs = [run_one(ctx, b) for b in ctx.benchmarks]
+            for mode in modes:
+                ops = sum(doc["accounting_ops"][mode] for doc in docs)
+                key = f"{mode}+bbv" if mode in tracked.get(technique, ()) else mode
+                assert times[technique][mode] == ops / rates[key], (technique, mode)
+        text = fig13.format_result(result)
+        assert "func_fast(s)" in text and "detail_warm(s)" in text

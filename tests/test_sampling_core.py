@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Scale
-from repro.errors import ConfigurationError, SamplingError, StreamExhausted
+from repro.errors import ConfigurationError, SamplingError
 from repro.sampling import (
     FullDetail,
     ReferenceTrace,
@@ -245,6 +245,3 @@ class TestStreamExhaustedGuard:
     def test_collect_trace_rejects_bad_window(self, program):
         with pytest.raises(SamplingError):
             collect_reference_trace(program, window_ops=0)
-
-    def test_exhausted_error_type(self):
-        assert issubclass(StreamExhausted, Exception)

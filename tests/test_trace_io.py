@@ -18,7 +18,6 @@ from repro import (
     Scale,
     Segment,
     SimulationEngine,
-    StreamExhausted,
     get_workload,
     make_signal_tracker,
 )
@@ -148,7 +147,7 @@ class TestReplay:
 
     def test_snapshot_restore(self, program, trace):
         replay = trace.as_stream(program)
-        replay.take_ops(5_000)
+        replay.next_events(5_000)
         snap = replay.snapshot()
         tail1 = [e.block.bid for e in replay]
         replay2 = trace.as_stream(program)
@@ -156,14 +155,9 @@ class TestReplay:
         tail2 = [e.block.bid for e in replay2]
         assert tail1 == tail2
 
-    def test_take_ops_exhaustion(self, program, trace):
-        replay = trace.as_stream(program)
-        with pytest.raises(StreamExhausted):
-            replay.take_ops(10**9)
-
     def test_clone_fresh(self, program, trace):
         replay = trace.as_stream(program)
-        replay.take_ops(5_000)
+        replay.next_events(5_000)
         fresh = replay.clone_fresh()
         assert fresh.ops_emitted == 0
 
