@@ -21,6 +21,11 @@ are ``181.mcf`` (hashed pointer chasing) and ``adv.footprint_step``
 (16 KB and 128 KB strides that miss on every access).  Their FUNC_WARM rows have a 2x
 floor; their DETAIL rows are recorded only.
 
+The ``trace`` row times ``collect_reference_trace`` on ``164.gzip``
+(one engine pass per chunk of windows, ``SimulationEngine.run_windows``)
+against the per-window loop it replaced (``per_window_trace``: one
+DETAIL ``run_segment`` and one BBV drain per window), with a 1.4x floor.
+
 Shared machines drift in effective speed by tens of percent over
 minutes, which is far more than the margins being asserted.  Each
 gated rate is therefore measured as an interleaved best-of-N: the
@@ -45,13 +50,14 @@ from pathlib import Path
 
 from repro import BbvTracker, Mode, SimulationEngine, get_workload
 from repro.experiments.formatting import table
+from repro.sampling.full import collect_reference_trace
 
 from conftest import record
 
 # The scalar arm is the test suite's reference loop.  Appended, not
 # prepended, so ``conftest`` above stays this directory's.
 sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
-from scalar_reference import run_scalar  # noqa: E402
+from scalar_reference import per_window_trace, run_scalar  # noqa: E402
 
 #: Calibration workload and op budget (per timed run).
 RATE_BENCHMARK = "164.gzip"
@@ -69,6 +75,9 @@ MISS_MODES = (Mode.FUNC_WARM, Mode.DETAIL)
 #: to pin down its peak rate.
 RATE_REPS = 5
 RATE_REPS_BATCHED = 10
+
+#: Reps per arm of the reference-trace row (interleaved, best-of-N).
+TRACE_REPS = 5
 
 #: Modes whose scalar arm is also timed.
 BATCHED_MODES = (Mode.DETAIL, Mode.DETAIL_WARM, Mode.FUNC_FAST, Mode.FUNC_WARM)
@@ -106,6 +115,30 @@ def _best_pair(ctx, name, mode, with_bbv):
     return best_b, best_s
 
 
+def _trace_rate_once(ctx, program, windowed):
+    window = ctx.scale.trace_window
+    start = time.perf_counter()  # simlint: disable=DET005
+    if windowed:
+        trace = collect_reference_trace(program, window, machine=ctx.machine)
+    else:
+        engine = SimulationEngine(
+            program, machine=ctx.machine, signal_tracker=BbvTracker()
+        )
+        trace = per_window_trace(engine, Mode.DETAIL, window)
+    elapsed = time.perf_counter() - start  # simlint: disable=DET005
+    return trace.total_ops / elapsed if elapsed > 0 else 0.0
+
+
+def _best_trace_pair(ctx):
+    """Interleaved best-of-N rates of the (windowed, per-window) traces."""
+    program = _program(ctx, RATE_BENCHMARK)
+    best_w = best_p = 0.0
+    for _ in range(TRACE_REPS):
+        best_w = max(best_w, _trace_rate_once(ctx, program, True))
+        best_p = max(best_p, _trace_rate_once(ctx, program, False))
+    return best_w, best_p
+
+
 def measure(ctx):
     rates = {}
     for mode in Mode:
@@ -126,6 +159,7 @@ def measure(ctx):
                 rates[f"{mode.value}@{name}"],
                 rates[f"{mode.value}_scalar@{name}"],
             ) = _best_pair(ctx, name, mode, False)
+    rates["trace"], rates["trace_per_window"] = _best_trace_pair(ctx)
     speedups = {
         f"{mode.value}{suffix}": (
             rates[f"{mode.value}{suffix}"]
@@ -140,6 +174,7 @@ def measure(ctx):
             speedups[f"{mode.value}@{name}"] = (
                 rates[f"{mode.value}@{name}"] / rates[f"{mode.value}_scalar@{name}"]
             )
+    speedups["trace"] = rates["trace"] / rates["trace_per_window"]
     return {"rates": rates, "speedups": speedups}
 
 
@@ -164,6 +199,7 @@ def format_result(result):
         for mode in MISS_MODES
         for name in MISS_PROGRAMS
     ]
+    rows.append(_row(result, "trace", "trace_per_window"))
     speedups = result["speedups"]
     header = (
         "Engine throughput — batched engine vs. scalar event loop "
@@ -180,6 +216,8 @@ def format_result(result):
             + "\n"
             for mode in MISS_MODES[::-1]
         )
+        + f"windowed reference trace: {speedups['trace']:.1f}x the per-window "
+        "loop (trace row: its scalar column is that loop)\n"
         + "\n"
     )
     return header + table(["mode", "batched", "scalar", "speedup"], rows)
@@ -194,7 +232,12 @@ def test_engine_rate(benchmark, ctx, results_dir):
         "func_warm_programs": list(MISS_PROGRAMS),
         "detail_programs": list(MISS_PROGRAMS),
         "ops_per_run": RATE_OPS,
-        "reps_per_arm": {"batched": RATE_REPS_BATCHED, "scalar": RATE_REPS},
+        "reps_per_arm": {
+            "batched": RATE_REPS_BATCHED,
+            "scalar": RATE_REPS,
+            "trace": TRACE_REPS,
+        },
+        "trace_window": ctx.scale.trace_window,
         "scale": ctx.scale.name,
         "python": platform.python_version(),
         "rates_ops_per_sec": {k: round(v, 1) for k, v in result["rates"].items()},
@@ -223,6 +266,8 @@ def test_engine_rate(benchmark, ctx, results_dir):
     assert result["speedups"]["func_warm@181.mcf"] >= 2.0
     # Strides that miss on every access in two of its three phases.
     assert result["speedups"]["func_warm@adv.footprint_step"] >= 2.0
+    # One engine pass per chunk of trace windows, against one per window.
+    assert result["speedups"]["trace"] >= 1.4
 
     benchmark.extra_info["speedups"] = {
         k: round(v, 1) for k, v in result["speedups"].items()

@@ -16,9 +16,9 @@ HYG002  mutable default argument
 HYG003  public module without ``__all__``
 HYG004  frozen-dataclass mutation via ``object.__setattr__`` on a
         target other than ``self``
-HYG005  literal engine-mode scheduling (``.run(Mode.X, ...)`` /
-        ``.run_to_end(Mode.X, ...)``) outside the sampling-session
-        kernel
+HYG005  literal engine-mode scheduling (``.run(Mode.X, ...)``,
+        ``.run_windows(Mode.X, ...)`` / ``.run_to_end(Mode.X, ...)``)
+        outside the sampling-session kernel
 """
 
 from __future__ import annotations
@@ -211,7 +211,9 @@ class EngineModeEscapeRule(Rule):
     ``ModeSegment`` entries), which is what keeps accounting, event emission,
     and batched dispatch uniform.  A call like ``engine.run(Mode.DETAIL,
     n)`` anywhere else re-opens the pre-kernel world where each
-    technique hand-rolled its own loop, so it is flagged.  Generic
+    technique hand-rolled its own loop, so it is flagged, and so is
+    ``engine.run_windows(Mode.DETAIL, ...)``: windowed recorders go
+    through ``SamplingSession.run_windows`` with a segment.  Generic
     drivers that *forward* a mode variable (``engine.run(mode, n)``)
     are fine — the rule only fires on literal ``Mode.X`` attributes.
     """
@@ -220,7 +222,7 @@ class EngineModeEscapeRule(Rule):
     severity = Severity.ERROR
     summary = "literal engine-mode scheduling outside repro.sampling.session"
 
-    _METHODS = frozenset({"run", "run_to_end"})
+    _METHODS = frozenset({"run", "run_to_end", "run_windows"})
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if ctx.in_subpackage("sampling") and ctx.module_name == "session":

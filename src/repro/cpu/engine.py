@@ -12,7 +12,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sampling.session import ModeSegment
@@ -22,8 +25,9 @@ from ..config import DEFAULT_MACHINE, MachineConfig
 from ..errors import ConfigurationError, SimulationError
 from ..memory import CacheHierarchy
 from ..program import Program, ProgramStream
+from ..program.stream import BlockRun
 from .functional import FunctionalWarmer
-from .pipeline import InOrderPipeline
+from .pipeline import InOrderPipeline, WindowMarks
 
 __all__ = ["Mode", "ModeRun", "ModeAccounting", "SimulationEngine"]
 
@@ -185,40 +189,104 @@ class SimulationEngine:
         order through one kernel call per stretch between L1I misses.  For
         DETAIL and DETAIL_WARM the pass also records each slice's misses,
         mispredictions and fetch stalls, and the pipeline replays their
-        timing (:meth:`InOrderPipeline.replay`).  Signal accumulation is a
-        single vectorised call per batch.  All of it lands in the state an
-        event-at-a-time loop over the expanded runs would leave, byte for
-        byte; ``tests/scalar_reference.py`` keeps that loop as the
+        timing (:meth:`InOrderPipeline.replay`).  The signal tracker takes
+        the batch in one closed-form call.  All of it lands in the state
+        an event-at-a-time loop over the expanded runs would leave, byte
+        for byte; ``tests/scalar_reference.py`` keeps that loop as the
         equivalence suites' reference.
         """
         if n_ops < 0:
             raise SimulationError("n_ops must be non-negative")
-        cycles = 0
-        start_cycle = self.pipeline.cycle
+        windows = self._execute(mode, n_ops, 1, drain=False)
+        if windows:
+            return windows[0][0]
+        return ModeRun(mode=mode, ops=0, cycles=0, exhausted=self.stream.exhausted)
+
+    def run_windows(
+        self, mode: Mode, window_ops: int, count: int
+    ) -> List[Tuple[ModeRun, Optional[np.ndarray]]]:
+        """Run up to *count* consecutive *window_ops* windows in *mode*.
+
+        Each window is one ``next_events(window_ops)`` batch, but all of
+        them go through one architectural pass; in the detailed modes its
+        timing replay notes the cycle at each window's end
+        (:class:`~repro.cpu.pipeline.WindowMarks`).  The signal tracker
+        takes one window at a time and is drained with
+        ``take_vector(normalize=False)`` at each window's end.
+
+        Returns one ``(ModeRun, raw vector)`` pair per window (the vector
+        is ``None`` without a tracker): what *count* calls of
+        :meth:`run` would return, each followed by that drain.  Stops
+        after the window that ends the program, so an exhausted stream
+        returns fewer windows (none if it was already exhausted).
+        """
+        if window_ops <= 0:
+            raise SimulationError("window_ops must be positive")
+        if count < 0:
+            raise SimulationError("count must be non-negative")
+        return self._execute(mode, window_ops, count, drain=True)
+
+    def _execute(
+        self, mode: Mode, n_ops: int, count: int, drain: bool
+    ) -> List[Tuple[ModeRun, Optional[np.ndarray]]]:
+        """The execution core of :meth:`run` and :meth:`run_windows`:
+        up to *count* batches of *n_ops*, one architectural pass over all
+        of them, one window per batch."""
         # Wall-clock only feeds the rate accounting (Fig. 13), never
         # simulated state.
         start_time = time.perf_counter()  # simlint: disable=DET005
+        stream = self.stream
+        tracker = self.signal_tracker
+        start_ops = stream.ops_emitted
+        ends: List[int] = []  # op offset of each window's end
+        vectors: List[Optional[np.ndarray]] = []
+        passed: List[BlockRun] = []  # what the architectural pass takes
+        for _ in range(count):
+            runs = stream.next_events(n_ops)
+            if not runs:
+                break
+            ends.append(stream.ops_emitted - start_ops)
+            if tracker is not None:
+                tracker.record_batch(runs)
+            vectors.append(
+                tracker.take_vector(normalize=False)
+                if drain and tracker is not None
+                else None
+            )
+            if mode is not Mode.FUNC_FAST:
+                passed.extend(runs)
 
-        runs = self.stream.next_events(n_ops)
-        if runs and mode.is_detailed:
-            self.warmer.execute_batch(runs, self.pipeline.replay)
-        elif runs and mode is Mode.FUNC_WARM:
-            self.warmer.execute_batch(runs)
-        ops = 0
-        for run in runs:
-            ops += run.n * run.block.n_ops
-        if self.signal_tracker is not None and runs:
-            self.signal_tracker.record_batch(runs)
-        if mode.is_detailed and ops:
-            # Issue-cycle delta: window boundaries telescope exactly,
-            # so per-window cycles over a full run sum to the full
-            # run's cycle count.
-            cycles = self.pipeline.cycle - start_cycle
+        start_cycle = self.pipeline.cycle
+        cycle_ends = [start_cycle] * len(ends)  # the cycle at each window's end
+        if passed and mode.is_detailed:
+            # The last window ends where the pass does; the replay marks
+            # the ones before it.
+            marks = WindowMarks(ends[:-1])
+            replay = self.pipeline.replay
+            self.warmer.execute_batch(
+                passed, partial(replay, marks=marks) if marks.ends else replay
+            )
+            cycle_ends = marks.cycles + [self.pipeline.cycle]
+        elif passed:
+            self.warmer.execute_batch(passed)
+
+        # Issue-cycle deltas: window boundaries telescope exactly, so
+        # per-window cycles over a full run sum to its cycle count.
+        windows: List[Tuple[ModeRun, Optional[np.ndarray]]] = []
+        last_ops = 0
+        last_cycle = start_cycle
+        for k, (end, cycle) in enumerate(zip(ends, cycle_ends)):
+            exhausted = k == len(ends) - 1 and stream.exhausted
+            windows.append(
+                (ModeRun(mode, end - last_ops, cycle - last_cycle, exhausted), vectors[k])
+            )
+            last_ops = end
+            last_cycle = cycle
 
         elapsed = time.perf_counter() - start_time  # simlint: disable=DET005
-        self.accounting.ops[mode] += ops
+        self.accounting.ops[mode] += ends[-1] if ends else 0
         self.accounting.seconds[mode] += elapsed
-        return ModeRun(mode=mode, ops=ops, cycles=cycles, exhausted=self.stream.exhausted)
+        return windows
 
     def run_segment(self, segment: "ModeSegment") -> ModeRun:
         """Execute one sampling-plan segment (the session-facing API).

@@ -38,8 +38,9 @@ that event loop as the reference.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..branch import BranchPredictor
 from ..config import MachineConfig
@@ -49,7 +50,7 @@ from ..memory import CacheHierarchy
 from ..program.stream import BlockRun
 from .functional import Outcomes
 
-__all__ = ["InOrderPipeline"]
+__all__ = ["InOrderPipeline", "WindowMarks"]
 
 _OP_LOAD = int(Op.LOAD)
 _OP_STORE = int(Op.STORE)
@@ -66,6 +67,29 @@ _FU_LIMIT_LIST: List[int] = [FU_LIMITS[FuClass(i)] for i in range(_N_FU)]
 #: Transition-memo size cap; distinct contexts per block are few, so this
 #: is a backstop against pathological key churn, not a working-set tuner.
 _MEMO_CAP = 65_536
+
+
+@dataclass
+class WindowMarks:
+    """Window ends inside one detailed pass, and the cycles they end at.
+
+    One architectural pass can cover several consecutive windows
+    (:meth:`~repro.cpu.SimulationEngine.run_windows`).  Every window ends
+    on a run boundary, so :meth:`InOrderPipeline.replay` can note the
+    cycle there: when the ops replayed since the pass began reach the
+    next entry of :attr:`ends`, the current cycle is appended to
+    :attr:`cycles`.  The marks carry over from one slice to the next.
+
+    Attributes:
+        ends: ascending op offsets, from the pass's first op, at which a
+            window ends.
+        cycles: the cycle reached at each end so far.
+        ops: ops replayed so far in the pass.
+    """
+
+    ends: List[int]
+    cycles: List[int] = field(default_factory=list)
+    ops: int = 0
 
 
 class InOrderPipeline:
@@ -439,7 +463,12 @@ class InOrderPipeline:
         )
         return nsid
 
-    def replay(self, runs: Sequence[BlockRun], outcomes: Outcomes) -> None:
+    def replay(
+        self,
+        runs: Sequence[BlockRun],
+        outcomes: Outcomes,
+        marks: Optional[WindowMarks] = None,
+    ) -> None:
         """Replay the timing of one slice of runs from its recorded
         architectural outcomes.
 
@@ -461,6 +490,9 @@ class InOrderPipeline:
         ``n == 1`` run, goes straight to :meth:`_issue_timing`.  An
         unmemoized step runs the real scoreboard and is recorded for next
         time (:meth:`_learn`).
+
+        With *marks*, the cycle at the end of every run that closes a
+        window is appended to ``marks.cycles``.
         """
         mispredicts, stalls, misses = outcomes
         l2_extra = self.hierarchy.l2.hit_latency
@@ -482,9 +514,30 @@ class InOrderPipeline:
         plans = self._plans
         it0 = 0  # slice iteration of the run's iteration 0
         at0 = 0  # slice access index of the run's first access
+        if marks is not None:
+            marked = marks.ops
+            mark_iter = iter(marks.ends[len(marks.cycles) :])
+            next_mark = next(mark_iter, end)
+        # A run of the same block as the run before it (a run cut at a
+        # window or budget end) continues from that run's context; any
+        # other run starts from absolute state, written back here.
+        last_block: Any = None
+        sid = -1  # no context interned: the absolute state is current
+        pending = None  # written-reg offsets of the last walked step
         for run in runs:
             block = run.block
             n = run.n
+            if block is not last_block or len(chain) >= _MEMO_CAP:
+                if pending is not None:
+                    self._materialize(
+                        sid,
+                        pending,
+                        last_block.live_in_regs,
+                        last_block.written_regs,
+                        last_block.div_fus,
+                    )
+                sid = -1
+                pending = None
             plan = plans.get(block.bid)
             if plan is None:
                 plan = plans[block.bid] = self._plan(block)
@@ -500,8 +553,6 @@ class InOrderPipeline:
             hit_key = None if int_keys else (True,) + hit_lats
             end_m = (at0 + n * width) << 1
             cycle = self.cycle
-            sid = -1  # no context interned: the absolute state is current
-            pending = None  # written-reg offsets of the last walked step
             i = 0
             while i < n:
                 # The next special iteration, relative to the run.
@@ -627,7 +678,21 @@ class InOrderPipeline:
                 i = s + 1
 
             self.cycle = cycle
-            if pending is not None:
-                self._materialize(sid, pending, live_in, block.written_regs, div_fus)
+            last_block = block
             it0 += n
             at0 += n * width
+            if marks is not None:
+                marked += n * block.n_ops
+                if marked == next_mark:
+                    marks.cycles.append(cycle)
+                    next_mark = next(mark_iter, end)
+        if pending is not None:
+            self._materialize(
+                sid,
+                pending,
+                last_block.live_in_regs,
+                last_block.written_regs,
+                last_block.div_fus,
+            )
+        if marks is not None:
+            marks.ops = marked

@@ -45,7 +45,8 @@ class SessionEvent:
 
 @dataclass(frozen=True)
 class SegmentStart(SessionEvent):
-    """A plan segment is about to execute.
+    """A plan segment is about to execute (for the windows of
+    ``SamplingSession.run_windows``, emitted once their pass has run).
 
     Attributes:
         mode: engine mode of the segment.

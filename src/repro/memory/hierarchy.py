@@ -7,38 +7,22 @@ and an L2 miss additionally pays the memory latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import MachineConfig
 from .cache import Cache
 
-__all__ = ["AccessResult", "CacheHierarchy"]
-
-
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of one hierarchy access.
-
-    Attributes:
-        latency: total cycles to satisfy the access.
-        level: 1 for an L1 hit, 2 for an L2 hit, 3 for main memory.
-    """
-
-    latency: int
-    level: int
+__all__ = ["CacheHierarchy"]
 
 
 class CacheHierarchy:
     """Split L1 I/D caches backed by a unified L2 and main memory.
 
-    Per-access calls come in two styles: :meth:`access_data` /
-    :meth:`access_inst` return full result objects, and
-    :meth:`data_latency` / :meth:`inst_latency` bare integer latencies.
-    The engine goes through the batched :meth:`warm_data_run` kernel and
-    :meth:`fetch_l1i` / :meth:`fill_inst` instead; the per-access forms
-    serve tests, tooling and the scalar reference loop the batched path
-    is checked against.
+    The engine reaches the caches through the batched data kernel
+    :meth:`warm_data_run` and the two halves of an instruction fetch,
+    :meth:`fetch_l1i` and :meth:`fill_inst`.  Per-access forms (latency
+    and servicing level of one access) live with the scalar reference
+    loop in ``tests/scalar_reference.py``.
     """
 
     def __init__(
@@ -75,52 +59,6 @@ class CacheHierarchy:
         """The per-core address salt XORed into every access."""
         return self._salt
 
-    def data_latency(self, addr: int, is_write: bool = False) -> int:
-        """Access the data side; return total latency in cycles."""
-        addr ^= self._salt
-        lat = self.l1d.hit_latency
-        if self.l1d.access(addr, is_write):
-            return lat
-        lat += self.l2.hit_latency
-        if self.l2.access(addr, is_write):
-            return lat
-        self.memory_accesses += 1
-        return lat + self.machine.memory_latency
-
-    def inst_latency(self, addr: int) -> int:
-        """Access the instruction side; return total latency in cycles."""
-        addr ^= self._salt
-        lat = self.l1i.hit_latency
-        if self.l1i.access(addr):
-            return lat
-        lat += self.l2.hit_latency
-        if self.l2.access(addr):
-            return lat
-        self.memory_accesses += 1
-        return lat + self.machine.memory_latency
-
-    def access_data(self, addr: int, is_write: bool = False) -> AccessResult:
-        """Access the data side; return latency and the servicing level."""
-        before_l2 = self.l2.stats.hits
-        before_l1 = self.l1d.stats.hits
-        lat = self.data_latency(addr, is_write)
-        if self.l1d.stats.hits > before_l1:
-            return AccessResult(lat, 1)
-        if self.l2.stats.hits > before_l2:
-            return AccessResult(lat, 2)
-        return AccessResult(lat, 3)
-
-    def access_inst(self, addr: int) -> AccessResult:
-        """Access the instruction side; return latency and servicing level."""
-        before_l2 = self.l2.stats.hits
-        before_l1 = self.l1i.stats.hits
-        lat = self.inst_latency(addr)
-        if self.l1i.stats.hits > before_l1:
-            return AccessResult(lat, 1)
-        if self.l2.stats.hits > before_l2:
-            return AccessResult(lat, 2)
-        return AccessResult(lat, 3)
-
     def inst_lines_pinned(self, inst_lines: Sequence[int]) -> bool:
         """Does one pass over a block's *inst_lines* pin them all at MRU?
 
@@ -132,20 +70,14 @@ class CacheHierarchy:
         """
         return self.l1i.distinct_sets(inst_lines, self._salt)
 
-    def warm_data(self, addr: int, is_write: bool = False) -> None:
-        """Touch the data side without caring about latency (warming mode)."""
-        addr ^= self._salt
-        if not self.l1d.access(addr, is_write):
-            if not self.l2.access(addr, is_write):
-                self.memory_accesses += 1
-
     def warm_data_run(
         self,
         stream: Sequence[int],
         start: int = 0,
         misses: Optional[List[int]] = None,
     ) -> None:
-        """:meth:`warm_data` applied to each access of *stream*, in order.
+        """Each access of *stream* through the L1D, and the L2 on a miss,
+        in order.
 
         Each entry packs one access as ``(addr ^ address_salt) << 1 |
         is_write`` (:func:`~repro.program.mem_patterns.batch_stream`).
@@ -223,25 +155,18 @@ class CacheHierarchy:
         self.memory_accesses += misses1 - hits2
 
     def fetch_l1i(self, addr: int) -> bool:
-        """The L1I half of :meth:`warm_inst`: touch the L1I only and
+        """The L1I half of an instruction fetch: touch the L1I only and
         return whether it hit.  A miss must be completed by
         :meth:`fill_inst` for the same *addr*."""
         return self.l1i.access(addr ^ self._salt)
 
     def fill_inst(self, addr: int) -> bool:
-        """The L2 half of :meth:`warm_inst`, after :meth:`fetch_l1i` missed;
-        returns whether the L2 hit."""
+        """The L2 half of an instruction fetch, after :meth:`fetch_l1i`
+        missed; returns whether the L2 hit."""
         if self.l2.access(addr ^ self._salt):
             return True
         self.memory_accesses += 1
         return False
-
-    def warm_inst(self, addr: int) -> None:
-        """Touch the instruction side without caring about latency."""
-        addr ^= self._salt
-        if not self.l1i.access(addr):
-            if not self.l2.access(addr):
-                self.memory_accesses += 1
 
     def flush(self) -> None:
         """Invalidate all three caches."""

@@ -25,15 +25,19 @@ from ..errors import SamplingError
 from ..events import EventBus
 from ..program import Program
 from .base import SamplingResult, SamplingTechnique, final_result
-from .session import (
-    ModeSegment,
-    SamplingSession,
-    SegmentPlan,
-    SegmentRole,
-    run_to_end_plan,
-)
+from .session import ModeSegment, SamplingSession, SegmentRole, run_to_end_plan
 
-__all__ = ["FullDetail", "ReferenceTrace", "collect_reference_trace"]
+__all__ = [
+    "FullDetail",
+    "ReferenceTrace",
+    "WINDOWS_PER_CHUNK",
+    "collect_reference_trace",
+]
+
+#: Windows run through one engine pass by the windowed recorders
+#: (:func:`collect_reference_trace`, ``SimPoint.profile_intervals``).
+#: Each window still gets its own ops, cycles and BBV.
+WINDOWS_PER_CHUNK = 64
 
 
 class ReferenceTrace:
@@ -200,7 +204,7 @@ def collect_reference_trace(
     session = SamplingSession(engine, bus=bus)
     ops_list: List[int] = []
     cycles_list: List[int] = []
-    bbv_list: List[np.ndarray] = []
+    bbv_list: List[Optional[np.ndarray]] = []
     if checkpoint is not None:
         saved = checkpoint.load()
         if saved is not None:
@@ -210,40 +214,41 @@ def collect_reference_trace(
             cycles_list = [int(v) for v in extras["cycles"]]
             bbv_list = [np.asarray(b, dtype=np.float64) for b in extras["bbvs"]]
 
-    windows_since_save = [0]
-
-    def plan() -> SegmentPlan:
-        while not engine.exhausted:
-            outcome = yield ModeSegment(
-                Mode.DETAIL, window_ops, role=SegmentRole.PROFILE
-            )
-            if outcome.run.ops == 0:
-                break
+    segment = ModeSegment(Mode.DETAIL, window_ops, role=SegmentRole.PROFILE)
+    save_to = checkpoint if checkpoint_windows > 0 else None
+    windows_since_save = 0
+    while not engine.exhausted:
+        chunk = WINDOWS_PER_CHUNK
+        if save_to is not None:
+            # A chunk never crosses a save.
+            chunk = min(chunk, checkpoint_windows - windows_since_save)
+        windows = session.run_windows(segment, chunk)
+        if not windows:
+            break
+        for outcome, vector in windows:
             ops_list.append(outcome.run.ops)
             cycles_list.append(outcome.run.cycles)
-            bbv_list.append(tracker.take_vector(normalize=False))
-            windows_since_save[0] += 1
-            if (
-                checkpoint is not None
-                and checkpoint_windows > 0
-                and windows_since_save[0] >= checkpoint_windows
-                and not engine.exhausted
-            ):
-                windows_since_save[0] = 0
-                # The snapshot is taken on a window boundary, right after
-                # take_vector() drained the BBV registers, so the restored
-                # engine continues exactly where this window ended.
-                checkpoint.save(
-                    engine.ops_completed,
-                    engine.snapshot(),
-                    extras={
-                        "ops": list(ops_list),
-                        "cycles": list(cycles_list),
-                        "bbvs": [np.array(b) for b in bbv_list],
-                    },
-                )
+            bbv_list.append(vector)
+        windows_since_save += len(windows)
+        if (
+            save_to is not None
+            and windows_since_save >= checkpoint_windows
+            and not engine.exhausted
+        ):
+            windows_since_save = 0
+            # The snapshot is taken on a window boundary, right after
+            # the last window's drain, so the restored engine continues
+            # exactly where that window ended.
+            save_to.save(
+                engine.ops_completed,
+                engine.snapshot(),
+                extras={
+                    "ops": list(ops_list),
+                    "cycles": list(cycles_list),
+                    "bbvs": [np.array(b) for b in bbv_list],
+                },
+            )
 
-    session.execute(plan())
     if checkpoint is not None:
         checkpoint.clear()
     return ReferenceTrace(

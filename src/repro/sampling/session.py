@@ -27,14 +27,17 @@ provides that common substrate (DESIGN.md §13):
 
 Techniques never call ``engine.run(Mode...)`` directly (simlint HYG005
 enforces this structurally): all mode scheduling flows through
-:meth:`SamplingSession.run_segment`, so accounting, event emission, and
-the batched fast-forward dispatch stay uniform across the zoo.
+:meth:`SamplingSession.run_segment` (or, for windowed recorders,
+:meth:`SamplingSession.run_windows`), so accounting, event emission,
+and the batched fast-forward dispatch stay uniform across the zoo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..config import MachineConfig
 from ..cpu.engine import Mode, ModeAccounting, ModeRun, SimulationEngine
@@ -184,8 +187,32 @@ class SamplingSession:
 
     def run_segment(self, segment: ModeSegment) -> SegmentOutcome:
         """Execute one segment; record its sample; emit segment events."""
-        engine = self.engine
-        start = engine.ops_completed
+        start = self.engine.ops_completed
+        self._emit_start(segment, start)
+        return self._finish(segment, start, self.engine.run_segment(segment))
+
+    def run_windows(
+        self, segment: ModeSegment, count: int
+    ) -> List[Tuple[SegmentOutcome, Optional[np.ndarray]]]:
+        """Execute up to *count* back-to-back copies of *segment* in one
+        engine pass (:meth:`~repro.cpu.SimulationEngine.run_windows`).
+
+        Each window is recorded, and its events emitted, as if it had run
+        through :meth:`run_segment`, followed by a raw drain of the
+        signal tracker; the events come once the whole pass has run.
+        Returns one ``(outcome, raw vector)`` pair per window; fewer than
+        *count* when the program ends.
+        """
+        start = self.engine.ops_completed
+        windows: List[Tuple[SegmentOutcome, Optional[np.ndarray]]] = []
+        for run, vector in self.engine.run_windows(segment.mode, segment.ops, count):
+            self._emit_start(segment, start)
+            outcome = self._finish(segment, start, run)
+            windows.append((outcome, vector))
+            start = outcome.end_offset
+        return windows
+
+    def _emit_start(self, segment: ModeSegment, start: int) -> None:
         self.bus.emit(
             SegmentStart(
                 mode=segment.mode,
@@ -194,7 +221,10 @@ class SamplingSession:
                 role=segment.role,
             )
         )
-        run = engine.run_segment(segment)
+
+    def _finish(self, segment: ModeSegment, start: int, run: ModeRun) -> SegmentOutcome:
+        """Record the sample of a segment that ran from op offset *start*,
+        and emit its end events."""
         sample: Optional[SessionSample] = None
         if segment.measure and run.ops and run.cycles:
             sample = SessionSample(
@@ -208,7 +238,7 @@ class SamplingSession:
             segment=segment,
             run=run,
             start_offset=start,
-            end_offset=engine.ops_completed,
+            end_offset=start + run.ops,
             sample=sample,
         )
         self.bus.emit(

@@ -30,7 +30,7 @@ from ..events import EventBus
 from ..program import Program
 from ..stats.estimators import stratified_ratio_ipc
 from .base import SamplingResult, SamplingTechnique, final_result, ops_label
-from .full import ReferenceTrace
+from .full import WINDOWS_PER_CHUNK, ReferenceTrace
 from .session import ModeSegment, SamplingSession, SegmentPlan, SegmentRole
 
 __all__ = ["SimPointConfig", "SimPoint"]
@@ -94,19 +94,15 @@ class SimPoint(SamplingTechnique):
         engine = SimulationEngine(program, machine=self.machine, signal_tracker=tracker)
         session = SamplingSession(engine, bus=bus)
         ops_list: List[int] = []
-        bbv_list: List[np.ndarray] = []
-
-        def plan() -> SegmentPlan:
-            while not engine.exhausted:
-                outcome = yield ModeSegment(
-                    Mode.FUNC_FAST, cfg.interval_ops, role=SegmentRole.PROFILE
-                )
-                if outcome.run.ops == 0:
-                    break
+        bbv_list: List[Optional[np.ndarray]] = []
+        segment = ModeSegment(Mode.FUNC_FAST, cfg.interval_ops, role=SegmentRole.PROFILE)
+        while not engine.exhausted:
+            windows = session.run_windows(segment, WINDOWS_PER_CHUNK)
+            if not windows:
+                break
+            for outcome, vector in windows:
                 ops_list.append(outcome.run.ops)
-                bbv_list.append(tracker.take_vector(normalize=False))
-
-        session.execute(plan())
+                bbv_list.append(vector)
         return ReferenceTrace(
             program=program.name,
             window_ops_target=cfg.interval_ops,

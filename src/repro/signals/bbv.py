@@ -14,17 +14,18 @@ since the *last taken branch* are credited to the bucket of the taken
 branch that ends the run.
 
 :meth:`BbvTracker.record_batch` consumes the run-length records produced
-by a stream's ``next_events``, folding each run's credits into closed form
-and applying a whole batch with vectorised numpy scatter-adds.  All
-credits are integer-valued and far below 2**53, so float64 accumulation
-is exact and the register file is bit-identical to crediting one event
-at a time.
+by a stream's ``next_events`` in one pass over the runs: it carries the
+run counter from run to run and credits each run, in closed form, to the
+bucket of its last taken branch.  The register file is a list of Python
+floats (IEEE doubles, like the float64 vectors it compiles to); all
+credits are integer-valued and far below 2**53, so accumulation is exact
+and the registers are bit-identical to crediting one event at a time.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -74,14 +75,6 @@ class ReducedBbvHash:
             index |= ((address >> pos) & 1) << shift
         return index
 
-    def batch(self, addresses: np.ndarray) -> np.ndarray:
-        """Vectorised bit-gather: hash an array of branch addresses."""
-        a = np.asarray(addresses, dtype=np.int64)
-        out = np.zeros(a.shape, dtype=np.int64)
-        for shift, pos in enumerate(self.bit_positions):
-            out |= ((a >> pos) & 1) << shift
-        return out
-
 
 class WideBbvHash:
     """A wider modulo hash used by the BBV-dimensionality ablation."""
@@ -94,16 +87,6 @@ class WideBbvHash:
     def __call__(self, address: int) -> int:
         """Map a branch address to a bucket by multiplicative hashing."""
         return ((address >> 2) * 2654435761 & 0xFFFFFFFF) % self.n_buckets
-
-    def batch(self, addresses: np.ndarray) -> np.ndarray:
-        """Vectorised multiplicative hash of an array of addresses.
-
-        uint64 arithmetic wraps modulo 2**64, which the 32-bit mask makes
-        indistinguishable from Python's arbitrary-precision product.
-        """
-        a = np.asarray(addresses, dtype=np.uint64)
-        mixed = (a >> np.uint64(2)) * np.uint64(2654435761) & np.uint64(0xFFFFFFFF)
-        return (mixed % np.uint64(self.n_buckets)).astype(np.int64)
 
 
 class BbvTracker:
@@ -121,7 +104,9 @@ class BbvTracker:
     def __init__(self, hash_fn: Optional[BbvHash] = None) -> None:
         self.hash_fn: BbvHash = hash_fn if hash_fn is not None else ReducedBbvHash()
         self.n_buckets = self.hash_fn.n_buckets
-        self._registers: np.ndarray = np.zeros(self.n_buckets, dtype=np.float64)
+        #: The register file, as Python floats: one closed-form credit per
+        #: taken run costs less on a list than on a numpy array.
+        self._registers: List[float] = [0.0] * self.n_buckets
         #: Ops retired since the last taken branch (the Fig. 4 side counter).
         self._run_ops = 0
         #: Per-block bucket cache: the hash of a block's branch address.
@@ -136,82 +121,49 @@ class BbvTracker:
             self._bucket_of_block[block.bid] = bucket
         return bucket
 
-    def _resolve_buckets(self, blocks: Sequence[BasicBlock]) -> None:
-        """Hash any not-yet-cached blocks, vectorised when possible."""
-        cache = self._bucket_of_block
-        fresh: Dict[int, int] = {}
-        for block in blocks:
-            if block.bid not in cache and block.bid not in fresh:
-                fresh[block.bid] = block.branch_address
-        if not fresh:
-            return
-        batch = getattr(self.hash_fn, "batch", None)
-        bids = list(fresh.keys())
-        if batch is not None:
-            addresses = np.fromiter(fresh.values(), dtype=np.int64, count=len(bids))
-            buckets = batch(addresses)
-            for bid, bucket in zip(bids, buckets):
-                cache[bid] = int(bucket)
-        else:
-            for bid in bids:
-                cache[bid] = self.hash_fn(fresh[bid])
-
     def record_batch(self, runs: Sequence["BlockRun"]) -> None:
         """Observe a batch of run-length records in closed form.
 
         Fig. 4 semantics: ops accumulate in a run counter, and each taken
         terminator credits the run (including its own block) to the
         branch's bucket.  Within one run every event shares a bucket, so
-        the per-event credits telescope: the ops from the run's start
-        through its last taken branch (plus the run counter carried in)
-        land in that bucket, and anything after the last taken branch
-        carries out.  Across the batch the carried run counter is
-        reconstructed from prefix sums, and all credits are applied with
-        one scatter-add — bit-identical to crediting per expanded event.
+        the per-event credits telescope: the run counter carried in plus
+        the ops from the run's start through its last taken branch land
+        in that bucket, and the ops after it carry out.  One pass over
+        the runs, bit-identical to crediting per expanded event.
         """
-        m = len(runs)
-        if m == 0:
-            return
-        self._resolve_buckets([run.block for run in runs])
+        registers = self._registers
         cache = self._bucket_of_block
-        n = np.empty(m, dtype=np.int64)
-        n_ops = np.empty(m, dtype=np.int64)
-        last_taken = np.empty(m, dtype=np.int64)
-        buckets = np.empty(m, dtype=np.int64)
-        for i, run in enumerate(runs):
-            n[i] = run.n
-            n_ops[i] = run.block.n_ops
-            last_taken[i] = run.last_taken
-            buckets[i] = cache[run.block.bid]
-
-        tot = n * n_ops
-        self.total_ops += int(tot.sum())
-        taken_idx = np.flatnonzero(last_taken >= 0)
-        if taken_idx.size == 0:
-            self._run_ops += int(tot.sum())
-            return
-        # prefix[i] = ops of runs 0..i-1; residual = ops after the last
-        # taken branch within each taken run.
-        prefix = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(tot)))
-        residual = n_ops[taken_idx] * (n[taken_idx] - 1 - last_taken[taken_idx])
-        entering = np.empty(taken_idx.size, dtype=np.int64)
-        entering[0] = self._run_ops + prefix[taken_idx[0]]
-        if taken_idx.size > 1:
-            entering[1:] = (
-                residual[:-1] + prefix[taken_idx[1:]] - prefix[taken_idx[:-1] + 1]
-            )
-        credit = entering + n_ops[taken_idx] * (last_taken[taken_idx] + 1)
-        np.add.at(self._registers, buckets[taken_idx], credit)
-        self._run_ops = int(residual[-1] + prefix[m] - prefix[taken_idx[-1] + 1])
+        run_ops = self._run_ops
+        total = 0
+        for run in runs:
+            block, n, _, ends_entry, takens = run
+            n_ops = block.n_ops
+            ops = n * n_ops
+            total += ops
+            if takens is None:
+                last = n - 2 if ends_entry else n - 1
+            else:
+                last = run.last_taken
+            if last < 0:
+                run_ops += ops
+                continue
+            bucket = cache.get(block.bid)
+            if bucket is None:
+                bucket = self.bucket_for(block)
+            registers[bucket] += run_ops + n_ops * (last + 1)
+            run_ops = n_ops * (n - 1 - last)
+        self._run_ops = run_ops
+        self.total_ops += total
 
     def take_vector(self, normalize: bool = True) -> np.ndarray:
-        """Compile the register file into a vector and reset it in place.
+        """Compile the register file into a vector and reset it.
 
         Args:
             normalize: L2-normalise the result (the paper's comparison form).
         """
-        vec = self._registers.copy()
-        self._registers.fill(0.0)
+        vec = np.array(self._registers, dtype=np.float64)
+        self._registers = [0.0] * self.n_buckets
         self._run_ops = 0
         if normalize:
             norm = l2_norm(vec)
@@ -221,11 +173,11 @@ class BbvTracker:
 
     def peek_vector(self) -> np.ndarray:
         """Current raw (unnormalised) register contents, without reset."""
-        return self._registers.copy()
+        return np.array(self._registers, dtype=np.float64)
 
     def reset(self) -> None:
-        """Clear registers (in place), run counter and op total."""
-        self._registers.fill(0.0)
+        """Clear registers, run counter and op total."""
+        self._registers = [0.0] * self.n_buckets
         self._run_ops = 0
         self.total_ops = 0
 
@@ -237,7 +189,7 @@ class BbvTracker:
         so wide register files stay cheap in fleet checkpoints.
         """
         return {
-            "registers": pack_registers(self._registers),
+            "registers": pack_registers(np.array(self._registers, dtype=np.float64)),
             "run_ops": self._run_ops,
             "total_ops": self.total_ops,
         }
@@ -245,6 +197,6 @@ class BbvTracker:
     def restore(self, state: Dict[str, object]) -> None:
         """Restore state captured by :meth:`snapshot` (either the compact
         buffer form or the historical list form)."""
-        self._registers = unpack_registers(state["registers"], self.n_buckets)
+        self._registers = unpack_registers(state["registers"], self.n_buckets).tolist()
         self._run_ops = state["run_ops"]  # type: ignore[assignment]
         self.total_ops = state["total_ops"]  # type: ignore[assignment]

@@ -13,7 +13,14 @@ batching replaced, one dynamic basic block at a time:
 * :func:`warm_event` / :func:`detail_event` — one event through the
   functional warmer / the detailed pipeline, with per-access cache and
   predictor calls in program order;
+* :func:`warm_data` / :func:`warm_inst`, :func:`data_latency` /
+  :func:`inst_latency` and :func:`access_data` / :func:`access_inst` —
+  one access through a :class:`~repro.memory.CacheHierarchy`, touching
+  it only, returning its latency, or returning an :class:`AccessResult`;
 * :func:`recorder` / :func:`record` — one event into a signal tracker;
+* :func:`per_window_trace` — the windowed recorders
+  (``collect_reference_trace``, ``SimPoint.profile_intervals``) as one
+  ``run_segment`` per window, each followed by a raw BBV drain;
 * :func:`assert_same_machine` — the comparison the suites apply: cache
   and predictor state and every counter the modes touch.
 
@@ -24,23 +31,38 @@ bench's scalar arm compare against it.  It imports only ``repro``.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, List, Optional
+
+import numpy as np
 
 from repro import BbvTracker, ConcatenatedSignal, MavTracker, SimulationEngine
 from repro.cpu.engine import Mode, ModeRun
 from repro.errors import SimulationError
+from repro.events import EventBus
+from repro.memory import CacheHierarchy
+from repro.sampling.full import ReferenceTrace
+from repro.sampling.session import ModeSegment, SamplingSession, SegmentRole
 from repro.program.block import BasicBlock
 from repro.program.stream import BlockEvent
 
 __all__ = [
+    "AccessResult",
     "ScalarEngine",
+    "access_data",
+    "access_inst",
     "assert_same_machine",
+    "data_latency",
     "detail_event",
+    "inst_latency",
+    "per_window_trace",
     "record",
     "recorder",
     "run_scalar",
+    "warm_data",
     "warm_event",
+    "warm_inst",
 ]
 
 #: Knuth multiplicative-hash constant of the MAV bucket function.
@@ -48,15 +70,93 @@ _HASH_MULT = 2654435761
 _MASK32 = 0xFFFFFFFF
 
 
+@dataclass(frozen=True)
+class AccessResult:
+    """Outcome of one hierarchy access.
+
+    Attributes:
+        latency: total cycles to satisfy the access.
+        level: 1 for an L1 hit, 2 for an L2 hit, 3 for main memory.
+    """
+
+    latency: int
+    level: int
+
+
+def data_latency(hierarchy: CacheHierarchy, addr: int, is_write: bool = False) -> int:
+    """Access the data side; return total latency in cycles."""
+    addr ^= hierarchy.address_salt
+    lat = hierarchy.l1d.hit_latency
+    if hierarchy.l1d.access(addr, is_write):
+        return lat
+    lat += hierarchy.l2.hit_latency
+    if hierarchy.l2.access(addr, is_write):
+        return lat
+    hierarchy.memory_accesses += 1
+    return lat + hierarchy.machine.memory_latency
+
+
+def inst_latency(hierarchy: CacheHierarchy, addr: int) -> int:
+    """Access the instruction side; return total latency in cycles."""
+    addr ^= hierarchy.address_salt
+    lat = hierarchy.l1i.hit_latency
+    if hierarchy.l1i.access(addr):
+        return lat
+    lat += hierarchy.l2.hit_latency
+    if hierarchy.l2.access(addr):
+        return lat
+    hierarchy.memory_accesses += 1
+    return lat + hierarchy.machine.memory_latency
+
+
+def warm_data(hierarchy: CacheHierarchy, addr: int, is_write: bool = False) -> None:
+    """Touch the data side without caring about latency (warming mode)."""
+    addr ^= hierarchy.address_salt
+    if not hierarchy.l1d.access(addr, is_write):
+        if not hierarchy.l2.access(addr, is_write):
+            hierarchy.memory_accesses += 1
+
+
+def warm_inst(hierarchy: CacheHierarchy, addr: int) -> None:
+    """Touch the instruction side without caring about latency."""
+    addr ^= hierarchy.address_salt
+    if not hierarchy.l1i.access(addr):
+        if not hierarchy.l2.access(addr):
+            hierarchy.memory_accesses += 1
+
+
+def access_data(
+    hierarchy: CacheHierarchy, addr: int, is_write: bool = False
+) -> AccessResult:
+    """Access the data side; return latency and the servicing level."""
+    lat = data_latency(hierarchy, addr, is_write)
+    return AccessResult(lat, _level(hierarchy, hierarchy.l1d.hit_latency, lat))
+
+
+def access_inst(hierarchy: CacheHierarchy, addr: int) -> AccessResult:
+    """Access the instruction side; return latency and servicing level."""
+    lat = inst_latency(hierarchy, addr)
+    return AccessResult(lat, _level(hierarchy, hierarchy.l1i.hit_latency, lat))
+
+
+def _level(hierarchy: CacheHierarchy, l1_hit: int, latency: int) -> int:
+    """The level that served an access of *latency* cycles."""
+    if latency == l1_hit:
+        return 1
+    if latency == l1_hit + hierarchy.l2.hit_latency:
+        return 2
+    return 3
+
+
 def warm_event(warmer: Any, event: BlockEvent) -> None:
     """Update caches and branch predictor for one block execution."""
     block, taken, k = event
     hierarchy = warmer.hierarchy
     for line in block.inst_lines:
-        hierarchy.warm_inst(line)
+        warm_inst(hierarchy, line)
     patterns = block.mem_patterns
     for pat in patterns:
-        hierarchy.warm_data(pat.address(k), pat.is_write)
+        warm_data(hierarchy, pat.address(k), pat.is_write)
     warmer.predictor.predict_update(block.branch_address, taken)
 
 
@@ -72,7 +172,7 @@ def detail_event(pipeline: Any, event: BlockEvent) -> None:
     fetch_stall = 0
     l1i_hit = hierarchy.l1i.hit_latency
     for line in block.inst_lines:
-        extra = hierarchy.inst_latency(line) - l1i_hit
+        extra = inst_latency(hierarchy, line) - l1i_hit
         if extra > 0:
             fetch_stall += extra
 
@@ -80,10 +180,9 @@ def detail_event(pipeline: Any, event: BlockEvent) -> None:
     if block.mem_positions:
         patterns = block.mem_patterns
         mem_idx = block.mem_idx
-        data_latency = hierarchy.data_latency
         for pos in block.mem_positions:
             pat = patterns[mem_idx[pos]]
-            lats.append(data_latency(pat.address(k), pat.is_write))
+            lats.append(data_latency(hierarchy, pat.address(k), pat.is_write))
 
     correct = pipeline.predictor.predict_update(block.branch_address, taken)
 
@@ -194,6 +293,40 @@ def run_scalar(engine: SimulationEngine, mode: Mode, n_ops: int) -> ModeRun:
     engine.accounting.ops[mode] += ops
     engine.accounting.seconds[mode] += elapsed
     return ModeRun(mode=mode, ops=ops, cycles=cycles, exhausted=engine.stream.exhausted)
+
+
+def per_window_trace(
+    engine: SimulationEngine,
+    mode: Mode,
+    window_ops: int,
+    bus: Optional[EventBus] = None,
+) -> ReferenceTrace:
+    """Record *engine*'s program window by window: one ``run_segment``
+    of a *window_ops* PROFILE segment in *mode* per window, then a raw
+    drain of the engine's BBV tracker, until the stream ends.
+
+    ``collect_reference_trace`` is this loop in DETAIL, and
+    ``SimPoint.profile_intervals`` in FUNC_FAST (its cycles are zero).
+    """
+    session = SamplingSession(engine, bus=bus)
+    segment = ModeSegment(mode, window_ops, role=SegmentRole.PROFILE)
+    ops: List[int] = []
+    cycles: List[int] = []
+    bbvs: List[np.ndarray] = []
+    while not engine.exhausted:
+        outcome = session.run_segment(segment)
+        if outcome.run.ops == 0:
+            break
+        ops.append(outcome.run.ops)
+        cycles.append(outcome.run.cycles)
+        bbvs.append(engine.signal_tracker.take_vector(normalize=False))
+    return ReferenceTrace(
+        engine.program.name,
+        window_ops,
+        np.array(ops, dtype=np.int64),
+        np.array(cycles, dtype=np.int64),
+        np.array(bbvs, dtype=np.float64),
+    )
 
 
 class ScalarEngine(SimulationEngine):

@@ -350,13 +350,25 @@ class TestHygieneRules:
             "HYG005",
         ]
 
+    def test_hyg005_fires_on_literal_mode_windows(self):
+        src = """
+            def trace(engine):
+                return engine.run_windows(Mode.DETAIL, 1_000, 64)
+        """
+        assert rule_ids(findings_for(EngineModeEscapeRule, src)) == ["HYG005"]
+        assert findings_for(
+            EngineModeEscapeRule, src, "repro/sampling/session.py"
+        ) == []
+
     def test_hyg005_silent_on_mode_variables_and_other_calls(self):
         src = """
             def drive(engine, mode):
                 engine.run(mode, 1_000)
                 engine.run_to_end(mode)
+                engine.run_windows(mode, 1_000, 64)
                 technique.run(program)
                 session.run_segment(segment)
+                session.run_windows(segment, 64)
         """
         assert findings_for(EngineModeEscapeRule, src) == []
 

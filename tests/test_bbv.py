@@ -270,20 +270,6 @@ class TestRecordBatch:
         assert tracker.total_ops == 32
 
 
-class TestBatchHashes:
-    @given(st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=64))
-    @settings(max_examples=50, deadline=None)
-    def test_reduced_batch_matches_scalar(self, addresses):
-        h = ReducedBbvHash(seed=7)
-        assert h.batch(np.array(addresses)).tolist() == [h(a) for a in addresses]
-
-    @given(st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=64))
-    @settings(max_examples=50, deadline=None)
-    def test_wide_batch_matches_scalar(self, addresses):
-        h = WideBbvHash(n_buckets=1024)
-        assert h.batch(np.array(addresses)).tolist() == [h(a) for a in addresses]
-
-
 class TestVectorMath:
     def test_l2_norm(self):
         assert l2_norm([3.0, 4.0]) == pytest.approx(5.0)

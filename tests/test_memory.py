@@ -10,6 +10,8 @@ from repro import CacheConfig, DEFAULT_MACHINE
 from repro.errors import SnapshotError
 from repro.memory import Cache, CacheHierarchy
 
+from scalar_reference import access_data, access_inst, warm_data
+
 
 def small_cache(assoc: int = 2, sets: int = 4) -> Cache:
     return Cache(CacheConfig(assoc * sets * 64, assoc), name="t")
@@ -171,14 +173,14 @@ class TestCacheProperties:
 class TestHierarchy:
     def test_l1_hit_latency(self):
         h = CacheHierarchy(DEFAULT_MACHINE)
-        h.access_data(0x1000)
-        res = h.access_data(0x1000)
+        access_data(h, 0x1000)
+        res = access_data(h, 0x1000)
         assert res.level == 1
         assert res.latency == DEFAULT_MACHINE.l1d.hit_latency
 
     def test_miss_goes_to_memory_first_time(self):
         h = CacheHierarchy(DEFAULT_MACHINE)
-        res = h.access_data(0x1000)
+        res = access_data(h, 0x1000)
         assert res.level == 3
         assert res.latency == (
             DEFAULT_MACHINE.l1d.hit_latency
@@ -189,17 +191,17 @@ class TestHierarchy:
     def test_l2_hit_after_l1_eviction(self):
         machine = DEFAULT_MACHINE.scaled_cache(1, 1024)  # tiny 1 KB L1
         h = CacheHierarchy(machine)
-        h.access_data(0x0)
+        access_data(h, 0x0)
         # Blow the 16-line L1 with conflicting lines; L2 keeps everything.
         for i in range(1, 64):
-            h.access_data(i * 1024)
-        res = h.access_data(0x0)
+            access_data(h, i * 1024)
+        res = access_data(h, 0x0)
         assert res.level == 2
 
     def test_split_l1_sides_are_independent(self):
         h = CacheHierarchy(DEFAULT_MACHINE)
-        h.access_data(0x1000)
-        res = h.access_inst(0x1000)
+        access_data(h, 0x1000)
+        res = access_inst(h, 0x1000)
         # Same address on the I-side does not hit the D-side L1 (it does
         # hit the unified L2).
         assert res.level == 2
@@ -209,29 +211,29 @@ class TestHierarchy:
         h2 = CacheHierarchy(DEFAULT_MACHINE)
         addrs = [0x0, 0x40, 0x1000, 0x0, 0x40400, 0x1000]
         for a in addrs:
-            h1.access_data(a)
-            h2.warm_data(a)
+            access_data(h1, a)
+            warm_data(h2, a)
         assert h1.snapshot() == h2.snapshot()
 
     def test_memory_access_counter(self):
         h = CacheHierarchy(DEFAULT_MACHINE)
-        h.access_data(0x0)
-        h.access_data(0x0)
+        access_data(h, 0x0)
+        access_data(h, 0x0)
         assert h.memory_accesses == 1
 
     def test_snapshot_restore(self):
         h = CacheHierarchy(DEFAULT_MACHINE)
         for i in range(32):
-            h.access_data(i * 64)
+            access_data(h, i * 64)
         snap = h.snapshot()
         h.flush()
         h.restore(snap)
-        assert h.access_data(0x0).level == 1
+        assert access_data(h, 0x0).level == 1
 
     def test_reset_stats(self):
         h = CacheHierarchy(DEFAULT_MACHINE)
-        h.access_data(0x0)
-        h.access_inst(0x0)
+        access_data(h, 0x0)
+        access_inst(h, 0x0)
         h.reset_stats()
         assert h.l1d.stats.accesses == 0
         assert h.l1i.stats.accesses == 0
@@ -379,12 +381,12 @@ class TestWarmDataRun:
             if other_core:
                 for other in others:
                     for addr, w in ops:
-                        other.warm_data(addr, w)
+                        warm_data(other, addr, w)
                 continue
             stream = [(addr ^ salt) << 1 | w for addr, w in ops]
             misses = [] if record else None
             kernel.warm_data_run(stream, start, misses)
-            levels = [loop.access_data(addr, w).level for addr, w in ops]
+            levels = [access_data(loop, addr, w).level for addr, w in ops]
             if record:
                 assert misses == [
                     (start + i) << 1 | (level == 3)

@@ -16,6 +16,8 @@ from repro.program import MemPattern, PatternKind
 from repro.program.block import BasicBlock
 from repro.program.stream import BlockRun
 
+from scalar_reference import warm_data, warm_inst
+
 
 def make_pipeline(machine: MachineConfig = DEFAULT_MACHINE):
     hierarchy = CacheHierarchy(machine)
@@ -47,8 +49,8 @@ class TestIssueWidth:
     def test_four_wide_issue(self):
         """16 independent single-cycle ops + branch need ~4 cycles."""
         pipe = make_pipeline()
-        pipe.hierarchy.warm_inst(0x1000)  # pre-warm the I-line
-        pipe.hierarchy.warm_inst(0x1040)
+        warm_inst(pipe.hierarchy, 0x1000)  # pre-warm the I-line
+        warm_inst(pipe.hierarchy, 0x1040)
         insts = independent_alus(15) + [Instruction(Op.BRANCH, src1=0)]
         cycles = run_block(pipe, insts)
         assert cycles <= 5
@@ -56,8 +58,8 @@ class TestIssueWidth:
     def test_width_one_machine_serialises(self):
         machine = MachineConfig(issue_width=1)
         pipe = make_pipeline(machine)
-        pipe.hierarchy.warm_inst(0x1000)
-        pipe.hierarchy.warm_inst(0x1040)
+        warm_inst(pipe.hierarchy, 0x1000)
+        warm_inst(pipe.hierarchy, 0x1040)
         insts = independent_alus(15) + [Instruction(Op.BRANCH, src1=0)]
         cycles = run_block(pipe, insts)
         assert cycles >= 15
@@ -67,8 +69,8 @@ class TestDependences:
     def test_chain_serialises(self):
         """A dependence chain of IALU ops runs at one per cycle."""
         pipe = make_pipeline()
-        pipe.hierarchy.warm_inst(0x1000)
-        pipe.hierarchy.warm_inst(0x1040)
+        warm_inst(pipe.hierarchy, 0x1000)
+        warm_inst(pipe.hierarchy, 0x1040)
         insts = [Instruction(Op.IALU, dst=1, src1=0)] + [
             Instruction(Op.IALU, dst=1, src1=1) for _ in range(14)
         ] + [Instruction(Op.BRANCH, src1=1)]
@@ -78,7 +80,7 @@ class TestDependences:
     def test_long_latency_dependence(self):
         """A consumer of an FDIV waits its full latency."""
         pipe = make_pipeline()
-        pipe.hierarchy.warm_inst(0x1000)
+        warm_inst(pipe.hierarchy, 0x1000)
         insts = [
             Instruction(Op.FDIV, dst=40, src1=0, src2=0),
             Instruction(Op.FALU, dst=41, src1=40),
@@ -89,7 +91,7 @@ class TestDependences:
 
     def test_zero_register_creates_no_dependence(self):
         pipe = make_pipeline()
-        pipe.hierarchy.warm_inst(0x1000)
+        warm_inst(pipe.hierarchy, 0x1000)
         insts = [
             Instruction(Op.FDIV, dst=40, src1=0, src2=0),
             Instruction(Op.IALU, dst=1, src1=0, src2=0),  # reads r0, not f40
@@ -103,7 +105,7 @@ class TestFunctionalUnits:
     def test_divide_unit_unpipelined(self):
         """Back-to-back independent IDIVs still serialise on the unit."""
         pipe = make_pipeline()
-        pipe.hierarchy.warm_inst(0x1000)
+        warm_inst(pipe.hierarchy, 0x1000)
         insts = [
             Instruction(Op.IDIV, dst=1, src1=0, src2=0),
             Instruction(Op.IDIV, dst=2, src1=0, src2=0),
@@ -118,8 +120,8 @@ class TestFunctionalUnits:
     def test_fp_pool_limit(self):
         """More than 2 independent FALU per cycle is impossible."""
         pipe = make_pipeline()
-        pipe.hierarchy.warm_inst(0x1000)
-        pipe.hierarchy.warm_inst(0x1040)
+        warm_inst(pipe.hierarchy, 0x1000)
+        warm_inst(pipe.hierarchy, 0x1040)
         insts = [
             Instruction(Op.FALU, dst=32 + i, src1=0, src2=0) for i in range(8)
         ] + [Instruction(Op.BRANCH, src1=0)]
@@ -132,13 +134,13 @@ class TestFunctionalUnits:
         """At most 2 memory ops issue per cycle."""
         machine = DEFAULT_MACHINE
         pipe = make_pipeline(machine)
-        pipe.hierarchy.warm_inst(0x1000)
+        warm_inst(pipe.hierarchy, 0x1000)
         pats = [
             MemPattern(PatternKind.REUSE, base=0x100000 * (i + 1), span=64, stride=8)
             for i in range(6)
         ]
         for pat in pats:  # pre-warm so latency is uniform
-            pipe.hierarchy.warm_data(pat.address(0))
+            warm_data(pipe.hierarchy, pat.address(0))
         insts = [
             Instruction(Op.LOAD, dst=1 + i, src1=0, mem_index=i) for i in range(6)
         ] + [Instruction(Op.BRANCH, src1=0)]
@@ -156,12 +158,12 @@ class TestMemoryTiming:
             Instruction(Op.BRANCH, src1=2),
         ]
         cold = make_pipeline(machine)
-        cold.hierarchy.warm_inst(0x1000)
+        warm_inst(cold.hierarchy, 0x1000)
         cold_cycles = run_block(cold, insts, mem_patterns=[pat])
 
         warm = make_pipeline(machine)
-        warm.hierarchy.warm_inst(0x1000)
-        warm.hierarchy.warm_data(pat.address(0))
+        warm_inst(warm.hierarchy, 0x1000)
+        warm_data(warm.hierarchy, pat.address(0))
         warm_cycles = run_block(warm, insts, mem_patterns=[pat])
 
         assert cold_cycles - warm_cycles >= machine.memory_latency - 5
@@ -171,7 +173,7 @@ class TestMemoryTiming:
         def build(n_mshrs):
             machine = MachineConfig(n_mshrs=n_mshrs)
             pipe = make_pipeline(machine)
-            pipe.hierarchy.warm_inst(0x1000)
+            warm_inst(pipe.hierarchy, 0x1000)
             pats = [
                 MemPattern(PatternKind.REUSE, base=(1 + i) << 24, span=64)
                 for i in range(4)
@@ -188,7 +190,7 @@ class TestMemoryTiming:
 
     def test_store_does_not_block_consumers(self):
         pipe = make_pipeline()
-        pipe.hierarchy.warm_inst(0x1000)
+        warm_inst(pipe.hierarchy, 0x1000)
         pat = MemPattern(
             PatternKind.REUSE, base=0x300000, span=64, stride=8, is_write=True
         )
@@ -207,7 +209,7 @@ class TestBranchTiming:
         insts = [Instruction(Op.BRANCH, src1=0)]
 
         pipe = make_pipeline(machine)
-        pipe.hierarchy.warm_inst(0x1000)
+        warm_inst(pipe.hierarchy, 0x1000)
         # Train the predictor taken, then surprise it.
         block = BasicBlock(0, 0x1000, insts)
         for _ in range(8):
@@ -216,7 +218,7 @@ class TestBranchTiming:
         execute(pipe, block, False)  # mispredict
         follow = independent_alus(3) + [Instruction(Op.BRANCH, src1=0)]
         block2 = BasicBlock(1, 0x1100, follow)
-        pipe.hierarchy.warm_inst(0x1100)
+        warm_inst(pipe.hierarchy, 0x1100)
         execute(pipe, block2, True)
         assert pipe.cycle - before >= machine.mispredict_penalty
 
@@ -226,7 +228,7 @@ class TestBranchTiming:
         cold = run_block(pipe_cold, insts)
 
         pipe_warm = make_pipeline()
-        pipe_warm.hierarchy.warm_inst(0x1000)
+        warm_inst(pipe_warm.hierarchy, 0x1000)
         warm = run_block(pipe_warm, insts)
         assert cold > warm
 
@@ -272,8 +274,8 @@ class TestCrossBlockOccupancy:
         the file has registers."""
         machine = MachineConfig(n_mshrs=2)
         pipe = make_pipeline(machine)
-        pipe.hierarchy.warm_inst(0x1000)
-        pipe.hierarchy.warm_inst(0x1040)
+        warm_inst(pipe.hierarchy, 0x1000)
+        warm_inst(pipe.hierarchy, 0x1040)
         pats = [
             MemPattern(PatternKind.REUSE, base=(1 + i) << 24, span=64)
             for i in range(8)
@@ -292,7 +294,7 @@ class TestCrossBlockOccupancy:
         """An IDIV's unpipelined occupancy carries into the next block:
         the unit's next-free cycle is scoreboard state, not block state."""
         pipe = make_pipeline()
-        pipe.hierarchy.warm_inst(0x1000)
+        warm_inst(pipe.hierarchy, 0x1000)
         insts = [
             Instruction(Op.IDIV, dst=1, src1=0, src2=0),
             Instruction(Op.BRANCH, src1=0),
