@@ -193,6 +193,17 @@ class EventBus:
         if handlers is not None and handler in handlers:
             handlers.remove(handler)
 
+    def wants(self, event_type: Type[SessionEvent]) -> bool:
+        """True when a handler is subscribed to *event_type* or one of
+        its supertypes, i.e. when emitting one would reach somebody.
+        Emitters check it to build no event that nobody hears."""
+        for klass in event_type.__mro__:
+            if self._handlers.get(klass):
+                return True
+            if klass is SessionEvent:
+                break
+        return False
+
     def emit(self, event: SessionEvent) -> None:
         """Deliver *event* to every handler of its type or supertypes."""
         for klass in type(event).__mro__:

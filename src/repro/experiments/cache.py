@@ -18,6 +18,11 @@ The cache is safe for concurrent writers across processes:
   instead of poisoning every later read;
 * per-instance ``hits`` / ``misses`` / ``races`` / ``corrupt`` counters
   make the behaviour observable (see :meth:`ResultCache.stats`).
+
+Reference traces are also kept in memory, process-wide, for one cache
+directory at a time (:meth:`ResultCache.trace`): every cell of a figure
+run reads the same few traces, and decompressing an ``.npz`` costs more
+than most cells' own work.
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ import hashlib
 import json
 import os
 import socket
+import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, TypeVar
+from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
 
 from ..errors import CacheError
 from ..sampling.full import ReferenceTrace
@@ -54,6 +60,64 @@ _CLAIM_POLL_S = 0.05
 _CACHE_SUFFIXES = (".json", ".npz", ".tmp", ".claim", ".corrupt")
 
 
+#: What identifies one published version of an entry file:
+#: ``(st_ino, st_size, st_mtime_ns)``.
+_FileSignature = Tuple[int, int, int]
+
+
+def _signature(path: Path) -> Optional[_FileSignature]:
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+class _TraceMemo:
+    """The reference traces this process loaded or computed, for one
+    cache directory at a time.
+
+    Each entry holds the trace and the signature of the file it was
+    published as.  A lookup hits only while the file still has that
+    signature, so an entry republished with ``os.replace``, deleted,
+    swept by ``clear()`` or quarantined is read through the cache again.
+    Serving another directory drops every entry, which bounds the memo
+    without a size limit.  It is process-wide, not per cache, because
+    every cell rebuilds its context (and cache) from a JSON document.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.directory: Optional[str] = None
+        self.entries: Dict[str, Tuple[_FileSignature, ReferenceTrace]] = {}
+
+    def _serve(self, directory: str) -> None:
+        if directory != self.directory:
+            self.directory = directory
+            self.entries = {}
+
+    def get(self, directory: str, path: Path) -> Optional[ReferenceTrace]:
+        with self._lock:
+            self._serve(directory)
+            entry = self.entries.get(path.name)
+            if entry is None:
+                return None
+            if _signature(path) != entry[0]:
+                del self.entries[path.name]
+                return None
+            return entry[1]
+
+    def put(self, directory: str, path: Path, trace: ReferenceTrace) -> None:
+        with self._lock:
+            self._serve(directory)
+            signature = _signature(path)
+            if signature is not None:
+                self.entries[path.name] = (signature, trace)
+
+
+_TRACE_MEMO = _TraceMemo()
+
+
 def _default_cache_dir() -> Path:
     env = os.environ.get("REPRO_CACHE_DIR")
     if env:
@@ -75,6 +139,9 @@ class ResultCache:
     def __init__(self, directory: Optional[Path] = None) -> None:
         self.directory = Path(directory) if directory else _default_cache_dir()
         self.directory.mkdir(parents=True, exist_ok=True)
+        # The trace memo's name for this directory, fixed now so a later
+        # ``chdir`` cannot make a relative path name another directory.
+        self._memo_directory = os.path.abspath(self.directory)
         self.hits = 0
         self.misses = 0
         #: Times this instance found another writer working on its key.
@@ -123,9 +190,25 @@ class ResultCache:
     def trace(
         self, payload: Dict[str, Any], compute: Callable[[], ReferenceTrace]
     ) -> ReferenceTrace:
-        """Return the cached reference trace for *payload*."""
+        """Return the cached reference trace for *payload*.
+
+        A trace this process already loaded or computed from this
+        directory comes from the process-wide memo, as long as its entry
+        file is still the one it was read from (same inode, size and
+        mtime); otherwise the entry is read, or computed, as usual.
+        Memo hits count as ``hits``.  Every caller shares the one trace
+        object, so its arrays are read-only.
+        """
         path = self.directory / f"{self.key(payload)}.npz"
-        return self._get(path, _load_trace, _dump_trace, compute)
+        trace = _TRACE_MEMO.get(self._memo_directory, path)
+        if trace is not None:
+            self.hits += 1
+            return trace
+        trace = self._get(path, _load_trace, _dump_trace, compute)
+        for array in (trace.ops, trace.cycles, trace.bbvs):
+            array.flags.writeable = False
+        _TRACE_MEMO.put(self._memo_directory, path, trace)
+        return trace
 
     def clear(self) -> int:
         """Delete every cache-owned file (entries, tmp, claim, quarantine).

@@ -33,9 +33,8 @@ def run_single(
         ctx.scale, bbv_period_ops=period, threshold_pi=threshold_pi
     )
     result = dict(ctx.run_cached(benchmark, Pgss(config, machine=ctx.machine)))
-    result["error_pct"] = 100.0 * abs(
-        result["ipc_estimate"] - ctx.true_ipc(benchmark)
-    ) / ctx.true_ipc(benchmark)
+    true_ipc = ctx.true_ipc(benchmark)
+    result["error_pct"] = 100.0 * abs(result["ipc_estimate"] - true_ipc) / true_ipc
     return result
 
 

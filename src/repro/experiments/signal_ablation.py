@@ -79,12 +79,16 @@ def _detect(
 ) -> Dict[str, Any]:
     """Classifier-vs-ground-truth bookkeeping for one (workload, signal).
 
-    A FUNC_WARM profile pass classifies every signal period; a
-    ground-truth boundary (the behaviour label changed between
-    consecutive periods) counts as detected when the classifier flags a
-    change in the boundary period or the one after it (a boundary can
-    land anywhere inside a period).  Flags away from any boundary are
-    false positives.
+    A FUNC_FAST profile pass classifies every signal period: the
+    tracker records in every mode, and neither the BBV/MAV vectors nor
+    the behaviour labels depend on cache or predictor state, so warming
+    would buy nothing (Ekman's stage-1 profile and
+    :class:`~repro.sampling.stratified.TwoPhaseStratified` are
+    functional-only for the same reason).  A ground-truth boundary (the
+    behaviour label changed between consecutive periods) counts as
+    detected when the classifier flags a change in the boundary period
+    or the one after it (a boundary can land anywhere inside a period).
+    Flags away from any boundary are false positives.
     """
     program = ctx.program(benchmark)
     tracker = make_signal_tracker(signal)
@@ -99,7 +103,7 @@ def _detect(
     def plan() -> SegmentPlan:
         while not engine.exhausted:
             outcome = yield ModeSegment(
-                Mode.FUNC_WARM, period, role=SegmentRole.PROFILE
+                Mode.FUNC_FAST, period, role=SegmentRole.PROFILE
             )
             if outcome.run.ops == 0:
                 break

@@ -213,6 +213,8 @@ class SamplingSession:
         return windows
 
     def _emit_start(self, segment: ModeSegment, start: int) -> None:
+        if not self.bus.wants(SegmentStart):
+            return
         self.bus.emit(
             SegmentStart(
                 mode=segment.mode,
@@ -241,17 +243,18 @@ class SamplingSession:
             end_offset=start + run.ops,
             sample=sample,
         )
-        self.bus.emit(
-            SegmentEnd(
-                mode=segment.mode,
-                ops=run.ops,
-                cycles=run.cycles,
-                op_offset=outcome.end_offset,
-                role=segment.role,
-                exhausted=run.exhausted,
+        if self.bus.wants(SegmentEnd):
+            self.bus.emit(
+                SegmentEnd(
+                    mode=segment.mode,
+                    ops=run.ops,
+                    cycles=run.cycles,
+                    op_offset=outcome.end_offset,
+                    role=segment.role,
+                    exhausted=run.exhausted,
+                )
             )
-        )
-        if sample is not None:
+        if sample is not None and self.bus.wants(SampleTaken):
             self.bus.emit(
                 SampleTaken(
                     index=sample.index,

@@ -199,6 +199,71 @@ class TestCacheCorruption:
         assert list(tmp_path.glob("*.corrupt"))
 
 
+def _tiny_trace(cycles=(200, 150)):
+    return ReferenceTrace(
+        "tiny", 100, np.array([100, 100]), np.array(cycles), np.zeros((2, 32))
+    )
+
+
+class TestTraceMemo:
+    """``ResultCache.trace`` keeps the traces of one directory in memory."""
+
+    def test_fresh_cache_on_same_directory_returns_same_object(self, tmp_path):
+        first = ResultCache(tmp_path).trace({"k": "t"}, _tiny_trace)
+        fresh = ResultCache(tmp_path)
+        again = fresh.trace({"k": "t"}, lambda: pytest.fail("recomputed"))
+        assert again is first
+        assert fresh.stats() == {"hits": 1, "misses": 0, "races": 0, "corrupt": 0}
+
+    def test_trace_arrays_are_read_only(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        computed = cache.trace({"k": "t"}, _tiny_trace)
+        for array in (computed.ops, computed.cycles, computed.bbvs):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        # A trace loaded from disk (not the memo) is read-only too: a new
+        # mtime makes the memo entry stale.
+        entry = next(tmp_path.glob("*.npz"))
+        mtime_ns = entry.stat().st_mtime_ns
+        os.utime(entry, ns=(mtime_ns, mtime_ns + 10**9))
+        loaded = ResultCache(tmp_path).trace({"k": "t"}, _tiny_trace)
+        assert loaded is not computed
+        with pytest.raises(ValueError):
+            loaded.cycles[0] = 0
+
+    def test_republished_entry_is_reloaded(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        first = cache.trace({"k": "t"}, _tiny_trace)
+        entry = next(tmp_path.glob("*.npz"))
+        staged = tmp_path / "staged.bin"
+        _tiny_trace(cycles=(400, 400)).save(staged)
+        os.replace(staged, entry)
+        fresh = ResultCache(tmp_path)
+        reloaded = fresh.trace({"k": "t"}, lambda: pytest.fail("recomputed"))
+        assert reloaded is not first
+        assert reloaded.total_cycles == 800
+        assert fresh.hits == 1 and fresh.misses == 0
+
+    def test_clear_forces_recompute(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        first = cache.trace({"k": "t"}, _tiny_trace)
+        assert cache.clear() == 1
+        again = cache.trace({"k": "t"}, _tiny_trace)
+        assert again is not first
+        assert cache.misses == 2 and cache.hits == 0
+
+    def test_switching_directory_empties_memo(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        first = ResultCache(a).trace({"k": "t"}, _tiny_trace)
+        ResultCache(b).trace({"k": "t"}, _tiny_trace)
+        # Back on the first directory the entry is read from disk again.
+        back = ResultCache(a)
+        again = back.trace({"k": "t"}, lambda: pytest.fail("recomputed"))
+        assert again is not first
+        assert again.true_ipc == first.true_ipc
+        assert back.hits == 1
+
+
 class TestCacheHygiene:
     def test_clear_sweeps_working_files(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -68,6 +68,16 @@ class TestEventBus:
     def test_sample_ipc_property(self):
         assert SampleTaken(index=0, op_offset=0, ops=8, cycles=4).ipc == 2.0
 
+    def test_wants_follows_subtype_dispatch(self):
+        bus = EventBus()
+        assert not bus.wants(SegmentStart)
+        handler = bus.subscribe(SampleTaken, lambda e: None)
+        assert bus.wants(SampleTaken) and not bus.wants(SegmentStart)
+        bus.unsubscribe(SampleTaken, handler)
+        assert not bus.wants(SampleTaken)
+        bus.subscribe(SessionEvent, lambda e: None)
+        assert bus.wants(SegmentStart) and bus.wants(PhaseChange)
+
 
 class TestSamplingSession:
     def _engine(self):
@@ -99,6 +109,50 @@ class TestSamplingSession:
         session = SamplingSession(self._engine(), bus=bus)
         session.run_segment(ModeSegment(Mode.DETAIL, 500, measure=True))
         assert order == ["start", "end", "sample"]
+
+    @staticmethod
+    def _windows_and_samples(session):
+        session.run_segment(ModeSegment(Mode.DETAIL, 500, measure=True))
+        session.run_windows(ModeSegment(Mode.DETAIL, 300, measure=True), 4)
+        session.run_windows(ModeSegment(Mode.FUNC_WARM, 300), 3)
+
+    def test_session_event_subscriber_sees_every_event(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(SessionEvent, seen.append)
+        self._windows_and_samples(SamplingSession(self._engine(), bus=bus))
+        assert [type(e) for e in seen] == (
+            [SegmentStart, SegmentEnd, SampleTaken] * 5
+            + [SegmentStart, SegmentEnd] * 3
+        )
+        ends = [e.op_offset for e in seen if isinstance(e, SegmentEnd)]
+        starts = [e.op_offset for e in seen if isinstance(e, SegmentStart)]
+        assert starts == [0] + ends[:-1]
+
+    def test_no_subscriber_builds_no_segment_events(self, monkeypatch):
+        import repro.sampling.session as session_module
+
+        built = []
+
+        def counted(event_type):
+            class Counted(event_type):
+                def __init__(self, *args, **kwargs):
+                    built.append(event_type)
+                    super().__init__(*args, **kwargs)
+
+            monkeypatch.setattr(session_module, event_type.__name__, Counted)
+
+        for event_type in (SegmentStart, SegmentEnd, SampleTaken):
+            counted(event_type)
+        quiet = SamplingSession(self._engine())
+        self._windows_and_samples(quiet)
+        assert built == [] and quiet.n_samples == 5
+        # The same run with a listener builds every event, so the
+        # counting classes above are the ones the session uses.
+        bus = EventBus()
+        bus.subscribe(SessionEvent, lambda e: None)
+        self._windows_and_samples(SamplingSession(self._engine(), bus=bus))
+        assert len(built) == 3 * 5 + 2 * 3
 
     def test_offsets_are_program_global(self):
         session = SamplingSession(self._engine())

@@ -36,6 +36,7 @@ from repro import (
     make_signal_tracker,
 )
 from repro.errors import ConfigurationError, ProgramError
+from repro.experiments import ExperimentContext, signal_ablation
 from repro.phase import OnlinePhaseClassifier
 from repro.program import ADVERSARIAL_NAMES
 from repro.isa import Instruction, Op
@@ -48,6 +49,7 @@ from repro.program.mem_patterns import (
     batch_slices,
 )
 from repro.program.stream import BlockRun
+from repro.sampling.session import ModeSegment, SamplingSession, SegmentRole
 from repro.signals import PHASE_SIGNALS
 from conftest import make_two_phase_program, record_event
 from scalar_reference import ScalarEngine, recorder
@@ -524,3 +526,64 @@ class TestSignalSensitivity:
         program = get_workload(name, Scale.QUICK)
         assert _phases_seen("bbv", program) == 1
         assert _phases_seen("mav", program) >= 2
+
+
+def _warm_detection(ctx, benchmark, signal, mode=Mode.FUNC_WARM):
+    """Oracle for ``signal_ablation._detect``: the same bookkeeping over a
+    profile pass in *mode* (FUNC_WARM, the mode it used to run in).
+
+    Returns ``(stats, vectors)``: the detection record and the
+    normalised vector the classifier saw in each period."""
+    program = ctx.program(benchmark)
+    tracker = make_signal_tracker(signal)
+    engine = SimulationEngine(program, machine=ctx.machine, signal_tracker=tracker)
+    classifier = OnlinePhaseClassifier(signal_ablation.THRESHOLD_PI * math.pi)
+    period = ctx.scale.pgss_best_period
+    flags, labels, vectors = [], [], []
+
+    def plan():
+        while not engine.exhausted:
+            outcome = yield ModeSegment(mode, period, role=SegmentRole.PROFILE)
+            if outcome.run.ops == 0:
+                break
+            vectors.append(tracker.take_vector(normalize=True))
+            decision = classifier.observe(vectors[-1], outcome.run.ops)
+            flags.append(decision.changed or decision.created)
+            labels.append(engine.stream.current_behavior_name)
+
+    SamplingSession(engine).execute(plan())
+    boundaries = [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]]
+    detected = sum(
+        1 for i in boundaries if flags[i] or (i + 1 < len(flags) and flags[i + 1])
+    )
+    near = {j for i in boundaries for j in (i, i + 1)}
+    false_positives = sum(
+        1 for i, flag in enumerate(flags) if flag and i > 0 and i not in near
+    )
+    stats = {
+        "periods": len(flags),
+        "boundaries": len(boundaries),
+        "detected": detected,
+        "rate": detected / len(boundaries) if boundaries else 1.0,
+        "false_positives": false_positives,
+        "n_phases": classifier.n_phases,
+    }
+    return stats, vectors
+
+
+class TestDetectionProfile:
+    """The ``ext-signals`` detection pass runs FUNC_FAST: the signal
+    vectors and behaviour labels do not depend on cache or predictor
+    state, so it must equal the FUNC_WARM pass it replaced."""
+
+    @pytest.mark.parametrize("signal", PHASE_SIGNALS)
+    @pytest.mark.parametrize("name", ADVERSARIAL_NAMES)
+    def test_func_fast_detection_equals_func_warm_oracle(self, tmp_path, name, signal):
+        ctx = ExperimentContext(Scale.QUICK, cache_dir=tmp_path)
+        want, warm_vectors = _warm_detection(ctx, name, signal)
+        assert signal_ablation._detect(ctx, name, signal) == want
+        assert want["boundaries"] > 0
+        _, fast_vectors = _warm_detection(ctx, name, signal, mode=Mode.FUNC_FAST)
+        assert len(fast_vectors) == len(warm_vectors) == want["periods"]
+        for fast, warm in zip(fast_vectors, warm_vectors):
+            assert np.array_equal(fast, warm)
