@@ -7,8 +7,9 @@ tables).  Each ``figNN_*`` module exposes:
 * ``format_result(result)`` — render the same rows/series the paper
   reports, as text;
 * ``cells(ctx)`` — the figure's independent cacheable work units, for
-  the experiment service (plus ``run_cell`` where the units are more
-  than trace warming).
+  the experiment service: trace cells, technique cells (one cached
+  technique run each, shared by every figure), and, where a unit is
+  neither, cells the module runs through its own ``run_cell`` hook.
 
 All experiments share an :class:`ExperimentContext`, which owns the scale
 configuration and an on-disk result cache (reference traces are expensive;

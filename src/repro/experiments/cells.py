@@ -1,12 +1,23 @@
 """Experiment cells: the unit of work the experiment service schedules.
 
 A *cell* is one independent, deterministic, cacheable computation — a
-(figure, benchmark, parameters) triple such as "fig11, 164.gzip, period
-20k at .05 pi".  Figure modules enumerate their cells via a module-level
-``cells(ctx)`` hook and execute a single one via ``run_cell(ctx,
-benchmark, params)``; the figure ``run()`` functions are built on the
-same per-cell units, so they read exactly the cache entries the cells
-wrote.
+(figure, benchmark, parameters) triple.  Figure modules enumerate their
+cells via a module-level ``cells(ctx)`` hook.  A cell is one of three
+kinds:
+
+* a *trace cell* (:func:`trace_cell`) warms a benchmark's reference
+  trace;
+* a *technique cell* (:func:`technique_cell`) is one
+  ``ctx.run_cached(benchmark, technique)``, named by the technique's
+  ``name`` and its config as canonical JSON; :func:`run_cell` rebuilds
+  the technique from the cell, so every figure that runs techniques
+  shares one dispatcher and identical runs deduplicate across figures;
+* any other cell is executed by its figure module's own
+  ``run_cell(ctx, benchmark, params)`` hook, for payloads that are not
+  technique runs.
+
+The figure ``run()`` functions are built on the same per-cell units, so
+they read exactly the cache entries the cells wrote.
 
 Cells publish exclusively through the concurrency-safe
 :class:`~repro.experiments.cache.ResultCache`; running a cell returns
@@ -17,18 +28,35 @@ assembly afterwards is always the same serial code reading pure hits.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import json
+from dataclasses import asdict, dataclass, is_dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, get_type_hints
 
+from ..config import MachineConfig
 from ..errors import OrchestrationError
+from ..sampling import (
+    FullDetail,
+    OnlineSimPoint,
+    Pgss,
+    RankedSetSampling,
+    SamplingTechnique,
+    SimPoint,
+    Smarts,
+    TurboSmarts,
+    TwoPhaseStratified,
+)
 from .runner import ExperimentContext
 
 __all__ = [
     "ExperimentCell",
     "TRACE_FIGURE",
+    "TECHNIQUE_FIGURE",
     "trace_cell",
+    "technique_cell",
+    "cell_technique",
     "run_cell",
     "enumerate_cells",
 ]
@@ -37,6 +65,25 @@ __all__ = [
 #: analysis shares; keeping one canonical spelling lets the enumerator
 #: deduplicate them across figure modules.
 TRACE_FIGURE = "trace"
+
+#: Pseudo-figure naming the technique-run cells; like trace cells, one
+#: spelling per run lets the enumerator deduplicate them across figures.
+TECHNIQUE_FIGURE = "technique"
+
+#: Every sampling technique a technique cell can name, by ``name``.
+_TECHNIQUES: Dict[str, Type[SamplingTechnique]] = {
+    cls.name: cls
+    for cls in (
+        FullDetail,
+        Smarts,
+        TurboSmarts,
+        SimPoint,
+        OnlineSimPoint,
+        Pgss,
+        TwoPhaseStratified,
+        RankedSetSampling,
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -89,6 +136,57 @@ def trace_cell(benchmark: str) -> ExperimentCell:
     return ExperimentCell(TRACE_FIGURE, benchmark)
 
 
+def technique_cell(benchmark: str, technique: SamplingTechnique) -> ExperimentCell:
+    """The cell that runs *technique* on *benchmark* (cached).
+
+    Its params are ``technique.name`` and the config as canonical JSON
+    (``{}`` for the config-less :class:`~repro.sampling.FullDetail`);
+    the machine is the executing context's.
+    """
+    config = technique.config
+    return ExperimentCell.make(
+        TECHNIQUE_FIGURE,
+        benchmark,
+        technique=technique.name,
+        config=json.dumps(asdict(config) if config is not None else {}, sort_keys=True),
+    )
+
+
+def cell_technique(cell: ExperimentCell, machine: MachineConfig) -> SamplingTechnique:
+    """Rebuild the technique a :func:`technique_cell` names, on *machine*.
+
+    Raises:
+        OrchestrationError: the cell names no known technique.
+    """
+    params = cell.kwargs()
+    cls = _TECHNIQUES.get(params.get("technique", ""))
+    if cls is None:
+        raise OrchestrationError(f"unknown technique cell {cell.cell_id}")
+    if cls is FullDetail:
+        return FullDetail(machine)
+    config_cls = _hints(cls)["config"]
+    return cls(_from_doc(config_cls, json.loads(params["config"])), machine)
+
+
+@functools.lru_cache(maxsize=None)
+def _hints(cls: type) -> Dict[str, Any]:
+    """*cls*'s resolved annotations (``get_type_hints`` evaluates every
+    annotation string of the MRO, which costs more than the cell's
+    cache hit)."""
+    return get_type_hints(cls)
+
+
+def _from_doc(cls: Any, doc: Dict[str, Any]) -> Any:
+    """The config dataclass *cls* whose ``asdict`` is *doc*."""
+    hints = _hints(cls)
+    return cls(
+        **{
+            name: _from_doc(hints[name], value) if is_dataclass(hints[name]) else value
+            for name, value in doc.items()
+        }
+    )
+
+
 def run_cell(ctx: ExperimentContext, cell: ExperimentCell) -> Any:
     """Execute one cell against *ctx* — the same on every worker.
 
@@ -97,6 +195,8 @@ def run_cell(ctx: ExperimentContext, cell: ExperimentCell) -> Any:
     """
     if cell.figure == TRACE_FIGURE:
         return ctx.trace(cell.benchmark)
+    if cell.figure == TECHNIQUE_FIGURE:
+        return ctx.run_cached(cell.benchmark, cell_technique(cell, ctx.machine))
     module = importlib.import_module(f".{cell.figure}", __package__)
     runner = getattr(module, "run_cell", None)
     if runner is None:

@@ -10,6 +10,10 @@ A-Mean and G-Mean.  The paper's findings this sweep should reproduce:
   configuration (the paper: 1M ops at .05 pi);
 * the micro-phased, low-IPC benchmarks (179.art, 181.mcf) perform very
   poorly at the shortest period and improve at longer ones.
+
+Each (sweep point, benchmark) run is a technique cell
+(:func:`~repro.experiments.cells.technique_cell`); ``_pgss`` builds the
+sweep point's technique for both ``cells()`` and ``run()``.
 """
 
 from __future__ import annotations
@@ -18,73 +22,73 @@ from typing import Any, Dict, List, Tuple
 
 from ..sampling.pgss import Pgss, PgssConfig
 from ..stats.errors_metrics import arithmetic_mean, geometric_mean
-from .cells import ExperimentCell, trace_cell
+from .cells import ExperimentCell, technique_cell, trace_cell
 from .formatting import fmt_ops, fmt_pct, table
 from .runner import ExperimentContext
 
-__all__ = ["run", "format_result", "cells", "run_cell", "run_single", "best_configs"]
+__all__ = ["run", "format_result", "cells", "run_single", "best_configs"]
+
+
+def _pgss(ctx: ExperimentContext, period: int, threshold_pi: float) -> Pgss:
+    """The PGSS run of one (period, threshold) sweep point."""
+    config = PgssConfig.from_scale(
+        ctx.scale, bbv_period_ops=period, threshold_pi=threshold_pi
+    )
+    return Pgss(config, machine=ctx.machine)
+
+
+def _grid(ctx: ExperimentContext) -> List[Tuple[int, float]]:
+    """Every (period, threshold) sweep point, in table order."""
+    return [
+        (period, threshold)
+        for period in ctx.scale.pgss_periods
+        for threshold in ctx.scale.thresholds
+    ]
 
 
 def run_single(
     ctx: ExperimentContext, benchmark: str, period: int, threshold_pi: float
 ) -> Dict[str, Any]:
     """One cached PGSS run; returns the cached result dict plus error."""
-    config = PgssConfig.from_scale(
-        ctx.scale, bbv_period_ops=period, threshold_pi=threshold_pi
-    )
-    result = dict(ctx.run_cached(benchmark, Pgss(config, machine=ctx.machine)))
+    result = dict(ctx.run_cached(benchmark, _pgss(ctx, period, threshold_pi)))
     true_ipc = ctx.true_ipc(benchmark)
     result["error_pct"] = 100.0 * abs(result["ipc_estimate"] - true_ipc) / true_ipc
     return result
 
 
 def cells(ctx: ExperimentContext) -> List[ExperimentCell]:
-    """One cell per (benchmark, period, threshold) sweep point."""
+    """One technique cell per (period, threshold, benchmark) sweep point."""
     out = [trace_cell(name) for name in ctx.benchmarks]
-    for period in ctx.scale.pgss_periods:
-        for threshold in ctx.scale.thresholds:
-            for benchmark in ctx.benchmarks:
-                out.append(
-                    ExperimentCell.make(
-                        "fig11_pgss_sweep",
-                        benchmark,
-                        period=period,
-                        threshold_pi=threshold,
-                    )
-                )
+    for period, threshold in _grid(ctx):
+        technique = _pgss(ctx, period, threshold)
+        out.extend(technique_cell(b, technique) for b in ctx.benchmarks)
     return out
-
-
-def run_cell(ctx: ExperimentContext, benchmark: str, params: Dict[str, Any]) -> Dict[str, Any]:
-    """Parallel-driver entry: one cached PGSS sweep point."""
-    return run_single(ctx, benchmark, params["period"], params["threshold_pi"])
 
 
 def run(ctx: ExperimentContext) -> Dict[str, Any]:
     """The full period x threshold sweep over the benchmark suite."""
     grid: List[Dict[str, Any]] = []
-    for period in ctx.scale.pgss_periods:
-        for threshold in ctx.scale.thresholds:
-            errors: Dict[str, float] = {}
-            details: Dict[str, int] = {}
-            accounting: Dict[str, Dict[str, int]] = {}
-            for benchmark in ctx.benchmarks:
-                res = run_single(ctx, benchmark, period, threshold)
-                errors[benchmark] = res["error_pct"]
-                details[benchmark] = res["detailed_ops"]
-                accounting[benchmark] = res["accounting_ops"]
-            values = list(errors.values())
-            grid.append(
-                {
-                    "period": period,
-                    "threshold_pi": threshold,
-                    "errors": errors,
-                    "detailed_ops": details,
-                    "accounting_ops": accounting,
-                    "a_mean": arithmetic_mean(values),
-                    "g_mean": geometric_mean(values),
-                }
-            )
+    for period, threshold in _grid(ctx):
+        errors: Dict[str, float] = {}
+        details: Dict[str, int] = {}
+        accounting: Dict[str, Dict[str, int]] = {}
+        for benchmark in ctx.benchmarks:
+            res = run_single(ctx, benchmark, period, threshold)
+            errors[benchmark] = res["error_pct"]
+            details[benchmark] = res["detailed_ops"]
+            accounting[benchmark] = res["accounting_ops"]
+        values = list(errors.values())
+        grid.append(
+            {
+                "period": period,
+                "threshold_pi": threshold,
+                "errors": errors,
+                "detailed_ops": details,
+                "accounting_ops": accounting,
+                "a_mean": arithmetic_mean(values),
+                "g_mean": geometric_mean(values),
+            }
+        )
     best_overall = min(grid, key=lambda g: g["a_mean"])
     per_benchmark_best: Dict[str, Dict[str, Any]] = {}
     for benchmark in ctx.benchmarks:

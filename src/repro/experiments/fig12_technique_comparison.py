@@ -25,14 +25,18 @@ simulation than SMARTS and far less than SimPoint; PGSS both more accurate
 and cheaper than TurboSMARTS.  The two stratified-family extensions sit
 between SMARTS and PGSS: several times cheaper than SMARTS at comparable
 error, with RankedSet the cheapest and noisiest of the family.
+
+Every (technique configuration, benchmark) run is a technique cell
+(:func:`~repro.experiments.cells.technique_cell`); ``_techniques`` builds
+the technique objects once for both ``cells()`` and ``run()``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import Any, Dict, List
 
 from ..cpu.engine import Mode
-from ..errors import OrchestrationError
+from ..sampling.base import SamplingTechnique
 from ..sampling.full import FullDetail
 from ..sampling.online_simpoint import OnlineSimPoint, OnlineSimPointConfig
 from ..sampling.ranked import RankedSetConfig, RankedSetSampling
@@ -41,24 +45,25 @@ from ..sampling.smarts import Smarts, SmartsConfig
 from ..sampling.stratified import TwoPhaseStratified, TwoPhaseStratifiedConfig
 from ..sampling.turbosmarts import TurboSmarts, TurboSmartsConfig
 from ..stats.errors_metrics import arithmetic_mean, geometric_mean
-from .cells import ExperimentCell, trace_cell
+from .cells import ExperimentCell, technique_cell, trace_cell
 from .fig11_pgss_sweep import cells as fig11_cells
 from .fig11_pgss_sweep import run as run_fig11
 from .formatting import fmt_ops, fmt_pct, table
 from .runner import ExperimentContext
 
-__all__ = ["run", "format_result", "cells", "run_cell", "OLSP_THRESHOLDS_PI"]
+__all__ = ["run", "format_result", "cells", "OLSP_THRESHOLDS_PI"]
 
 #: Online-SimPoint threshold grid (the paper tested "various thresholds").
 OLSP_THRESHOLDS_PI = (0.05, 0.10, 0.15)
 
 
 def _per_benchmark(
-    ctx: ExperimentContext, run_one: Callable[[str], Dict[str, Any]]
+    ctx: ExperimentContext, technique: SamplingTechnique
 ) -> Dict[str, Dict[str, Any]]:
+    """*technique*'s cached run on every benchmark, plus its error."""
     out: Dict[str, Dict[str, Any]] = {}
     for benchmark in ctx.benchmarks:
-        res = dict(run_one(benchmark))
+        res = dict(ctx.run_cached(benchmark, technique))
         true = ctx.true_ipc(benchmark)
         res["error_pct"] = 100.0 * abs(res["ipc_estimate"] - true) / true
         out[benchmark] = res
@@ -100,113 +105,39 @@ def _simpoint_grid(ctx: ExperimentContext) -> List[SimPointConfig]:
     ]
 
 
-def _full_run(ctx: ExperimentContext, benchmark: str) -> Dict[str, Any]:
-    """One cached whole-program detailed run (the cost ceiling)."""
-    return ctx.run_cached(benchmark, FullDetail(ctx.machine))
-
-
-def _stratified_run(ctx: ExperimentContext, benchmark: str) -> Dict[str, Any]:
-    """One cached two-phase stratified run (scale-canonical config)."""
-    cfg = TwoPhaseStratifiedConfig.from_scale(ctx.scale)
-    return ctx.run_cached(benchmark, TwoPhaseStratified(cfg, ctx.machine))
-
-
-def _ranked_run(ctx: ExperimentContext, benchmark: str) -> Dict[str, Any]:
-    """One cached ranked-set run (scale-canonical config)."""
-    cfg = RankedSetConfig.from_scale(ctx.scale)
-    return ctx.run_cached(benchmark, RankedSetSampling(cfg, ctx.machine))
-
-
-def _smarts_run(ctx: ExperimentContext, benchmark: str) -> Dict[str, Any]:
-    """One cached SMARTS run (the paper's canonical configuration)."""
-    cfg = SmartsConfig.from_scale(ctx.scale)
-    return ctx.run_cached(benchmark, Smarts(cfg, ctx.machine))
-
-
-def _turbo_run(ctx: ExperimentContext, benchmark: str) -> Dict[str, Any]:
-    """One cached TurboSMARTS run (confidence-targeted)."""
-    cfg = TurboSmartsConfig.from_scale(ctx.scale)
-    return ctx.run_cached(benchmark, TurboSmarts(cfg, ctx.machine))
-
-
-def _simpoint_run(
-    ctx: ExperimentContext, benchmark: str, interval: int, k: int
-) -> Dict[str, Any]:
-    """One cached SimPoint run at (interval, k clusters)."""
-    return ctx.run_cached(benchmark, SimPoint(SimPointConfig(interval, k), ctx.machine))
-
-
-def _olsp_run(
-    ctx: ExperimentContext, benchmark: str, interval: int, threshold_pi: float
-) -> Dict[str, Any]:
-    """One cached Online-SimPoint run at (interval, threshold)."""
-    technique = OnlineSimPoint(
-        OnlineSimPointConfig(interval, threshold_pi), ctx.machine
-    )
-    return ctx.run_cached(benchmark, technique)
+def _techniques(ctx: ExperimentContext) -> Dict[str, List[SamplingTechnique]]:
+    """Every technique run of the figure except PGSS (Figure 11's sweep),
+    by technique name: one canonical configuration, or a config grid."""
+    scale, machine = ctx.scale, ctx.machine
+    return {
+        "FullDetail": [FullDetail(machine)],
+        "SMARTS": [Smarts(SmartsConfig.from_scale(scale), machine)],
+        "TurboSMARTS": [TurboSmarts(TurboSmartsConfig.from_scale(scale), machine)],
+        "Stratified": [
+            TwoPhaseStratified(TwoPhaseStratifiedConfig.from_scale(scale), machine)
+        ],
+        "RankedSet": [RankedSetSampling(RankedSetConfig.from_scale(scale), machine)],
+        "SimPoint": [SimPoint(cfg, machine) for cfg in _simpoint_grid(ctx)],
+        "OnlineSimPoint": [
+            OnlineSimPoint(OnlineSimPointConfig(interval, threshold), machine)
+            for interval in scale.simpoint_intervals
+            for threshold in OLSP_THRESHOLDS_PI
+        ],
+    }
 
 
 def cells(ctx: ExperimentContext) -> List[ExperimentCell]:
-    """One cell per (technique configuration, benchmark) pair.
+    """One technique cell per (technique configuration, benchmark) pair.
 
     The PGSS panel reuses the Figure 11 sweep, so those cells are
     included too (the enumerator deduplicates across figures).
     """
     out = [trace_cell(name) for name in ctx.benchmarks]
-    for benchmark in ctx.benchmarks:
-        for technique in ("full", "smarts", "turbosmarts", "stratified", "ranked"):
-            out.append(
-                ExperimentCell.make(
-                    "fig12_technique_comparison", benchmark, technique=technique
-                )
-            )
-    for cfg in _simpoint_grid(ctx):
-        for benchmark in ctx.benchmarks:
-            out.append(
-                ExperimentCell.make(
-                    "fig12_technique_comparison",
-                    benchmark,
-                    technique="simpoint",
-                    interval=cfg.interval_ops,
-                    k=cfg.n_clusters,
-                )
-            )
-    for interval in ctx.scale.simpoint_intervals:
-        for threshold in OLSP_THRESHOLDS_PI:
-            for benchmark in ctx.benchmarks:
-                out.append(
-                    ExperimentCell.make(
-                        "fig12_technique_comparison",
-                        benchmark,
-                        technique="olsp",
-                        interval=interval,
-                        threshold_pi=threshold,
-                    )
-                )
+    for row in _techniques(ctx).values():
+        for technique in row:
+            out.extend(technique_cell(b, technique) for b in ctx.benchmarks)
     out.extend(fig11_cells(ctx))
     return out
-
-
-def run_cell(ctx: ExperimentContext, benchmark: str, params: Dict[str, Any]) -> Dict[str, Any]:
-    """Parallel-driver entry: one cached technique run."""
-    technique = params["technique"]
-    if technique == "full":
-        return _full_run(ctx, benchmark)
-    if technique == "smarts":
-        return _smarts_run(ctx, benchmark)
-    if technique == "turbosmarts":
-        return _turbo_run(ctx, benchmark)
-    if technique == "stratified":
-        return _stratified_run(ctx, benchmark)
-    if technique == "ranked":
-        return _ranked_run(ctx, benchmark)
-    if technique == "simpoint":
-        return _simpoint_run(ctx, benchmark, params["interval"], params["k"])
-    if technique == "olsp":
-        return _olsp_run(
-            ctx, benchmark, params["interval"], params["threshold_pi"]
-        )
-    raise OrchestrationError(f"unknown fig12 cell technique {technique!r}")
 
 
 def _grid_views(
@@ -244,28 +175,17 @@ def _grid_views(
 def run(ctx: ExperimentContext) -> Dict[str, Any]:
     """Run every technique on every benchmark (cached)."""
     result: Dict[str, Any] = {"benchmarks": list(ctx.benchmarks)}
+    techniques = _techniques(ctx)
 
-    # Full detail: the zero-error, maximum-cost anchor of both panels.
-    result["FullDetail"] = _summary(
-        _per_benchmark(ctx, lambda b: _full_run(ctx, b))
-    )
-
-    # SMARTS.
-    result["SMARTS"] = _summary(
-        _per_benchmark(ctx, lambda b: _smarts_run(ctx, b))
-    )
-
-    # Two-phase stratified and ranked-set (single canonical config each).
-    result["Stratified"] = _summary(
-        _per_benchmark(ctx, lambda b: _stratified_run(ctx, b))
-    )
-    result["RankedSet"] = _summary(
-        _per_benchmark(ctx, lambda b: _ranked_run(ctx, b))
-    )
+    # Full detail (the zero-error, maximum-cost anchor of both panels),
+    # SMARTS, and the two stratified-family extensions: one config each.
+    for name in ("FullDetail", "SMARTS", "Stratified", "RankedSet"):
+        (technique,) = techniques[name]
+        result[name] = _summary(_per_benchmark(ctx, technique))
 
     # TurboSMARTS (+ CI coverage observation).
-    turbo_cfg = TurboSmartsConfig.from_scale(ctx.scale)
-    turbo_runs = _per_benchmark(ctx, lambda b: _turbo_run(ctx, b))
+    (turbo,) = techniques["TurboSMARTS"]
+    turbo_runs = _per_benchmark(ctx, turbo)
     result["TurboSMARTS"] = _summary(turbo_runs)
     converged = [
         b for b, r in turbo_runs.items() if r["extras"].get("converged")
@@ -273,33 +193,18 @@ def run(ctx: ExperimentContext) -> Dict[str, Any]:
     outside = [
         b
         for b in converged
-        if turbo_runs[b]["error_pct"] > 100.0 * turbo_cfg.rel_error
+        if turbo_runs[b]["error_pct"] > 100.0 * turbo.config.rel_error
     ]
     result["TurboSMARTS"]["converged"] = converged
     result["TurboSMARTS"]["error_outside_bounds"] = outside
-    result["TurboSMARTS"]["rel_error_target_pct"] = 100.0 * turbo_cfg.rel_error
+    result["TurboSMARTS"]["rel_error_target_pct"] = 100.0 * turbo.config.rel_error
 
-    # SimPoint grid (profiling + interval IPCs from the reference trace).
-    sp_runs: Dict[str, Dict[str, Dict[str, Any]]] = {}
-    for cfg in _simpoint_grid(ctx):
-        sp_runs[cfg.label] = _per_benchmark(
-            ctx,
-            lambda b, c=cfg: _simpoint_run(ctx, b, c.interval_ops, c.n_clusters),
+    # SimPoint (profiling + interval IPCs from the reference trace) and
+    # Online SimPoint config grids.
+    for name in ("SimPoint", "OnlineSimPoint"):
+        result[name] = _grid_views(
+            ctx, {t.config.label: _per_benchmark(ctx, t) for t in techniques[name]}
         )
-    result["SimPoint"] = _grid_views(ctx, sp_runs)
-
-    # Online SimPoint grid.
-    olsp_runs: Dict[str, Dict[str, Dict[str, Any]]] = {}
-    for interval in ctx.scale.simpoint_intervals:
-        for threshold in OLSP_THRESHOLDS_PI:
-            cfg = OnlineSimPointConfig(interval, threshold)
-            olsp_runs[cfg.label] = _per_benchmark(
-                ctx,
-                lambda b, c=cfg: _olsp_run(
-                    ctx, b, c.interval_ops, c.threshold_pi
-                ),
-            )
-    result["OnlineSimPoint"] = _grid_views(ctx, olsp_runs)
 
     # PGSS: reuse the Figure 11 sweep.
     fig11 = run_fig11(ctx)

@@ -12,24 +12,30 @@ Also includes the functional-warming ablation: SMARTS with cold samples
 (the pre-SMARTS sampling of Conte et al.) is biased because long-lifetime
 state is stale at each sample — quantified here as the cold-vs-warm error
 gap at equal budget.
+
+Every (sweep point, benchmark) run is a technique cell
+(:func:`~repro.experiments.cells.technique_cell`); ``_curves`` builds the
+sweep points once for both ``cells()`` and ``run()``.  The canonical
+points coincide with Figs. 11 and 12 runs, and the enumerator runs each
+such cell once.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
-from ..errors import OrchestrationError
+from ..sampling.base import SamplingTechnique
 from ..sampling.pgss import Pgss, PgssConfig
 from ..sampling.ranked import RankedSetConfig, RankedSetSampling
 from ..sampling.smarts import Smarts, SmartsConfig
 from ..sampling.stratified import TwoPhaseStratified, TwoPhaseStratifiedConfig
 from ..stats.errors_metrics import arithmetic_mean
-from .cells import ExperimentCell, trace_cell
+from .cells import ExperimentCell, technique_cell, trace_cell
 from .formatting import fmt_ops, fmt_pct, table
 from .runner import ExperimentContext
 
-__all__ = ["run", "format_result", "cells", "run_cell"]
+__all__ = ["run", "format_result", "cells"]
 
 #: SMARTS period multipliers swept (relative to the scale's canonical one).
 SMARTS_PERIOD_FACTORS = (0.5, 1, 2, 4, 8)
@@ -44,49 +50,14 @@ STRATIFIED_SAMPLE_FACTORS = (0.5, 1, 2, 4)
 RANKED_SET_SIZES = (2, 3, 4, 5)
 
 
-def _smarts_run(
-    ctx: ExperimentContext, benchmark: str, period: int, warming: bool
-) -> Dict[str, Any]:
-    """One cached SMARTS sweep-point run on one benchmark."""
-    cfg = replace(
-        SmartsConfig.from_scale(ctx.scale),
-        period_ops=period,
-        functional_warming=warming,
-    )
-    return ctx.run_cached(benchmark, Smarts(cfg, ctx.machine))
-
-
-def _pgss_run(
-    ctx: ExperimentContext, benchmark: str, spread: int
-) -> Dict[str, Any]:
-    """One cached PGSS sweep-point run on one benchmark."""
-    cfg = PgssConfig.from_scale(ctx.scale, spread_ops=spread)
-    return ctx.run_cached(benchmark, Pgss(cfg, ctx.machine))
-
-
-def _stratified_run(
-    ctx: ExperimentContext, benchmark: str, samples: int
-) -> Dict[str, Any]:
-    """One cached two-phase stratified sweep-point run on one benchmark."""
-    cfg = TwoPhaseStratifiedConfig.from_scale(ctx.scale, total_samples=samples)
-    return ctx.run_cached(benchmark, TwoPhaseStratified(cfg, ctx.machine))
-
-
-def _ranked_run(
-    ctx: ExperimentContext, benchmark: str, set_size: int
-) -> Dict[str, Any]:
-    """One cached ranked-set sweep-point run on one benchmark."""
-    cfg = RankedSetConfig.from_scale(ctx.scale, set_size=set_size)
-    return ctx.run_cached(benchmark, RankedSetSampling(cfg, ctx.machine))
-
-
 def _sweep_point(
-    ctx: ExperimentContext, results: List[Dict[str, Any]]
+    ctx: ExperimentContext, technique: SamplingTechnique
 ) -> Dict[str, float]:
-    """Suite-level error/cost summary of one sweep point's runs."""
+    """Suite-level error/cost summary of *technique*'s cached runs."""
     errors = []
     details = []
-    for name, res in zip(ctx.benchmarks, results):
+    for name in ctx.benchmarks:
+        res = ctx.run_cached(name, technique)
         true = ctx.true_ipc(name)
         errors.append(100.0 * abs(res["ipc_estimate"] - true) / true)
         details.append(res["detailed_ops"])
@@ -94,32 +65,6 @@ def _sweep_point(
         "a_mean_error": arithmetic_mean(errors),
         "mean_detailed_ops": arithmetic_mean(details),
     }
-
-
-def _smarts_point(
-    ctx: ExperimentContext, period: int, warming: bool
-) -> Dict[str, float]:
-    return _sweep_point(
-        ctx, [_smarts_run(ctx, b, period, warming) for b in ctx.benchmarks]
-    )
-
-
-def _pgss_point(ctx: ExperimentContext, spread: int) -> Dict[str, float]:
-    return _sweep_point(
-        ctx, [_pgss_run(ctx, b, spread) for b in ctx.benchmarks]
-    )
-
-
-def _stratified_point(ctx: ExperimentContext, samples: int) -> Dict[str, float]:
-    return _sweep_point(
-        ctx, [_stratified_run(ctx, b, samples) for b in ctx.benchmarks]
-    )
-
-
-def _ranked_point(ctx: ExperimentContext, set_size: int) -> Dict[str, float]:
-    return _sweep_point(
-        ctx, [_ranked_run(ctx, b, set_size) for b in ctx.benchmarks]
-    )
 
 
 def _smarts_periods(ctx: ExperimentContext) -> List[int]:
@@ -146,99 +91,74 @@ def _stratified_budgets(ctx: ExperimentContext) -> List[int]:
     )
 
 
+def _curves(
+    ctx: ExperimentContext,
+) -> Dict[str, List[Tuple[Dict[str, Any], SamplingTechnique]]]:
+    """Every sweep point, by curve: its knob setting and the technique run."""
+    scale, machine = ctx.scale, ctx.machine
+    smarts = SmartsConfig.from_scale(scale)
+    return {
+        "smarts": [
+            ({"period": period}, Smarts(replace(smarts, period_ops=period), machine))
+            for period in _smarts_periods(ctx)
+        ],
+        "smarts_cold": [
+            (
+                {"period": period},
+                Smarts(
+                    replace(smarts, period_ops=period, functional_warming=False),
+                    machine,
+                ),
+            )
+            for period in _smarts_periods(ctx)
+        ],
+        "pgss": [
+            ({"spread": spread}, Pgss(PgssConfig.from_scale(scale, spread_ops=spread), machine))
+            for spread in _pgss_spreads(ctx)
+        ],
+        "stratified": [
+            (
+                {"samples": samples},
+                TwoPhaseStratified(
+                    TwoPhaseStratifiedConfig.from_scale(scale, total_samples=samples),
+                    machine,
+                ),
+            )
+            for samples in _stratified_budgets(ctx)
+        ],
+        "ranked": [
+            (
+                {"set_size": set_size},
+                RankedSetSampling(
+                    RankedSetConfig.from_scale(scale, set_size=set_size), machine
+                ),
+            )
+            for set_size in RANKED_SET_SIZES
+        ],
+    }
+
+
 def cells(ctx: ExperimentContext) -> List[ExperimentCell]:
-    """One cell per (sweep point, benchmark) pair for both techniques."""
+    """One technique cell per (sweep point, benchmark) pair."""
     out = [trace_cell(name) for name in ctx.benchmarks]
-    for period in _smarts_periods(ctx):
-        for warming in (True, False):
-            for benchmark in ctx.benchmarks:
-                out.append(
-                    ExperimentCell.make(
-                        "tradeoff",
-                        benchmark,
-                        technique="smarts",
-                        period=period,
-                        warming=warming,
-                    )
-                )
-    for spread in _pgss_spreads(ctx):
-        for benchmark in ctx.benchmarks:
-            out.append(
-                ExperimentCell.make(
-                    "tradeoff", benchmark, technique="pgss", spread=spread
-                )
-            )
-    for samples in _stratified_budgets(ctx):
-        for benchmark in ctx.benchmarks:
-            out.append(
-                ExperimentCell.make(
-                    "tradeoff", benchmark, technique="stratified", samples=samples
-                )
-            )
-    for set_size in RANKED_SET_SIZES:
-        for benchmark in ctx.benchmarks:
-            out.append(
-                ExperimentCell.make(
-                    "tradeoff", benchmark, technique="ranked", set_size=set_size
-                )
-            )
+    for points in _curves(ctx).values():
+        for _knob, technique in points:
+            out.extend(technique_cell(b, technique) for b in ctx.benchmarks)
     return out
 
 
-def run_cell(ctx: ExperimentContext, benchmark: str, params: Dict[str, Any]) -> Dict[str, Any]:
-    """Parallel-driver entry: one cached sweep-point run."""
-    technique = params["technique"]
-    if technique == "smarts":
-        return _smarts_run(ctx, benchmark, params["period"], params["warming"])
-    if technique == "pgss":
-        return _pgss_run(ctx, benchmark, params["spread"])
-    if technique == "stratified":
-        return _stratified_run(ctx, benchmark, params["samples"])
-    if technique == "ranked":
-        return _ranked_run(ctx, benchmark, params["set_size"])
-    raise OrchestrationError(f"unknown tradeoff cell technique {technique!r}")
-
-
 def run(ctx: ExperimentContext) -> Dict[str, Any]:
-    """Sweep both techniques' budget knobs; include the warming ablation."""
-    smarts_curve: List[Dict[str, float]] = []
-    cold_curve: List[Dict[str, float]] = []
-    for period in _smarts_periods(ctx):
-        smarts_curve.append(
-            {"period": period, **_smarts_point(ctx, period, warming=True)}
-        )
-        cold_curve.append(
-            {"period": period, **_smarts_point(ctx, period, warming=False)}
-        )
-
-    pgss_curve: List[Dict[str, float]] = []
-    for spread in _pgss_spreads(ctx):
-        pgss_curve.append({"spread": spread, **_pgss_point(ctx, spread)})
-
-    stratified_curve: List[Dict[str, float]] = []
-    for samples in _stratified_budgets(ctx):
-        stratified_curve.append(
-            {"samples": samples, **_stratified_point(ctx, samples)}
-        )
-
-    ranked_curve: List[Dict[str, float]] = []
-    for set_size in RANKED_SET_SIZES:
-        ranked_curve.append(
-            {"set_size": set_size, **_ranked_point(ctx, set_size)}
-        )
-
+    """Sweep every technique's budget knob; include the warming ablation."""
+    result: Dict[str, Any] = {
+        curve: [{**knob, **_sweep_point(ctx, technique)} for knob, technique in points]
+        for curve, points in _curves(ctx).items()
+    }
     # Warming ablation headline: cold-vs-warm error gap at the canonical
     # period.
-    warm_base = smarts_curve[1]
-    cold_base = cold_curve[1]
-    return {
-        "smarts": smarts_curve,
-        "smarts_cold": cold_curve,
-        "pgss": pgss_curve,
-        "stratified": stratified_curve,
-        "ranked": ranked_curve,
-        "warming_gap": cold_base["a_mean_error"] - warm_base["a_mean_error"],
-    }
+    warm_base = result["smarts"][1]
+    cold_base = result["smarts_cold"][1]
+    result["warming_gap"] = cold_base["a_mean_error"] - warm_base["a_mean_error"]
+    return result
 
 
 def format_result(result: Dict[str, Any]) -> str:

@@ -30,6 +30,7 @@ from ..program import Program
 from ..stats.estimators import stratified_ratio_ipc
 from .base import SamplingResult, SamplingTechnique, final_result, ops_label
 from .full import ReferenceTrace
+from .session import measure_intervals
 from .simpoint import SimPoint, SimPointConfig
 
 __all__ = ["OnlineSimPointConfig", "OnlineSimPoint"]
@@ -86,7 +87,7 @@ class OnlineSimPoint(SamplingTechnique):
             trace: pre-collected reference trace supplying interval BBVs
                 and IPCs; when omitted a live profiling pass collects the
                 BBVs and the intervals' IPCs are measured with a live
-                second pass through :class:`SimPoint`'s machinery.
+                second pass (:func:`~repro.sampling.session.measure_intervals`).
             bus: optional event bus; receives :class:`PhaseChange` events
                 from the classifier and the final estimate.
         """
@@ -126,12 +127,14 @@ class OnlineSimPoint(SamplingTechnique):
                 for p, i in first_of_phase.items()
             }
         else:
-            profiler = SimPoint(
-                SimPointConfig(cfg.interval_ops, 1, hash_seed=cfg.hash_seed),
-                machine=self.machine,
-            )
-            measured, accounting = profiler._measure_representatives(
-                program, sorted(first_of_phase.values()), bus=bus
+            measured, accounting = measure_intervals(
+                program,
+                self.machine,
+                list(first_of_phase.values()),
+                cfg.interval_ops,
+                warmup_ops=0,
+                detail_ops=cfg.interval_ops,
+                bus=bus,
             )
             rep_counts = {
                 p: measured[i]

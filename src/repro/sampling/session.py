@@ -359,13 +359,17 @@ def interval_sample_plan(
     ``detail_ops`` detailed sample inside it, drains the interval's
     remainder functionally warm, and stops when the program ends.
     Callers recover which interval a sample belongs to as
-    ``sample.op_offset // interval_ops``: technique configs using this
-    plan validate ``warmup_ops + detail_ops < interval_ops``, so the
-    sample never starts past its interval's boundary.
+    ``sample.op_offset // interval_ops``: callers keep
+    ``warmup_ops + detail_ops <= interval_ops``, so the sample never
+    starts past its interval's boundary.  SimPoint-style callers pass
+    ``warmup_ops=0, detail_ops=interval_ops`` and simulate each target
+    interval whole.
 
     With ``stagger`` (the default) the sample's position inside its
     interval walks a deterministic golden-ratio sequence over the
-    interval's slack instead of always sitting at the interval start.
+    interval's slack (``interval_ops - warmup_ops - detail_ops``; with
+    zero slack the stagger does nothing) instead of always sitting at
+    the interval start.
     A fixed in-interval position aliases against intra-interval
     micro-structure — one position can systematically over- or
     under-state the interval mean — and a handful of interval samples

@@ -12,7 +12,8 @@ profiling pass can reuse a pre-collected :class:`ReferenceTrace` (the
 default, since the trace also provides each interval's detailed IPC), or
 run the two passes live on a fresh engine.  Both live passes are
 expressed as sampling-session plans: a profile-only plan for the BBV
-pass, and a fast-forward/measure plan for the representatives.
+pass, and :func:`~repro.sampling.session.measure_intervals` for the
+representatives, each simulated whole in detail.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from ..program import Program
 from ..stats.estimators import stratified_ratio_ipc
 from .base import SamplingResult, SamplingTechnique, final_result, ops_label
 from .full import WINDOWS_PER_CHUNK, ReferenceTrace
-from .session import ModeSegment, SamplingSession, SegmentPlan, SegmentRole
+from .session import ModeSegment, SamplingSession, SegmentRole, measure_intervals
 
 __all__ = ["SimPointConfig", "SimPoint"]
 
@@ -143,49 +144,6 @@ class SimPoint(SamplingTechnique):
         )
         return clustering, clustering.representative_indices()
 
-    def _measure_representatives(
-        self,
-        program: Program,
-        rep_indices: List[int],
-        bus: Optional[EventBus] = None,
-    ) -> Tuple[Dict[int, Tuple[int, int]], ModeAccounting]:
-        """Live second pass: detail-simulate the chosen intervals.
-
-        Fast-forwards (with functional warming) between representatives and
-        runs each chosen interval cycle-accurately.  Returns interval index
-        -> measured ``(ops, cycles)`` plus the engine's accounting.
-        """
-        cfg = self.config
-        engine = SimulationEngine(program, machine=self.machine)
-        session = SamplingSession(engine, bus=bus)
-        wanted = sorted(set(rep_indices))
-        counts: Dict[int, Tuple[int, int]] = {}
-
-        def plan() -> SegmentPlan:
-            interval = 0
-            for target in wanted:
-                while interval < target and not engine.exhausted:
-                    yield ModeSegment(
-                        Mode.FUNC_WARM,
-                        cfg.interval_ops,
-                        role=SegmentRole.FAST_FORWARD,
-                    )
-                    interval += 1
-                if engine.exhausted:
-                    break
-                outcome = yield ModeSegment(
-                    Mode.DETAIL,
-                    cfg.interval_ops,
-                    role=SegmentRole.SAMPLE,
-                    measure=True,
-                )
-                interval += 1
-                if outcome.run.ops and outcome.run.cycles:
-                    counts[target] = (outcome.run.ops, outcome.run.cycles)
-
-        session.execute(plan())
-        return counts, engine.accounting
-
     def run(
         self,
         program: Program,
@@ -226,8 +184,16 @@ class SimPoint(SamplingTechnique):
                 if reps[c] >= 0
             }
         else:
-            rep_counts, accounting = self._measure_representatives(
-                program, [int(r) for r in reps if r >= 0], bus=bus
+            # Each representative runs whole in DETAIL, after functional
+            # warming up to it.
+            rep_counts, accounting = measure_intervals(
+                program,
+                self.machine,
+                [int(r) for r in reps if r >= 0],
+                cfg.interval_ops,
+                warmup_ops=0,
+                detail_ops=cfg.interval_ops,
+                bus=bus,
             )
 
         # SimPoint combines per-cluster CPI weighted by cluster size; with

@@ -115,7 +115,8 @@ class TestExperimentContext:
             ctx = ExperimentContext(
                 scale, cache_dir=tmp_path, benchmarks=["164.gzip"]
             )
-            cached = fig12._smarts_run(ctx, "164.gzip")
+            (smarts,) = fig12._techniques(ctx)["SMARTS"]
+            cached = ctx.run_cached("164.gzip", smarts)
             direct = Smarts(SmartsConfig.from_scale(scale), ctx.machine).run(
                 ctx.program("164.gzip")
             )
@@ -145,17 +146,13 @@ class TestExperimentContext:
             Scale.QUICK, cache_dir=tmp_path, benchmarks=["164.gzip"]
         )
         interval = ctx.scale.simpoint_intervals[-1]
-        cases = [
-            (
-                fig12._simpoint_run(ctx, "164.gzip", interval, 3),
-                SimPoint(SimPointConfig(interval, 3), ctx.machine),
-            ),
-            (
-                fig12._olsp_run(ctx, "164.gzip", interval, 0.10),
-                OnlineSimPoint(OnlineSimPointConfig(interval, 0.10), ctx.machine),
-            ),
-        ]
-        for cached, technique in cases:
+        grids = fig12._techniques(ctx)
+        for technique in (
+            SimPoint(SimPointConfig(interval, 3), ctx.machine),
+            OnlineSimPoint(OnlineSimPointConfig(interval, 0.10), ctx.machine),
+        ):
+            assert technique.config in {t.config for t in grids[technique.name]}
+            cached = ctx.run_cached("164.gzip", technique)
             direct = technique.run(
                 ctx.program("164.gzip"), trace=ctx.trace("164.gzip")
             )
@@ -285,18 +282,16 @@ class TestSweepFigures:
         suite_ops = sum(ctx.trace(b).total_ops for b in ctx.benchmarks)
         assert result["totals"]["FullDetail"] == suite_ops / rates["detail"]
         period, threshold = fig11.best_configs(fig11.run(ctx))
+        techniques = fig12._techniques(ctx)
         runs = {
-            "FullDetail": fig12._full_run,
-            "SMARTS": fig12._smarts_run,
-            "TurboSMARTS": fig12._turbo_run,
-            "PGSS": lambda c, b: fig11.run_single(c, b, period, threshold),
-            "Stratified": fig12._stratified_run,
-            "RankedSet": fig12._ranked_run,
+            name: techniques[name][0]
+            for name in ("FullDetail", "SMARTS", "TurboSMARTS", "Stratified", "RankedSet")
         }
+        runs["PGSS"] = fig11._pgss(ctx, period, threshold)
         modes = ("func_fast", "func_warm", "detail_warm", "detail")
         tracked = {"PGSS": modes, "Stratified": ("func_fast",)}
         for technique, run_one in runs.items():
-            docs = [run_one(ctx, b) for b in ctx.benchmarks]
+            docs = [ctx.run_cached(b, run_one) for b in ctx.benchmarks]
             for mode in modes:
                 ops = sum(doc["accounting_ops"][mode] for doc in docs)
                 key = f"{mode}+bbv" if mode in tracked.get(technique, ()) else mode

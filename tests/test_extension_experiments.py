@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.config import Scale
+from repro.config import DEFAULT_MACHINE, Scale
 from repro.experiments import ExperimentContext
 from repro.experiments import stratification_gain, tradeoff
 
@@ -68,7 +68,9 @@ class TestTradeoff:
         """A clamped factor can land on another's point (PGSS spreads
         below the period, at SCALED and PAPER); every sweep then lists
         each point once, in order, and no cell is scheduled twice."""
-        at = SimpleNamespace(scale=scale, benchmarks=["164.gzip"])
+        at = SimpleNamespace(
+            scale=scale, machine=DEFAULT_MACHINE, benchmarks=["164.gzip"]
+        )
         sweeps = {
             "smarts": tradeoff._smarts_periods(at),
             "pgss": tradeoff._pgss_spreads(at),

@@ -575,6 +575,17 @@ class TestLocalServiceSmoke:
         assert built == []
         assert service.ctx.cache.misses == 0
 
+    def test_fetch_simulates_nothing_for_the_tradeoff(self, tmp_path, monkeypatch):
+        """The tradeoff grid is assembled from its technique cells alone."""
+        service = LocalService(smoke_ctx(tmp_path / "cache"))
+        handle = service.submit(figures="ext-tradeoff")
+        assert service.wait(handle).state == "done"
+        built = count_engines(monkeypatch)
+        text = service.fetch(handle)
+        assert "accuracy vs detailed-simulation budget" in text
+        assert built == []
+        assert service.ctx.cache.misses == 0
+
     def test_warm_rerun_computes_nothing(self, smoke_cache, monkeypatch):
         """Cells run on contexts rebuilt from the task's context
         document, so the caller's cache counters cannot see a warm

@@ -29,7 +29,14 @@ from repro.experiments import (
     parallel,
     trace_cell,
 )
-from repro.experiments.cells import TRACE_FIGURE
+from repro.experiments import fig11_pgss_sweep, fig12_technique_comparison, tradeoff
+from repro.experiments.cells import (
+    TECHNIQUE_FIGURE,
+    TRACE_FIGURE,
+    cell_technique,
+    run_cell,
+    technique_cell,
+)
 from repro.fleet import LocalService
 from repro.sampling.full import ReferenceTrace
 
@@ -312,21 +319,85 @@ class TestCells:
     def test_enumerate_cells_covers_all_figures(self, tmp_path):
         ctx = _make_ctx(tmp_path)
         cells = enumerate_cells(ctx)
-        figures = {c.figure for c in cells}
-        assert TRACE_FIGURE in figures
-        assert "fig11_pgss_sweep" in figures
-        assert "fig12_technique_comparison" in figures
-        assert "tradeoff" in figures
+        # Technique runs of every figure share one cell kind; the two
+        # module-hook kinds are the payloads that are not technique runs.
+        assert {c.figure for c in cells} == {
+            TRACE_FIGURE,
+            TECHNIQUE_FIGURE,
+            "signal_ablation",
+            "fig13_simulation_time",
+        }
+        names = {c.kwargs()["technique"] for c in cells if c.figure == TECHNIQUE_FIGURE}
+        assert names == {
+            "FullDetail",
+            "SMARTS",
+            "TurboSMARTS",
+            "SimPoint",
+            "OnlineSimPoint",
+            "PGSS",
+            "Stratified",
+            "RankedSet",
+        }
 
     def test_unknown_cell_params_raise(self, tmp_path):
         from repro.experiments.cells import run_cell as run_one
 
         ctx = _make_ctx(tmp_path)
         bad = ExperimentCell.make(
-            "fig12_technique_comparison", "164.gzip", technique="nonesuch"
+            TECHNIQUE_FIGURE, "164.gzip", technique="nonesuch", config="{}"
         )
         with pytest.raises(OrchestrationError):
             run_one(ctx, bad)
+
+    def test_technique_cells_rebuild_the_figures_techniques(self, tmp_path, monkeypatch):
+        """Every technique cell rebuilds the object its figure built: same
+        class, name, config and machine, so ``run_cached`` reads and
+        writes the entry the figure's ``run()`` reads."""
+        ctx = ExperimentContext(Scale.QUICK, cache_dir=tmp_path)
+        built = [
+            fig11_pgss_sweep._pgss(ctx, period, threshold)
+            for period, threshold in fig11_pgss_sweep._grid(ctx)
+        ]
+        built += [t for row in fig12_technique_comparison._techniques(ctx).values() for t in row]
+        built += [t for points in tradeoff._curves(ctx).values() for _, t in points]
+        by_cell = {technique_cell(b, t): t for t in built for b in ctx.benchmarks}
+        cells = [c for c in enumerate_cells(ctx) if c.figure == TECHNIQUE_FIGURE]
+        assert set(cells) == set(by_cell)
+
+        payloads = []
+        monkeypatch.setattr(
+            ctx.cache, "json", lambda payload, compute: payloads.append(payload)
+        )
+        for cell in cells:
+            figure_built = by_cell[cell]
+            rebuilt = cell_technique(cell, ctx.machine)
+            assert type(rebuilt) is type(figure_built)
+            assert rebuilt.name == figure_built.name
+            assert rebuilt.config == figure_built.config
+            ctx.run_cached(cell.benchmark, rebuilt)
+            ctx.run_cached(cell.benchmark, figure_built)
+            assert payloads[-2] == payloads[-1]
+
+    def test_full_enumeration_names_each_run_once(self, tmp_path, monkeypatch):
+        ctx = ExperimentContext(Scale.QUICK, cache_dir=tmp_path)
+        cells = enumerate_cells(ctx)
+        assert len(cells) == 580
+        runs = [
+            (c.benchmark, c.kwargs()["technique"], c.kwargs()["config"])
+            for c in cells
+            if c.figure == TECHNIQUE_FIGURE
+        ]
+        assert len(runs) == len(set(runs))
+        # Distinct cells are distinct cache entries too.
+        payloads = []
+        monkeypatch.setattr(
+            ctx.cache, "json", lambda payload, compute: payloads.append(payload)
+        )
+        for cell in cells:
+            if cell.figure == TECHNIQUE_FIGURE:
+                run_cell(ctx, cell)
+        keys = {ctx.cache.key(p) for p in payloads}
+        assert len(keys) == len(runs)
 
 
 class TestLocalWorkers:

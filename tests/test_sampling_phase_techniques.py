@@ -3,7 +3,9 @@
 import pytest
 
 from repro import Scale
+from repro.config import DEFAULT_MACHINE
 from repro.errors import ConfigurationError, SamplingError
+from repro.program import get_workload
 from repro.sampling import (
     OnlineSimPoint,
     OnlineSimPointConfig,
@@ -13,6 +15,7 @@ from repro.sampling import (
     SimPointConfig,
     collect_reference_trace,
 )
+from repro.sampling.session import measure_intervals
 
 from conftest import make_two_phase_program
 
@@ -71,6 +74,37 @@ class TestSimPoint:
     def test_too_many_clusters_rejected(self, program, trace):
         with pytest.raises(SamplingError):
             SimPoint(SimPointConfig(trace.total_ops, 5)).run(program, trace=trace)
+
+    @pytest.mark.parametrize(
+        "name,interval",
+        [
+            (name, interval)
+            for name in ("164.gzip", "181.mcf", "300.twolf", "183.equake")
+            for interval in Scale.QUICK.simpoint_intervals
+        ],
+    )
+    def test_live_representatives_are_measured_whole(self, name, interval):
+        """The live second pass simulates each representative interval
+        whole: it cuts the stream with the profile's ``next_events``
+        sequence, so every sample's ops are its interval's profiled ops."""
+        technique = SimPoint(SimPointConfig(interval, 3))
+        intervals = technique.profile_intervals(get_workload(name, Scale.QUICK))
+        _, reps = technique.simulation_points(intervals)
+        wanted = sorted({int(r) for r in reps if r >= 0})
+        measured, accounting = measure_intervals(
+            get_workload(name, Scale.QUICK),
+            DEFAULT_MACHINE,
+            wanted,
+            interval,
+            warmup_ops=0,
+            detail_ops=interval,
+        )
+        assert sorted(measured) == wanted
+        for index, (ops, _cycles) in measured.items():
+            assert ops == intervals.ops[index]
+        result = technique.run(get_workload(name, Scale.QUICK))
+        assert result.n_samples == len(wanted)
+        assert result.accounting.ops == accounting.ops
 
     def test_profile_intervals_live(self, program):
         cfg = SimPointConfig(8_000, 3)
