@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..branch import BranchPredictor
 from ..memory import CacheHierarchy
-from ..program.mem_patterns import batch_slices, batch_stream
+from ..program.mem_patterns import AddressWindows, batch_slices
 from ..program.stream import BlockRun
 
 __all__ = ["FunctionalWarmer", "Outcomes"]
@@ -44,6 +44,7 @@ class FunctionalWarmer:
         # Per block id: do its fetch lines stay pinned after one pass (see
         # CacheHierarchy.inst_lines_pinned)?
         self._pinned: Dict[int, bool] = {}
+        self._addresses = AddressWindows(hierarchy.address_salt)
 
     def execute_batch(
         self,
@@ -73,8 +74,8 @@ class FunctionalWarmer:
           touches the L1I (data never does, and L2 evictions do not
           back-invalidate L1), so every later fetch is a silent hit: one
           counter add.  Blocks that wrap the L1I fetch on every iteration.
-        * **Data.** The slice's accesses are generated in program order
-          by :func:`~repro.program.mem_patterns.batch_stream` and
+        * **Data.** The slice's accesses come, in program order, from
+          :class:`~repro.program.mem_patterns.AddressWindows` and are
           replayed through the kernel
           :meth:`~repro.memory.CacheHierarchy.warm_data_run`, one call per
           stretch between L1I misses.  An L1I hit never reaches the L2;
@@ -92,7 +93,6 @@ class FunctionalWarmer:
         Without it nothing is recorded.
         """
         hierarchy = self.hierarchy
-        salt = hierarchy.address_salt
         warm_data_run = hierarchy.warm_data_run
         fetch_l1i = hierarchy.fetch_l1i
         fill_inst = hierarchy.fill_inst
@@ -101,7 +101,7 @@ class FunctionalWarmer:
         record = replay is not None
         for part in batch_slices(runs):
             mispredicts = self._apply_branches(part, record)
-            stream = batch_stream(part, salt)
+            stream = self._addresses.stream(part)
             stalls: List[Tuple[int, int, int]] = []
             misses: List[int] = []
             miss_log = misses if record else None

@@ -109,7 +109,7 @@ def _cached_rates(ctx: ExperimentContext) -> Dict[str, float]:
     # a mode's rate changes, or a warm cache keeps serving stale rates.
     return ctx.cache.json(
         {"kind": "rates", "scale": ctx.scale.name, "ops": RATE_OPS,
-         "engine": "bbv-one-pass-min-50ms", "machine": asdict(ctx.machine)},
+         "engine": "address-windows-min-50ms", "machine": asdict(ctx.machine)},
         lambda: measure_rates(ctx),
     )
 

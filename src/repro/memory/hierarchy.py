@@ -80,7 +80,7 @@ class CacheHierarchy:
         in order.
 
         Each entry packs one access as ``(addr ^ address_salt) << 1 |
-        is_write`` (:func:`~repro.program.mem_patterns.batch_stream`).
+        is_write`` (:meth:`~repro.program.mem_patterns.AddressWindows.stream`).
         When *misses* is given, each L1D miss appends ``index << 1 |
         went_to_memory`` to it, with accesses indexed from *start*: the
         outcomes the detailed pipeline's timing replay needs.

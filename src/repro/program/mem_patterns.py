@@ -35,11 +35,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "PatternKind",
     "MemPattern",
+    "AddressWindows",
+    "LOOKAHEAD",
     "SLICE_ACCESSES",
-    "SMALL_SLICE",
     "batch_addresses",
     "batch_slices",
-    "batch_stream",
     "pattern_row",
 ]
 
@@ -51,12 +51,8 @@ _MASK32 = 0xFFFFFFFF
 #: Most data accesses :func:`batch_slices` puts in one slice: bounds the
 #: arrays a batch's address stream is generated and replayed in.
 SLICE_ACCESSES = 1 << 13
-#: :func:`batch_stream` generates a slice in Python while its cost there,
-#: counted per strided access and :data:`_HASHED_COST` per hashed one, is
-#: below this: numpy's fixed cost per call outweighs its per-access saving.
-SMALL_SLICE = 128
-#: A hashed access's Python cost in strided accesses.
-_HASHED_COST = 3
+#: Fewest executions of a pattern one :class:`AddressWindows` refill makes.
+LOOKAHEAD = 512
 
 
 class PatternKind(Enum):
@@ -111,18 +107,6 @@ class MemPattern:
         h = (h * _AVALANCHE_MULT) & _MASK32
         h ^= h >> 16
         return self.base + ((h % self.span) & ~0x7)
-
-    def packed_run(self, k_start: int, n: int, salt: int = 0) -> List[int]:
-        """Executions ``k_start .. k_start + n - 1`` packed for the replay
-        kernel: ``(address(k) ^ salt) << 1 | is_write`` each."""
-        w = int(self.is_write)
-        ks = range(k_start, k_start + n)
-        if self.kind is PatternKind.STREAM or self.kind is PatternKind.REUSE:
-            # :meth:`address` inline: a third of the cost of a call each.
-            base, stride, span = self.base, self.stride, self.span
-            return [(base + k * stride % span ^ salt) << 1 | w for k in ks]
-        address = self.address
-        return [(address(k) ^ salt) << 1 | w for k in ks]
 
     def footprint_lines(self, line_bytes: int = 64) -> int:
         """Approximate number of distinct cache lines the pattern touches."""
@@ -203,9 +187,7 @@ def batch_addresses(runs: Sequence["BlockRun"]) -> Tuple[np.ndarray, np.ndarray]
     ``pattern_rows`` once; everything per access is numpy.  Strided
     kinds are plain int64 arithmetic; hashed kinds replay the 32-bit
     avalanche in uint64 (the 32-bit masks make modulo-2**64 wraparound
-    indistinguishable from Python's arbitrary-precision product).  The
-    functional warmer and the MAV signal both generate their address
-    streams here, a :func:`batch_slices` slice at a time.
+    indistinguishable from Python's arbitrary-precision product).
     """
     first_row: Dict[int, int] = {}
     table: List[Tuple[int, int, int, int, int, int]] = []
@@ -256,36 +238,53 @@ def batch_addresses(runs: Sequence["BlockRun"]) -> Tuple[np.ndarray, np.ndarray]
     return addrs, writes
 
 
-def batch_stream(runs: Sequence["BlockRun"], salt: int = 0) -> List[int]:
-    """The packed replay stream of a batch of runs: one
-    ``(addr ^ salt) << 1 | is_write`` entry per data access, in the
-    order of :func:`batch_addresses` — the input of
-    :meth:`~repro.memory.CacheHierarchy.warm_data_run`.
+class AddressWindows:
+    """The functional warmer's packed data streams: per memory pattern, a
+    window of ``(address(k) ^ salt) << 1 | is_write`` for its executions
+    ``k0 .. k0 + L - 1``, which serves a run one list slice.
 
-    Small batches (:data:`SMALL_SLICE`) are generated pattern by pattern
-    in Python (:meth:`MemPattern.packed_run`); larger ones by
-    :func:`batch_addresses`.
+    Addresses are pure functions of (pattern, *k*), so a run outside its
+    window (a jump ahead, a rewind by ``engine.restore``) just refills
+    it: one numpy evaluation of ``L = max(LOOKAHEAD, n)`` executions from
+    the run's ``k_start``.  Memory: one window per pattern per engine,
+    each of at most ``max(LOOKAHEAD, SLICE_ACCESSES)`` entries.
     """
-    cost = 0
-    for run in runs:
-        for row in run.block.pattern_rows:
-            cost += run.n * (_HASHED_COST if row[0] else 1)
-        if cost >= SMALL_SLICE:
-            addrs, writes = batch_addresses(runs)
-            return ((addrs ^ salt) << 1 | writes).tolist()
-    stream: List[int] = []
-    for run in runs:
-        patterns = run.block.mem_patterns
-        if len(patterns) == 1:
-            stream += patterns[0].packed_run(run.k_start, run.n, salt)
-        elif patterns:
-            # Interleave the per-pattern columns iteration-major.
-            width = len(patterns)
-            chunk = [0] * (run.n * width)
-            for j, pat in enumerate(patterns):
-                chunk[j::width] = pat.packed_run(run.k_start, run.n, salt)
-            stream += chunk
-    return stream
+
+    def __init__(self, salt: int = 0) -> None:
+        self.salt = salt
+        # id(pattern) -> (pattern, k0, entries): holding it keeps the id.
+        self._windows: Dict[int, Tuple[MemPattern, int, List[int]]] = {}
+
+    def stream(self, runs: Sequence["BlockRun"]) -> List[int]:
+        """The packed stream of *runs*, in :func:`batch_addresses` order."""
+        take = self._take
+        stream: List[int] = []
+        for run in runs:
+            patterns = run.block.mem_patterns
+            if len(patterns) == 1:
+                stream += take(patterns[0], run.k_start, run.n)
+            elif patterns:
+                # Interleave the per-pattern columns iteration-major.
+                width = len(patterns)
+                chunk = [0] * (run.n * width)
+                for j, pat in enumerate(patterns):
+                    chunk[j::width] = take(pat, run.k_start, run.n)
+                stream += chunk
+        return stream
+
+    def _take(self, pat: MemPattern, k: int, n: int) -> List[int]:
+        """Packed entries of executions ``k .. k + n - 1`` of *pat*."""
+        window = self._windows.get(id(pat))
+        if window is None or not window[1] <= k <= window[1] + len(window[2]) - n:
+            ks = np.arange(k, k + max(LOOKAHEAD, n), dtype=np.int64)
+            if pat.kind is PatternKind.STREAM or pat.kind is PatternKind.REUSE:
+                addrs = pat.base + (ks * pat.stride) % pat.span
+            else:
+                addrs = _hashed(ks, *np.array([[pat.base], [pat.span], [pat.seed]]))
+            entries = ((addrs ^ self.salt) << 1 | int(pat.is_write)).tolist()
+            window = self._windows[id(pat)] = (pat, k, entries)
+        lo = k - window[1]
+        return window[2][lo : lo + n]
 
 
 def _hashed(

@@ -1,9 +1,10 @@
 """Engine-checkpoint persistence and resumable reference-trace collection.
 
 Covers the on-disk :class:`CheckpointFile` (round trip, corruption,
-idempotent clear) and the property the fleet depends on: a trace
+idempotent clear), the property the fleet depends on: a trace
 collection killed mid-cell and resumed from its checkpoint is
-byte-identical to an uninterrupted run.
+byte-identical to an uninterrupted run, and an engine rewound to its own
+earlier snapshot going on exactly as a fresh engine restored there.
 """
 
 import pickle
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.config import Scale
-from repro.cpu import SimulationEngine
+from repro.cpu import Mode, SimulationEngine
 from repro.cpu.checkpoints import CheckpointFile
 from repro.program import get_workload
 from repro.sampling.full import collect_reference_trace
@@ -182,3 +183,45 @@ class TestResumableTrace:
             checkpoint_windows=0,
         )
         assert not path.exists()
+
+
+def _go_on(engine):
+    """FUNC_WARM, then the detailed modes: the ``ModeRun``s and the ops
+    each mode's accounting gained."""
+    before = dict(engine.accounting.ops)
+    runs = [
+        engine.run(Mode.FUNC_WARM, 30_000),
+        engine.run(Mode.DETAIL, 4_000),
+        engine.run(Mode.DETAIL_WARM, 1_000),
+        engine.run(Mode.DETAIL, 3_000),
+    ]
+    return runs, {mode: engine.accounting.ops[mode] - before[mode] for mode in Mode}
+
+
+class TestRewind:
+    @pytest.mark.parametrize("bench", (BENCH, "adv.footprint_step"))
+    def test_rewound_engine_matches_fresh_restore(self, bench):
+        """Snapshot at op X, run FUNC_WARM and DETAIL on to op Y, restore
+        X into the same engine: it goes on as a fresh engine restored at
+        X does, although its warmer's address windows were last filled
+        past Y."""
+        program = get_workload(bench, Scale.QUICK)
+        rewound = SimulationEngine(program)
+        rewound.run(Mode.FUNC_WARM, 40_000)
+        rewound.run(Mode.DETAIL, 2_000)
+        state = pickle.loads(pickle.dumps(rewound.snapshot()))
+        rewound.run(Mode.FUNC_WARM, 60_000)
+        rewound.run(Mode.DETAIL, 5_000)
+        rewound.restore(state)
+        fresh = SimulationEngine(program)
+        fresh.restore(state)
+
+        assert _go_on(rewound) == _go_on(fresh)
+        for level in ("l1i", "l1d", "l2"):
+            ours = getattr(rewound.hierarchy, level)
+            theirs = getattr(fresh.hierarchy, level)
+            assert ours.snapshot() == theirs.snapshot()
+            assert ours.hot_refs()[:2] == theirs.hot_refs()[:2]
+        assert rewound.predictor.snapshot() == fresh.predictor.snapshot()
+        assert rewound.pipeline.cycle == fresh.pipeline.cycle
+        assert rewound.pipeline.timing_snapshot() == fresh.pipeline.timing_snapshot()

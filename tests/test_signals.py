@@ -40,10 +40,11 @@ from repro.experiments import ExperimentContext, signal_ablation
 from repro.phase import OnlinePhaseClassifier
 from repro.program import ADVERSARIAL_NAMES
 from repro.isa import Instruction, Op
-from repro.program import mem_patterns
 from repro.program.block import BasicBlock
 from repro.program.mem_patterns import (
+    LOOKAHEAD,
     SLICE_ACCESSES,
+    AddressWindows,
     MemPattern,
     batch_addresses,
     batch_slices,
@@ -107,42 +108,6 @@ class TestBatchAddresses:
         assert addrs.dtype == np.int64 and writes.dtype == bool
         assert list(zip(addrs.tolist(), writes.tolist())) == expected
 
-    @given(
-        blocks=st.lists(st.lists(_patterns, max_size=3), min_size=1, max_size=4),
-        runs=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=3),
-                st.integers(min_value=1, max_value=12),
-                st.integers(min_value=0, max_value=1 << 30),
-            ),
-            max_size=8,
-        ),
-        salt=st.sampled_from((0, 1 << 41)),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_packed_stream_on_both_generators(self, blocks, runs, salt):
-        """``batch_stream`` packs ``(addr ^ salt) << 1 | is_write`` per
-        access in program order, whichever generator the slice's size
-        picks."""
-        blocks = [_block_with(pats) for pats in blocks]
-        batch = [
-            BlockRun(blocks[i % len(blocks)], n, k_start, True)
-            for i, n, k_start in runs
-        ]
-        expected = [
-            (pat.address(event.k) ^ salt) << 1 | pat.is_write
-            for run in batch
-            for event in run.events()
-            for pat in event.block.mem_patterns
-        ]
-        cut = mem_patterns.SMALL_SLICE
-        try:
-            for small_slice in (0, 1 << 30):
-                mem_patterns.SMALL_SLICE = small_slice
-                assert mem_patterns.batch_stream(batch, salt) == expected
-        finally:
-            mem_patterns.SMALL_SLICE = cut
-
     def test_slices_cut_long_runs_and_keep_order(self):
         """Slices hold at most SLICE_ACCESSES accesses; a run longer than
         that alone is chunked, and the slices' streams concatenate to the
@@ -182,6 +147,62 @@ class TestBatchAddresses:
         assert len(chunks) > 2
         events = [event for chunk in chunks for event in chunk.events()]
         assert events == list(run.events())
+
+
+# ----------------------------------------------------------------------
+# AddressWindows: the functional warmer's packed address streams
+
+
+def _packed(batch, salt):
+    """Per event and pattern: ``(address(k) ^ salt) << 1 | is_write``."""
+    return [
+        (pat.address(event.k) ^ salt) << 1 | pat.is_write
+        for run in batch
+        for event in run.events()
+        for pat in event.block.mem_patterns
+    ]
+
+
+class TestAddressWindows:
+    @given(
+        first=st.lists(_patterns, min_size=1, max_size=3),
+        others=st.lists(st.lists(_patterns, max_size=3), max_size=3),
+        moves=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=4),
+                st.integers(min_value=1, max_value=LOOKAHEAD + 40),
+                st.sampled_from(("next", "forward", "back")),
+                st.integers(min_value=1, max_value=3 * LOOKAHEAD),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        salt=st.sampled_from((0, 1 << 41)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_event_packing(self, first, others, moves, salt):
+        """Every kind, blocks of 0-3 patterns, runs longer than a window,
+        a block's ``k_start`` running on, jumping past its windows or
+        going back, and one pattern object in two blocks (the first and
+        last block share theirs)."""
+        blocks = [_block_with(pats) for pats in [first, *others, first[::-1]]]
+        next_k = [0] * len(blocks)
+        batch = []
+        for i, n, move, jump in moves:
+            b = i % len(blocks)
+            k = next_k[b]
+            if move == "forward":
+                k += jump
+            elif move == "back":
+                k = max(k - jump, 0)
+            batch.append(BlockRun(blocks[b], n, k, True))
+            next_k[b] = k + n
+        windows = AddressWindows(salt)
+        assert windows.stream(batch) == _packed(batch, salt)
+        # The same windows again, a run per call: every run starts
+        # behind or ahead of what the first pass left.
+        for run in batch:
+            assert windows.stream([run]) == _packed([run], salt)
 
 
 # ----------------------------------------------------------------------
