@@ -47,7 +47,6 @@ from .program import (
     Segment,
     WORKLOAD_NAMES,
     get_workload,
-    paper_suite,
     wupwise_analogue,
 )
 from .cpu import Mode, SimulationEngine
@@ -96,7 +95,6 @@ __all__ = [
     "Segment",
     "WORKLOAD_NAMES",
     "get_workload",
-    "paper_suite",
     "wupwise_analogue",
     # simulator
     "Mode",

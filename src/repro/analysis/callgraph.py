@@ -17,7 +17,7 @@ source/sink patterns against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .dataflow import (
     FuncIR,
@@ -65,22 +65,6 @@ class CallGraph:
         self.by_caller.setdefault(site.caller, []).append(site)
         if site.callee is not None:
             self.edges.setdefault(site.caller, set()).add(site.callee)
-
-    def callees(self, qname: str) -> Set[str]:
-        """Project functions called (directly) from *qname*."""
-        return self.edges.get(qname, set())
-
-    def reachable(self, entries: Iterable[str]) -> Set[str]:
-        """Project functions reachable from *entries* (BFS, inclusive)."""
-        seen: Set[str] = set()
-        frontier = [e for e in entries]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(self.edges.get(current, ()))
-        return seen
 
 
 def resolve_name(

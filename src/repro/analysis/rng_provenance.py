@@ -57,7 +57,6 @@ __all__ = [
     "GlobalRngRule",
     "MeasurePathDrawRule",
     "UnseededRngRule",
-    "rng_ctor_calls",
 ]
 
 #: Constructor names (matched on the last dotted component).
@@ -76,17 +75,6 @@ _SEED_LITERALS: FrozenSet[str] = frozenset({"int", "str", "bytes"})
 _MEASURE_PACKAGES: FrozenSet[str] = frozenset({"cpu", "program", "signals"})
 
 _SEED_MEMO = "rng:seed_analysis"
-
-
-def rng_ctor_calls(fn: FuncIR) -> Iterator[VCall]:
-    """Every RNG-constructor call site in *fn* (in body order)."""
-    for stmt in fn.body:
-        value = getattr(stmt, "value", None)
-        if value is None:
-            continue
-        for call in iter_calls(value):
-            if call_matches(call, RNG_CTORS):
-                yield call
 
 
 class _SeedAnalysis:

@@ -26,13 +26,6 @@ class BranchStats:
     predictions: int = 0
     mispredictions: int = 0
 
-    @property
-    def accuracy(self) -> float:
-        """Fraction of correct predictions (1.0 when never used)."""
-        if not self.predictions:
-            return 1.0
-        return 1.0 - self.mispredictions / self.predictions
-
     def reset(self) -> None:
         """Zero both counters."""
         self.predictions = 0

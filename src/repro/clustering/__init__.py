@@ -1,12 +1,11 @@
 """k-means clustering for SimPoint-style offline phase analysis.
 
-Implements the clustering pipeline of SimPoint 3.0: optional random
-projection of high-dimensional BBVs, k-means with k-means++ seeding and
-multiple restarts, and BIC-based selection of the cluster count.
+Implements the clustering pipeline of SimPoint 3.0: k-means with k-means++
+seeding and multiple restarts, and BIC-based selection of the cluster
+count.
 """
 
 from .kmeans import KMeansResult, kmeans
 from .bic import bic_score, choose_k
-from .projection import random_projection
 
-__all__ = ["KMeansResult", "kmeans", "bic_score", "choose_k", "random_projection"]
+__all__ = ["KMeansResult", "kmeans", "bic_score", "choose_k"]

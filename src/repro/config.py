@@ -147,12 +147,6 @@ class SampleBudget:
         if self.stage2_samples < 1:
             raise ConfigurationError("stage2_samples must be at least 1")
 
-    @property
-    def ops_per_sample(self) -> int:
-        """Detailed ops one sample costs (warming + measurement)."""
-        return self.detail_ops + self.warmup_ops
-
-
 @dataclass(frozen=True)
 class ScaleConfig:
     """Interval-length parameter set for the sampling techniques.

@@ -19,7 +19,7 @@ pollute the shared cache, which this model produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
 
 if TYPE_CHECKING:
     from ..sampling.pgss import PgssConfig
@@ -107,11 +107,6 @@ class MultiCoreEngine:
     def n_cores(self) -> int:
         """Number of cores."""
         return len(self.engines)
-
-    @property
-    def all_exhausted(self) -> bool:
-        """True once every core's program has completed."""
-        return all(engine.exhausted for engine in self.engines)
 
     def run_all(self, mode: Mode = Mode.DETAIL) -> List[CoreResult]:
         """Run every core to completion in *mode*, interleaved round-robin.

@@ -126,26 +126,12 @@ class InOrderPipeline:
         # _chain maps (context id, latencies, prediction outcome) to the
         # scoreboard transition it produces.  All of it is expressed
         # relative to the current cycle, so entries stay valid across
-        # windows, timing resets and checkpoint restores.
+        # windows and checkpoint restores.
         self._ctx_ids: Dict[Tuple[Any, ...], int] = {}
         self._ctx_states: List[Tuple[Any, ...]] = []
         self._chain: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
         self._paths: Dict[int, Any] = {}
         self._plans: Dict[int, Tuple[Any, ...]] = {}
-
-    def reset_timing(self) -> None:
-        """Clear all timing state (cycle counter, scoreboards, stalls).
-
-        The transition memo survives: its entries relate relative contexts
-        and are independent of any absolute cycle numbers.
-        """
-        self.cycle = 0
-        self._reg_ready = [0] * N_REGS
-        self._fu_busy = [0] * _N_FU
-        self._fetch_ready = 0
-        self._width_used = 0
-        self._class_used = [0] * _N_FU
-        self._mshrs = []
 
     def timing_snapshot(self) -> Dict[str, Any]:
         """The scoreboard state, relative to the current cycle.

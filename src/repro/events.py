@@ -185,14 +185,6 @@ class EventBus:
         self._handlers.setdefault(event_type, []).append(handler)
         return handler
 
-    def unsubscribe(
-        self, event_type: Type[SessionEvent], handler: EventHandler
-    ) -> None:
-        """Remove a previously registered handler (no-op if absent)."""
-        handlers = self._handlers.get(event_type)
-        if handlers is not None and handler in handlers:
-            handlers.remove(handler)
-
     def wants(self, event_type: Type[SessionEvent]) -> bool:
         """True when a handler is subscribed to *event_type* or one of
         its supertypes, i.e. when emitting one would reach somebody.

@@ -26,7 +26,7 @@ from .cells import ExperimentCell, technique_cell, trace_cell
 from .formatting import fmt_ops, fmt_pct, table
 from .runner import ExperimentContext
 
-__all__ = ["run", "format_result", "cells", "run_single", "best_configs"]
+__all__ = ["run", "format_result", "cells", "run_single"]
 
 
 def _pgss(ctx: ExperimentContext, period: int, threshold_pi: float) -> Pgss:
@@ -110,12 +110,6 @@ def run(ctx: ExperimentContext) -> Dict[str, Any]:
         "per_benchmark_best": per_benchmark_best,
         "benchmarks": list(ctx.benchmarks),
     }
-
-
-def best_configs(result: Dict[str, Any]) -> Tuple[int, float]:
-    """The sweep's best overall (period, threshold) pair."""
-    best = result["best_overall"]
-    return best["period"], best["threshold_pi"]
 
 
 def format_result(result: Dict[str, Any]) -> str:

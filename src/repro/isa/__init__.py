@@ -17,7 +17,6 @@ from .instructions import (
     ZERO_REG,
     Instruction,
     is_mem_op,
-    is_branch_op,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "ZERO_REG",
     "Instruction",
     "is_mem_op",
-    "is_branch_op",
 ]

@@ -26,7 +26,6 @@ __all__ = [
     "ZERO_REG",
     "Instruction",
     "is_mem_op",
-    "is_branch_op",
 ]
 
 N_INT_REGS = 32
@@ -104,11 +103,6 @@ FU_LIMITS = {
 def is_mem_op(op: Op) -> bool:
     """Return True if *op* accesses the data cache."""
     return op is Op.LOAD or op is Op.STORE
-
-
-def is_branch_op(op: Op) -> bool:
-    """Return True if *op* is a control-transfer instruction."""
-    return op is Op.BRANCH
 
 
 @dataclass(frozen=True)

@@ -40,12 +40,6 @@ class CacheStats:
         """Fraction of accesses that hit (0.0 when never accessed)."""
         return self.hits / self.accesses if self.accesses else 0.0
 
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.accesses = 0
-        self.hits = 0
-        self.writebacks = 0
-
 
 class Cache:
     """Set-associative, write-back, write-allocate cache with LRU.
@@ -68,11 +62,6 @@ class Cache:
     def hit_latency(self) -> int:
         """Cycles to service a hit at this level."""
         return self.config.hit_latency
-
-    @property
-    def n_sets(self) -> int:
-        """Number of sets in this cache."""
-        return self._n_sets
 
     def access(self, addr: int, is_write: bool = False) -> bool:
         """Look up *addr*; allocate on miss.  Returns True on hit.
@@ -129,11 +118,6 @@ class Cache:
         lines = {(addr ^ salt) >> shift for addr in addrs}
         return len({line % self._n_sets for line in lines}) == len(lines)
 
-    def contains(self, addr: int) -> bool:
-        """Return True if *addr*'s line is resident (no state change)."""
-        line = addr >> self._line_shift
-        return line in self._sets[line % self._n_sets]
-
     def flush(self) -> None:
         """Invalidate every line and clear dirty bits (stats survive)."""
         self._sets: List[List[int]] = [
@@ -162,10 +146,6 @@ class Cache:
         a = self._assoc
         self._sets = [list(tags[b : b + a]) for b in range(0, n, a)]
         self._dirty = {t for t, d in zip(tags, dirty) if d and t != _EMPTY}
-
-    def resident_lines(self) -> int:
-        """Number of valid lines currently resident."""
-        return sum(len(ways) - ways.count(_EMPTY) for ways in self._sets)
 
     def __repr__(self) -> str:
         c = self.config

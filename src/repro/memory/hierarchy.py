@@ -7,7 +7,7 @@ and an L2 miss additionally pays the memory latency.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..config import MachineConfig
 from .cache import Cache
@@ -174,13 +174,6 @@ class CacheHierarchy:
         self.l1d.flush()
         self.l2.flush()
 
-    def reset_stats(self) -> None:
-        """Zero the counters of all three caches."""
-        self.l1i.stats.reset()
-        self.l1d.stats.reset()
-        self.l2.stats.reset()
-        self.memory_accesses = 0
-
     def snapshot(self) -> Dict[str, Any]:
         """Capture all cache contents for checkpointing."""
         return {
@@ -194,10 +187,3 @@ class CacheHierarchy:
         self.l1i.restore(state["l1i"])
         self.l1d.restore(state["l1d"])
         self.l2.restore(state["l2"])
-
-    def stats_summary(self) -> Dict[str, Tuple[int, int]]:
-        """Per-level (accesses, hits) pairs, keyed by cache name."""
-        return {
-            c.name: (c.stats.accesses, c.stats.hits)
-            for c in (self.l1i, self.l1d, self.l2)
-        }

@@ -20,11 +20,8 @@ from .threshold import (
     region_counts,
     detection_rate,
     false_positive_rate,
-    detection_curve,
-    false_positive_curve,
     phase_statistics,
     PhaseStatistics,
-    change_histogram_2d,
 )
 from .adaptive import AdaptiveThresholdSelector
 
@@ -37,10 +34,7 @@ __all__ = [
     "region_counts",
     "detection_rate",
     "false_positive_rate",
-    "detection_curve",
-    "false_positive_curve",
     "phase_statistics",
     "PhaseStatistics",
-    "change_histogram_2d",
     "AdaptiveThresholdSelector",
 ]

@@ -95,19 +95,6 @@ class PhaseProfile:
             return 0.0
         return float(np.mean(self.sample_ipcs))
 
-    @property
-    def ratio_ipc(self) -> float:
-        """Ratio estimate of the phase IPC: pooled sample ops over cycles.
-
-        This is the unbiased per-phase estimator (IPC is a ratio quantity);
-        see :func:`repro.stats.stratified_ratio_ipc`.
-        """
-        ops = sum(p[0] for p in self.sample_ops_cycles)
-        cycles = sum(p[1] for p in self.sample_ops_cycles)
-        if ops <= 0 or cycles <= 0:
-            return 0.0
-        return ops / cycles
-
     def confidence_interval(self, confidence: float = 0.997) -> ConfidenceInterval:
         """Student-t CI over this phase's sample IPCs."""
         return student_t_ci(self.sample_ipcs, confidence)

@@ -17,7 +17,7 @@ Figure 6 splits the (BBV change, IPC change) plane into four regions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -31,9 +31,6 @@ __all__ = [
     "region_counts",
     "detection_rate",
     "false_positive_rate",
-    "detection_curve",
-    "false_positive_curve",
-    "change_histogram_2d",
     "PhaseStatistics",
     "phase_statistics",
 ]
@@ -131,57 +128,6 @@ def false_positive_rate(
     if detected == 0:
         return 0.0
     return counts[4] / detected
-
-
-def detection_curve(
-    pairs: Sequence[ChangePair],
-    thresholds: Sequence[float],
-    sigma_levels: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5),
-) -> Dict[float, List[float]]:
-    """Figure 8: detection rate vs threshold, one series per sigma level."""
-    return {
-        sigma: [detection_rate(pairs, th, sigma) for th in thresholds]
-        for sigma in sigma_levels
-    }
-
-
-def false_positive_curve(
-    pairs: Sequence[ChangePair],
-    thresholds: Sequence[float],
-    sigma_levels: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5),
-) -> Dict[float, List[float]]:
-    """Figure 9: false-positive rate vs threshold, per sigma level."""
-    return {
-        sigma: [false_positive_rate(pairs, th, sigma) for th in thresholds]
-        for sigma in sigma_levels
-    }
-
-
-def change_histogram_2d(
-    pairs: Sequence[ChangePair],
-    angle_bins: int = 25,
-    sigma_bins: int = 20,
-    max_angle_pi: float = 0.5,
-    max_sigma: float = 1.0,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Figure 7: joint distribution of BBV change vs IPC change.
-
-    Returns ``(angle_edges_in_pi, sigma_edges, percent)`` where *percent*
-    is the percentage of pairs in each (angle, sigma) cell; out-of-range
-    observations are clamped into the outermost cells.
-    """
-    if not pairs:
-        raise SamplingError("no change pairs supplied")
-    angles = np.array([min(p.bbv_angle / np.pi, max_angle_pi) for p in pairs])
-    sigmas = np.array([min(p.ipc_sigma, max_sigma) for p in pairs])
-    hist, angle_edges, sigma_edges = np.histogram2d(
-        angles,
-        sigmas,
-        bins=(angle_bins, sigma_bins),
-        range=((0.0, max_angle_pi), (0.0, max_sigma)),
-    )
-    percent = 100.0 * hist / hist.sum()
-    return angle_edges, sigma_edges, percent
 
 
 @dataclass(frozen=True)

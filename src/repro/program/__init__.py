@@ -25,9 +25,7 @@ from .synthesis import SynthesisSpec, synthesize_program
 from .workloads import (
     ADVERSARIAL_NAMES,
     WORKLOAD_NAMES,
-    adversarial_suite,
     get_workload,
-    paper_suite,
     wupwise_analogue,
 )
 
@@ -53,8 +51,6 @@ __all__ = [
     "synthesize_program",
     "ADVERSARIAL_NAMES",
     "WORKLOAD_NAMES",
-    "adversarial_suite",
     "get_workload",
-    "paper_suite",
     "wupwise_analogue",
 ]

@@ -91,9 +91,5 @@ class Behavior:
         """The block of entry *entry_index*."""
         return self._entries[entry_index].block
 
-    def mean_ops_per_cycle_through(self) -> float:
-        """Expected ops for one full pass over all entries (loop bodies)."""
-        return float(sum(e.block.n_ops * e.mean_iters for e in self._entries))
-
     def __repr__(self) -> str:
         return f"Behavior({self.name!r}, entries={len(self._entries)})"

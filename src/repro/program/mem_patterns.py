@@ -108,15 +108,6 @@ class MemPattern:
         h ^= h >> 16
         return self.base + ((h % self.span) & ~0x7)
 
-    def footprint_lines(self, line_bytes: int = 64) -> int:
-        """Approximate number of distinct cache lines the pattern touches."""
-        if self.kind is PatternKind.STREAM or self.kind is PatternKind.REUSE:
-            step = max(self.stride, 1)
-            touched = (self.span + step - 1) // step
-            per_line = max(line_bytes // step, 1)
-            return max(touched // per_line, 1)
-        return max(self.span // line_bytes, 1)
-
     @property
     def serialises(self) -> bool:
         """True when the owning load must chain on its previous result."""

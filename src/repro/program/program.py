@@ -105,15 +105,6 @@ class Program:
                 return segment.behavior
         return self.script[-1].behavior
 
-    def segment_boundaries(self) -> List[int]:
-        """Cumulative nominal op offsets of segment ends."""
-        out = []
-        consumed = 0
-        for segment in self.script:
-            consumed += segment.ops
-            out.append(consumed)
-        return out
-
     def __repr__(self) -> str:
         return (
             f"Program({self.name!r}, blocks={len(self.blocks)}, "

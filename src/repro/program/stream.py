@@ -276,7 +276,3 @@ class ProgramStream:
         if not self._done:
             segment = self.program.script[self._seg_index]
             self._behavior = self.program.behaviors[segment.behavior]
-
-    def clone_fresh(self) -> "ProgramStream":
-        """A new stream positioned at the start of the same program."""
-        return ProgramStream(self.program)

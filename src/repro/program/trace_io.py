@@ -200,10 +200,6 @@ class TraceStream:
         self._index = state["index"]
         self.ops_emitted = state["ops_emitted"]
 
-    def clone_fresh(self) -> "TraceStream":
-        """A new stream at the start of the same trace."""
-        return TraceStream(self.program, self.trace)
-
 
 def record_trace(program: Program, max_ops: Optional[int] = None) -> EventTrace:
     """Capture *program*'s dynamic event sequence.

@@ -45,9 +45,7 @@ from .program import Program, Segment
 __all__ = [
     "ADVERSARIAL_NAMES",
     "WORKLOAD_NAMES",
-    "adversarial_suite",
     "get_workload",
-    "paper_suite",
     "wupwise_analogue",
 ]
 
@@ -574,13 +572,3 @@ def get_workload(name: str, scale: ScaleConfig = Scale.SCALED) -> Program:
             f"unknown workload {name!r}; choose from {sorted(_BUILDERS)}"
         ) from None
     return builder(scale)
-
-
-def paper_suite(scale: ScaleConfig = Scale.SCALED) -> List[Program]:
-    """The ten Section-5 benchmarks, in the paper's figure order."""
-    return [get_workload(name, scale) for name in WORKLOAD_NAMES]
-
-
-def adversarial_suite(scale: ScaleConfig = Scale.SCALED) -> List[Program]:
-    """The BBV-adversarial signal-ablation subjects."""
-    return [get_workload(name, scale) for name in ADVERSARIAL_NAMES]

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Generator, Optional, Tuple
 
 from ..config import ScaleConfig
 from ..cpu import Mode, SimulationEngine
@@ -171,17 +171,6 @@ class Pgss(SamplingTechnique):
             mav_buckets=cfg.mav_buckets,
         )
 
-    def make_controller(
-        self, engine: SimulationEngine, bus: Optional[EventBus] = None
-    ) -> "PgssController":
-        """Bind a stepping controller to an engine built for this config.
-
-        The engine must carry a tracker from :meth:`_make_tracker` (the
-        controller reads the signal register file at each period
-        boundary).
-        """
-        return PgssController(engine, self.config, bus=bus)
-
     def run(
         self, program: Program, bus: Optional[EventBus] = None, **kwargs: Any
     ) -> SamplingResult:
@@ -240,11 +229,6 @@ class PgssController:
     def n_samples(self) -> int:
         """Detailed samples taken so far."""
         return self.session.n_samples
-
-    @property
-    def sample_offsets(self) -> List[int]:
-        """Program op offsets at which detailed samples were taken."""
-        return [s.op_offset for s in self.session.samples]
 
     def _phase_needs_sample(self, phase: PhaseProfile, op_offset: int) -> bool:
         """The two Fig. 5 decision diamonds after classification."""

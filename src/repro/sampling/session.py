@@ -265,10 +265,6 @@ class SamplingSession:
             )
         return outcome
 
-    def driver(self, plan: SegmentPlan) -> "SessionDriver":
-        """Bind *plan* for incremental (stepwise) execution."""
-        return SessionDriver(self, plan)
-
     def execute(self, plan: SegmentPlan) -> None:
         """Run *plan* to completion."""
         SessionDriver(self, plan).run()

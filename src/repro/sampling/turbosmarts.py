@@ -93,10 +93,18 @@ class TurboSmarts(SamplingTechnique):
         order = list(range(len(samples)))
         random.Random(cfg.seed).shuffle(order)
 
+        # The estimate is the ratio of the consumed samples' ops to their
+        # cycles, running and final alike; the stopping rule reads the
+        # interval over their per-sample IPCs.
         consumed: List[SessionSample] = []
+        total_ops = total_cycles = 0
         ci: Optional[ConfidenceInterval] = None
         for pos in order:
-            consumed.append(samples[pos])
+            sample = samples[pos]
+            consumed.append(sample)
+            total_ops += sample.ops
+            total_cycles += sample.cycles
+            ipc = total_ops / total_cycles if total_cycles else 0.0
             if len(consumed) < cfg.min_samples:
                 continue
             ci = normal_ci([s.ipc for s in consumed], cfg.confidence)
@@ -104,7 +112,7 @@ class TurboSmarts(SamplingTechnique):
                 bus.emit(
                     EstimateUpdated(
                         technique=self.name,
-                        ipc=ci.mean,
+                        ipc=ipc,
                         n_samples=len(consumed),
                         final=False,
                     )
@@ -114,9 +122,6 @@ class TurboSmarts(SamplingTechnique):
         if ci is None:
             ci = normal_ci([s.ipc for s in consumed], cfg.confidence)
 
-        total_ops = sum(s.ops for s in consumed)
-        total_cycles = sum(s.cycles for s in consumed)
-        ipc = total_ops / total_cycles if total_cycles else 0.0
         per_sample_cost = cfg.smarts.detail_ops + cfg.smarts.warmup_ops
         return final_result(
             self.name,

@@ -34,7 +34,7 @@ from .base import SignalTracker, pack_registers, unpack_registers
 from .bbv import BbvHash, BbvTracker, ReducedBbvHash, WideBbvHash
 from .concat import ConcatenatedSignal
 from .mav import MavTracker
-from .vector import angle_between, l2_norm, l2_normalize, manhattan_distance
+from .vector import angle_between, l2_norm, manhattan_distance
 
 __all__ = [
     "PHASE_SIGNALS",
@@ -47,7 +47,6 @@ __all__ = [
     "WideBbvHash",
     "angle_between",
     "l2_norm",
-    "l2_normalize",
     "make_signal_tracker",
     "manhattan_distance",
     "pack_registers",

@@ -16,13 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-__all__ = [
-    "l2_norm",
-    "l2_normalize",
-    "angle_between",
-    "manhattan_distance",
-    "cosine_similarity",
-]
+__all__ = ["l2_norm", "angle_between", "manhattan_distance"]
 
 ArrayLike = Union[Sequence[float], np.ndarray]
 
@@ -31,26 +25,6 @@ def l2_norm(vector: ArrayLike) -> float:
     """L2 norm of *vector* via a single dot product."""
     arr = np.asarray(vector, dtype=np.float64)
     return float(np.sqrt(np.dot(arr, arr)))
-
-
-def l2_normalize(vector: ArrayLike) -> np.ndarray:
-    """Return *vector* scaled to unit L2 norm (zero vectors stay zero)."""
-    arr = np.asarray(vector, dtype=np.float64)
-    norm = l2_norm(arr)
-    if norm == 0.0:
-        return arr.copy()
-    return arr / norm
-
-
-def cosine_similarity(a: ArrayLike, b: ArrayLike) -> float:
-    """Cosine of the angle between *a* and *b* (0.0 if either is zero)."""
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    na = l2_norm(va)
-    nb = l2_norm(vb)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(va, vb) / (na * nb))
 
 
 def angle_between(a: ArrayLike, b: ArrayLike) -> float:

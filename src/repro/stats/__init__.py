@@ -1,10 +1,10 @@
 """Statistics for sampled simulation.
 
 Provides the estimators and confidence machinery the sampling techniques
-depend on: sample summaries, normal/Student-t confidence intervals (SMARTS
-and TurboSMARTS, paper Section 2.2), stratified per-phase estimation
-(PGSS-Sim, Section 3), error metrics for the evaluation figures, and the
-distribution diagnostics behind Figure 3's polymodality argument.
+depend on: normal/Student-t confidence intervals (SMARTS and TurboSMARTS,
+paper Section 2.2), the stratified per-phase ratio estimator (PGSS-Sim,
+Section 3), error metrics for the evaluation figures, and the distribution
+diagnostics behind Figure 3's polymodality argument.
 """
 
 from .ci import (
@@ -15,18 +15,11 @@ from .ci import (
     t_value,
     required_samples,
 )
-from .estimators import (
-    SampleSummary,
-    StratifiedEstimate,
-    summarize,
-    stratified_ipc,
-    stratified_ratio_ipc,
-)
+from .estimators import StratifiedEstimate, stratified_ratio_ipc
 from .errors_metrics import (
     percent_error,
     arithmetic_mean,
     geometric_mean,
-    error_table,
 )
 from .distributions import (
     histogram,
@@ -47,15 +40,11 @@ __all__ = [
     "z_value",
     "t_value",
     "required_samples",
-    "SampleSummary",
     "StratifiedEstimate",
-    "summarize",
-    "stratified_ipc",
     "stratified_ratio_ipc",
     "percent_error",
     "arithmetic_mean",
     "geometric_mean",
-    "error_table",
     "histogram",
     "bimodality_coefficient",
     "modality_peaks",

@@ -8,11 +8,11 @@ column across the suite (Figs. 11 and 12).
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Sequence
+from typing import Sequence
 
 from ..errors import SamplingError
 
-__all__ = ["percent_error", "arithmetic_mean", "geometric_mean", "error_table"]
+__all__ = ["percent_error", "arithmetic_mean", "geometric_mean"]
 
 
 def percent_error(estimate: float, truth: float) -> float:
@@ -41,25 +41,3 @@ def geometric_mean(values: Sequence[float], floor: float = 1e-6) -> float:
         raise SamplingError("mean of an empty sequence")
     log_sum = sum(math.log(max(v, floor)) for v in values)
     return math.exp(log_sum / len(values))
-
-
-def error_table(
-    estimates: Mapping[str, float], truths: Mapping[str, float]
-) -> Dict[str, float]:
-    """Per-benchmark percent error plus ``A-Mean`` and ``G-Mean`` rows.
-
-    Args:
-        estimates: benchmark -> estimated IPC.
-        truths: benchmark -> true IPC; must cover every estimate key.
-    """
-    missing = set(estimates) - set(truths)
-    if missing:
-        raise SamplingError(f"missing truth for benchmarks: {sorted(missing)}")
-    table = {
-        name: percent_error(estimates[name], truths[name]) for name in estimates
-    }
-    errors = list(table.values())
-    if errors:
-        table["A-Mean"] = arithmetic_mean(errors)
-        table["G-Mean"] = geometric_mean(errors)
-    return table

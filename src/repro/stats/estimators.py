@@ -1,70 +1,19 @@
-"""Point estimators for sampled simulation.
+"""The stratified point estimator for sampled simulation.
 
-Two estimator families appear in the paper:
-
-* the *simple* (SMARTS) estimator — treat all samples as one population;
-* the *stratified* (PGSS / SimPoint) estimator — weight each stratum
-  (phase/cluster) by its share of the program's operations, using only the
-  samples taken inside that stratum.
+The stratified (PGSS / SimPoint) estimator weights each stratum
+(phase/cluster) by its share of the program's operations, using only the
+samples taken inside that stratum.  The simple (SMARTS) estimator, which
+treats all samples as one population, is its one-stratum case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence
 
-import numpy as np
-
 from ..errors import SamplingError
 
-__all__ = [
-    "SampleSummary",
-    "StratifiedEstimate",
-    "summarize",
-    "stratified_ipc",
-    "stratified_ratio_ipc",
-]
-
-
-@dataclass(frozen=True)
-class SampleSummary:
-    """Summary statistics of a sample population.
-
-    Attributes:
-        n: number of samples.
-        mean: arithmetic mean.
-        std: sample standard deviation (ddof=1; 0.0 for n < 2).
-        minimum, maximum: extremes.
-    """
-
-    n: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-
-    @property
-    def cv(self) -> float:
-        """Coefficient of variation (inf for zero mean)."""
-        if self.mean == 0.0:
-            return math.inf
-        return self.std / abs(self.mean)
-
-
-def summarize(samples: Sequence[float]) -> SampleSummary:
-    """Summarise *samples* (empty input yields an all-zero summary)."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size == 0:
-        return SampleSummary(0, 0.0, 0.0, 0.0, 0.0)
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return SampleSummary(
-        n=int(arr.size),
-        mean=float(arr.mean()),
-        std=std,
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
-    )
+__all__ = ["StratifiedEstimate", "stratified_ratio_ipc"]
 
 
 @dataclass(frozen=True)
@@ -74,63 +23,15 @@ class StratifiedEstimate:
     Attributes:
         ipc: the stratified point estimate.
         weights: stratum -> weight (fraction of total ops).
-        stratum_means: stratum -> mean sampled IPC.
+        stratum_means: stratum -> sampled IPC (pooled ops / pooled cycles).
         uncovered_weight: total weight of strata that had no samples and
-            fell back to the global mean.
+            fell back to the pooled CPI of the covered strata.
     """
 
     ipc: float
     weights: Dict[object, float]
     stratum_means: Dict[object, float]
     uncovered_weight: float
-
-
-def stratified_ipc(
-    ops_per_stratum: Mapping[object, int],
-    samples_per_stratum: Mapping[object, Sequence[float]],
-) -> StratifiedEstimate:
-    """Weighted per-stratum IPC estimate (paper Sections 2.1 and 3).
-
-    "Estimating overall program performance is then simply a matter of
-    calculating a weighted sum of the performance of each simulation point
-    multiplied by the contribution of that phase."
-
-    Strata with ops but no samples (possible for phases discovered at the
-    very end of a run) contribute the mean of all covered strata, weighted
-    by their ops; their total weight is reported as ``uncovered_weight``.
-
-    Raises:
-        SamplingError: when no stratum has any samples, or total ops is 0.
-    """
-    total_ops = sum(ops_per_stratum.values())
-    if total_ops <= 0:
-        raise SamplingError("total ops across strata must be positive")
-
-    weights: Dict[object, float] = {
-        key: ops / total_ops for key, ops in ops_per_stratum.items()
-    }
-    stratum_means: Dict[object, float] = {}
-    covered_weight = 0.0
-    weighted_sum = 0.0
-    for key, weight in weights.items():
-        samples = samples_per_stratum.get(key, ())
-        if len(samples) > 0:
-            mean = float(np.mean(np.asarray(samples, dtype=np.float64)))
-            stratum_means[key] = mean
-            covered_weight += weight
-            weighted_sum += weight * mean
-    if covered_weight == 0.0:
-        raise SamplingError("no stratum has any samples")
-
-    covered_mean = weighted_sum / covered_weight
-    uncovered_weight = 1.0 - covered_weight
-    ipc = weighted_sum + uncovered_weight * covered_mean
-    return StratifiedEstimate(
-        ipc=ipc,
-        weights=weights,
-        stratum_means=stratum_means,
-        uncovered_weight=uncovered_weight,
-    )
 
 
 def stratified_ratio_ipc(
@@ -152,7 +53,12 @@ def stratified_ratio_ipc(
         sample_ops_cycles: stratum -> sequence of ``(ops, cycles)`` pairs,
             one per detailed sample taken in the stratum.
 
-    Strata without samples contribute the pooled CPI of the covered strata.
+    Strata without samples, or whose samples sum to zero ops or zero
+    cycles, count as uncovered and contribute the pooled CPI of the
+    covered strata.
+
+    Raises:
+        SamplingError: when no stratum is covered, or total ops is 0.
     """
     total_ops = sum(ops_per_stratum.values())
     if total_ops <= 0:

@@ -17,6 +17,9 @@ batching replaced, one dynamic basic block at a time:
   :func:`inst_latency` and :func:`access_data` / :func:`access_inst` —
   one access through a :class:`~repro.memory.CacheHierarchy`, touching
   it only, returning its latency, or returning an :class:`AccessResult`;
+* :func:`contains` / :func:`resident_lines` — read-only views of one
+  :class:`~repro.memory.Cache`'s tag store, and :func:`stats_summary` —
+  a hierarchy's per-level counters;
 * :func:`recorder` / :func:`record` — one event into a signal tracker;
 * :func:`per_window_trace` — the windowed recorders
   (``collect_reference_trace``, ``SimPoint.profile_intervals``) as one
@@ -33,7 +36,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +44,7 @@ from repro import BbvTracker, ConcatenatedSignal, MavTracker, SimulationEngine
 from repro.cpu.engine import Mode, ModeRun
 from repro.errors import SimulationError
 from repro.events import EventBus
-from repro.memory import CacheHierarchy
+from repro.memory import Cache, CacheHierarchy
 from repro.sampling.full import ReferenceTrace
 from repro.sampling.session import ModeSegment, SamplingSession, SegmentRole
 from repro.program.block import BasicBlock
@@ -53,13 +56,16 @@ __all__ = [
     "access_data",
     "access_inst",
     "assert_same_machine",
+    "contains",
     "data_latency",
     "detail_event",
     "inst_latency",
     "per_window_trace",
     "record",
     "recorder",
+    "resident_lines",
     "run_scalar",
+    "stats_summary",
     "warm_data",
     "warm_event",
     "warm_inst",
@@ -146,6 +152,27 @@ def _level(hierarchy: CacheHierarchy, l1_hit: int, latency: int) -> int:
     if latency == l1_hit + hierarchy.l2.hit_latency:
         return 2
     return 3
+
+
+def contains(cache: Cache, addr: int) -> bool:
+    """Is *addr*'s line resident in *cache*?  Reads only: no counter moves."""
+    sets, _, shift, n_sets = cache.hot_refs()
+    line = addr >> shift
+    return line in sets[line % n_sets]
+
+
+def resident_lines(cache: Cache) -> int:
+    """Number of valid lines resident in *cache* (empty ways hold a
+    negative sentinel tag)."""
+    return sum(tag >= 0 for ways in cache.hot_refs()[0] for tag in ways)
+
+
+def stats_summary(hierarchy: CacheHierarchy) -> Dict[str, Tuple[int, int]]:
+    """Per-level (accesses, hits) pairs, keyed by cache name."""
+    return {
+        c.name: (c.stats.accesses, c.stats.hits)
+        for c in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
+    }
 
 
 def warm_event(warmer: Any, event: BlockEvent) -> None:
@@ -342,7 +369,7 @@ def assert_same_machine(one: SimulationEngine, other: SimulationEngine) -> None:
     wrong bulk credit leaves snapshots equal but a counter off."""
     h1, h2 = one.hierarchy, other.hierarchy
     assert h1.snapshot() == h2.snapshot()
-    assert h1.stats_summary() == h2.stats_summary()
+    assert stats_summary(h1) == stats_summary(h2)
     assert h1.memory_accesses == h2.memory_accesses
     for c1, c2 in zip((h1.l1i, h1.l1d, h1.l2), (h2.l1i, h2.l1d, h2.l2)):
         assert c1.stats.writebacks == c2.stats.writebacks

@@ -8,6 +8,7 @@ asserting the real tree is clean.
 """
 
 import ast
+import importlib.util
 import json
 import pathlib
 import textwrap
@@ -47,7 +48,15 @@ from repro.analysis.leakage import (
 )
 from repro.analysis.units import UnitMixRule
 
-SRC_REPRO = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SRC_REPRO = REPO / "src" / "repro"
+
+#: Public names kept although only tests use them, each with its reason.
+UNUSED_PUBLIC_EXEMPT = {
+    "synthesize_program": "ROADMAP item 2's coverage study uses it",
+    "ConfidenceInterval.low": "ROADMAP item 2's coverage study uses it",
+    "ConfidenceInterval.high": "ROADMAP item 2's coverage study uses it",
+}
 
 #: Path prefix that puts a fixture inside the online (sampling) zone.
 ONLINE = "repro/sampling/technique.py"
@@ -622,6 +631,37 @@ class TestCli:
         assert document["summary"]["errors"] == 1
 
 
+def public_definitions(tree):
+    """``(line, name, qualified name)`` of every public top-level function
+    and class, and of every public method or property of a top-level
+    class (dunders are private here: they start with ``_``)."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if not isinstance(node, functions + (ast.ClassDef,)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.lineno, node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not item.name.startswith("_"):
+                    yield item.lineno, item.name, f"{node.name}.{item.name}"
+
+
+def referenced_names(roots):
+    """Every ``Name.id`` and ``Attribute.attr`` in the modules under
+    *roots*.  Definitions, imports and ``__all__`` entries are neither,
+    and strings never count, so none of them is a use."""
+    names = set()
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
 class TestRealTree:
     def test_src_repro_is_clean(self):
         """The linter's reason to exist: the shipped tree has no findings."""
@@ -658,4 +698,38 @@ class TestRealTree:
                         f"{path.name}:{node.lineno} {node.name} "
                         f"{unannotated}"
                     )
+        assert not missing, missing
+
+    def test_every_public_name_has_a_non_test_user(self):
+        """A public name that only tests use is code the system does not
+        need: delete it with its tests, or move it into the tests."""
+        used = referenced_names(
+            [SRC_REPRO, REPO / "examples", REPO / "benchmarks"]
+        )
+        defined = set()
+        unused = []
+        for path in sorted(SRC_REPRO.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for line, name, qualified in public_definitions(tree):
+                defined.add(qualified)
+                if name not in used and qualified not in UNUSED_PUBLIC_EXEMPT:
+                    unused.append(f"{path.relative_to(REPO)}:{line} {qualified}")
+        assert not unused, "\n".join(unused)
+        assert set(UNUSED_PUBLIC_EXEMPT) <= defined, "stale exemption"
+
+    def test_ledger_tracer_targets_resolve(self):
+        """The performance ledger's tracer patches public names from
+        outside ``src/``; a rename or deletion here would break every
+        traced ledger run, so each of its targets must still exist."""
+        path = REPO / "benchmarks" / "ledger" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("ledger_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        targets = tracer.targets()
+        assert targets
+        missing = [
+            f"{getattr(owner, '__name__', owner)}.{attribute}"
+            for owner, attribute, _ in targets
+            if not hasattr(owner, attribute)
+        ]
         assert not missing, missing

@@ -43,7 +43,7 @@ from repro.config import CacheConfig
 from repro.cpu.multicore import MultiCoreEngine
 from repro.program import mem_patterns
 from repro.program import ADVERSARIAL_NAMES, WORKLOAD_NAMES
-from repro.sampling.pgss import Pgss, PgssConfig
+from repro.sampling.pgss import Pgss, PgssConfig, PgssController
 from conftest import make_two_phase_program
 from scalar_reference import ScalarEngine, assert_same_machine, run_scalar
 
@@ -202,10 +202,11 @@ class TestPgssEquivalence:
                 machine=pgss.machine,
                 signal_tracker=pgss._make_tracker(),
             )
-            controller = pgss.make_controller(engine)
+            controller = PgssController(engine, cfg)
             while controller.step():
                 pass
-            results.append((controller.result(), controller.sample_offsets))
+            offsets = [s.op_offset for s in controller.session.samples]
+            results.append((controller.result(), offsets))
         (scalar, scalar_offsets), (batched, batched_offsets) = results
         assert scalar.ipc_estimate == batched.ipc_estimate
         assert scalar.detailed_ops == batched.detailed_ops
@@ -254,14 +255,14 @@ class TestFuncWarmEquivalence:
         batched = MultiCoreEngine(programs)
         assert batched.engines[1].hierarchy.address_salt != 0
         rng = random.Random(11)
-        while not scalar.all_exhausted:
+        while not all(e.exhausted for e in scalar.engines):
             for core in (0, 1):
                 n_ops = rng.randint(1, 20_000)
                 r1 = run_scalar(scalar.engines[core], Mode.FUNC_WARM, n_ops)
                 r2 = batched.engines[core].run(Mode.FUNC_WARM, n_ops)
                 assert r1.ops == r2.ops
                 assert_same_machine(scalar.engines[core], batched.engines[core])
-        assert batched.all_exhausted
+        assert all(e.exhausted for e in batched.engines)
 
     def test_random_branch_runs(self):
         """Runs carrying per-event ``takens`` apply them one by one."""
@@ -362,7 +363,7 @@ class TestDetailEquivalence:
         batched = MultiCoreEngine(programs)
         assert batched.engines[1].hierarchy.address_salt != 0
         rng = random.Random(13)
-        while not scalar.all_exhausted:
+        while not all(e.exhausted for e in scalar.engines):
             for core in (0, 1):
                 mode = rng.choice((Mode.DETAIL, Mode.DETAIL_WARM))
                 n_ops = rng.randint(1, 20_000)
@@ -372,7 +373,7 @@ class TestDetailEquivalence:
                 one, other = scalar.engines[core], batched.engines[core]
                 assert one.snapshot() == other.snapshot()
                 assert_same_machine(one, other)
-        assert batched.all_exhausted
+        assert all(e.exhausted for e in batched.engines)
 
     @pytest.mark.parametrize(
         "l1i",

@@ -49,13 +49,13 @@ class TestCommonBehaviour:
         for i in range(10):
             predictor.predict_update(0x100 + i * 4, True)
         assert predictor.stats.predictions == 10
-        assert 0.0 <= predictor.stats.accuracy <= 1.0
+        assert 0 <= predictor.stats.mispredictions <= 10
 
     def test_stats_reset(self, predictor):
         predictor.predict_update(0x100, True)
         predictor.stats.reset()
         assert predictor.stats.predictions == 0
-        assert predictor.stats.accuracy == 1.0
+        assert predictor.stats.mispredictions == 0
 
     def test_snapshot_restore_equivalence(self, predictor):
         rng = random.Random(3)

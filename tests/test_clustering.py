@@ -1,11 +1,11 @@
-"""Tests for k-means, BIC model selection, and random projection."""
+"""Tests for k-means and BIC model selection."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering import bic_score, choose_k, kmeans, random_projection
+from repro.clustering import bic_score, choose_k, kmeans
 from repro.errors import ClusteringError
 
 
@@ -128,40 +128,3 @@ class TestBic:
     def test_choose_k_requires_points(self):
         with pytest.raises(ClusteringError):
             choose_k(np.ones((2, 2)))
-
-
-class TestProjection:
-    def test_shape(self):
-        data = np.random.default_rng(0).normal(size=(50, 64))
-        out = random_projection(data, target_dim=15, seed=1)
-        assert out.shape == (50, 15)
-
-    def test_identity_when_same_dim(self):
-        data = np.random.default_rng(0).normal(size=(10, 8))
-        out = random_projection(data, target_dim=8)
-        assert (out == data).all()
-
-    def test_preserves_relative_distances(self):
-        """JL property: far pairs stay far relative to near pairs."""
-        rng = np.random.default_rng(4)
-        base = rng.normal(size=(1, 256))
-        near = base + rng.normal(0, 0.01, size=(1, 256))
-        far = base + rng.normal(0, 10.0, size=(1, 256))
-        data = np.vstack([base, near, far])
-        out = random_projection(data, target_dim=16, seed=2)
-        d_near = np.linalg.norm(out[0] - out[1])
-        d_far = np.linalg.norm(out[0] - out[2])
-        assert d_far > 5 * d_near
-
-    def test_invalid_target(self):
-        data = np.ones((5, 4))
-        with pytest.raises(ClusteringError):
-            random_projection(data, target_dim=0)
-        with pytest.raises(ClusteringError):
-            random_projection(data, target_dim=5)
-
-    def test_deterministic(self):
-        data = np.random.default_rng(0).normal(size=(5, 16))
-        a = random_projection(data, target_dim=4, seed=9)
-        b = random_projection(data, target_dim=4, seed=9)
-        assert (a == b).all()

@@ -158,9 +158,6 @@ class TestSampleBudget:
         assert Scale.PAPER.smarts_period == 1_000_000
         assert Scale.PAPER.pgss_spread == 1_000_000
 
-    def test_ops_per_sample(self):
-        assert Scale.PAPER.sample_budget.ops_per_sample == 4_000
-
     def test_from_scale_constructors_share_the_budget(self):
         """Smarts/TurboSmarts/Pgss derive identical sample parameters."""
         from repro.sampling import PgssConfig, SmartsConfig, TurboSmartsConfig

@@ -281,7 +281,8 @@ class TestSweepFigures:
         rates, times = result["rates"], result["times"]
         suite_ops = sum(ctx.trace(b).total_ops for b in ctx.benchmarks)
         assert result["totals"]["FullDetail"] == suite_ops / rates["detail"]
-        period, threshold = fig11.best_configs(fig11.run(ctx))
+        best = fig11.run(ctx)["best_overall"]
+        period, threshold = best["period"], best["threshold_pi"]
         techniques = fig12._techniques(ctx)
         runs = {
             name: techniques[name][0]

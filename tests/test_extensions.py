@@ -37,7 +37,7 @@ class TestMultiCoreEngine:
         ]
         mc = MultiCoreEngine(programs)
         results = mc.run_all(Mode.DETAIL)
-        assert mc.all_exhausted
+        assert all(engine.exhausted for engine in mc.engines)
         assert len(results) == 2
         for result, program in zip(results, programs):
             assert result.ops >= program.total_ops * 0.9

@@ -13,7 +13,7 @@ from repro.memory import CacheHierarchy
 from repro.program import MemPattern, PatternKind
 from repro.program.block import BasicBlock
 from repro.program.stream import BlockEvent, BlockRun
-from scalar_reference import warm_event
+from scalar_reference import contains, warm_event
 
 
 @pytest.fixture()
@@ -44,13 +44,13 @@ def warm(warmer, event):
 class TestFunctionalWarmer:
     def test_warms_icache(self, warmer):
         warm(warmer, make_event())
-        assert warmer.hierarchy.l1i.contains(0x2000)
+        assert contains(warmer.hierarchy.l1i, 0x2000)
 
     def test_warms_dcache_with_pattern_address(self, warmer):
         event = make_event(k=3)
         warm(warmer, event)
         addr = event.block.mem_patterns[0].address(3)
-        assert warmer.hierarchy.l1d.contains(addr)
+        assert contains(warmer.hierarchy.l1d, addr)
 
     def test_updates_predictor(self, warmer):
         warm(warmer, make_event(taken=True))
@@ -64,8 +64,8 @@ class TestFunctionalWarmer:
         assert a0 != a1
         warm(warmer, e0)
         warm(warmer, e1)
-        assert warmer.hierarchy.l1d.contains(a0)
-        assert warmer.hierarchy.l1d.contains(a1)
+        assert contains(warmer.hierarchy.l1d, a0)
+        assert contains(warmer.hierarchy.l1d, a1)
 
     def test_store_pattern_marks_write(self, warmer):
         pats = [

@@ -10,7 +10,6 @@ from repro.isa import (
     N_REGS,
     OP_LATENCY,
     Op,
-    is_branch_op,
     is_mem_op,
 )
 from repro.isa.instructions import FuClass
@@ -33,10 +32,6 @@ class TestOpcodes:
         assert is_mem_op(Op.LOAD) and is_mem_op(Op.STORE)
         assert not is_mem_op(Op.IALU)
         assert not is_mem_op(Op.BRANCH)
-
-    def test_branch_predicate(self):
-        assert is_branch_op(Op.BRANCH)
-        assert not is_branch_op(Op.LOAD)
 
     def test_fu_limits_fit_issue_width(self):
         assert all(1 <= limit <= 4 for limit in FU_LIMITS.values())

@@ -10,7 +10,14 @@ from repro import CacheConfig, DEFAULT_MACHINE
 from repro.errors import SnapshotError
 from repro.memory import Cache, CacheHierarchy
 
-from scalar_reference import access_data, access_inst, warm_data
+from scalar_reference import (
+    access_data,
+    access_inst,
+    contains,
+    resident_lines,
+    stats_summary,
+    warm_data,
+)
 
 
 def small_cache(assoc: int = 2, sets: int = 4) -> Cache:
@@ -40,9 +47,9 @@ class TestCacheBasics:
         c.access(b)
         c.access(a)      # a is MRU, b is LRU
         c.access(d)      # evicts b
-        assert c.contains(a)
-        assert not c.contains(b)
-        assert c.contains(d)
+        assert contains(c, a)
+        assert not contains(c, b)
+        assert contains(c, d)
 
     def test_hit_refreshes_lru(self):
         c = small_cache(assoc=2, sets=1)
@@ -51,7 +58,7 @@ class TestCacheBasics:
         c.access(b)      # order: b, a
         c.access(a)      # order: a, b
         c.access(d)      # evicts b, not a
-        assert c.contains(a) and not c.contains(b)
+        assert contains(c, a) and not contains(c, b)
 
     def test_writeback_counted_on_dirty_eviction(self):
         c = small_cache(assoc=1, sets=1)
@@ -87,14 +94,14 @@ class TestCacheBasics:
         c = small_cache()
         c.access(0x0)
         c.flush()
-        assert not c.contains(0x0)
-        assert c.resident_lines() == 0
+        assert not contains(c, 0x0)
+        assert resident_lines(c) == 0
 
     def test_contains_is_side_effect_free(self):
         c = small_cache()
         c.access(0x0)
         before = c.stats.accesses
-        c.contains(0x0)
+        contains(c, 0x0)
         assert c.stats.accesses == before
 
     def test_snapshot_restore_roundtrip(self):
@@ -105,7 +112,7 @@ class TestCacheBasics:
         c.access(0x2000)
         c.access(0x2040)
         c.restore(snap)
-        assert c.contains(0x0)
+        assert contains(c, 0x0)
         # The restored state must behave identically going forward.
         assert c.access(0x40) is True
 
@@ -127,7 +134,7 @@ class TestCacheBasics:
         c = small_cache(assoc=2, sets=4)
         for i in range(100):
             c.access(i * 64)
-        assert c.resident_lines() <= 8
+        assert resident_lines(c) <= 8
 
 
 class TestCacheProperties:
@@ -137,7 +144,7 @@ class TestCacheProperties:
         c = small_cache(assoc=2, sets=4)
         for addr in addrs:
             c.access(addr)
-        assert c.resident_lines() <= 8
+        assert resident_lines(c) <= 8
 
     @given(st.lists(st.integers(min_value=0, max_value=1 << 16), min_size=2, max_size=200))
     @settings(max_examples=50, deadline=None)
@@ -230,18 +237,9 @@ class TestHierarchy:
         h.restore(snap)
         assert access_data(h, 0x0).level == 1
 
-    def test_reset_stats(self):
-        h = CacheHierarchy(DEFAULT_MACHINE)
-        access_data(h, 0x0)
-        access_inst(h, 0x0)
-        h.reset_stats()
-        assert h.l1d.stats.accesses == 0
-        assert h.l1i.stats.accesses == 0
-        assert h.memory_accesses == 0
-
     def test_stats_summary_keys(self):
         h = CacheHierarchy(DEFAULT_MACHINE)
-        assert set(h.stats_summary()) == {"L1I", "L1D", "L2"}
+        assert set(stats_summary(h)) == {"L1I", "L1D", "L2"}
 
 
 def _geometry():

@@ -58,12 +58,12 @@ class TestPhaseProfile:
         assert p.n_samples == 1
         assert p.last_sample_op == 1000
         assert p.mean_ipc == pytest.approx(1.5)
-        assert p.ratio_ipc == pytest.approx(1000 / 667)
+        assert p.sample_ops_cycles == [(1000, 667)]
 
     def test_sample_without_counts_uses_pseudo(self):
         p = PhaseProfile(0, unit(0))
         p.add_sample(2.0, op_offset=10)
-        assert p.ratio_ipc == pytest.approx(2.0)
+        assert p.sample_ops_cycles == [(1.0, 0.5)]
 
     def test_within_bounds_needs_min_samples(self):
         p = PhaseProfile(0, unit(0))

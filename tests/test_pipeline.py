@@ -249,13 +249,6 @@ class TestWindowAccounting:
         assert batched.cycle == single.cycle >= 19
         assert batched.timing_snapshot() == single.timing_snapshot()
 
-    def test_reset_timing(self):
-        pipe = make_pipeline()
-        insts = independent_alus(3) + [Instruction(Op.BRANCH, src1=0)]
-        run_block(pipe, insts)
-        pipe.reset_timing()
-        assert pipe.cycle == 0
-
     def test_cycles_monotonic_across_events(self):
         pipe = make_pipeline()
         insts = independent_alus(3) + [Instruction(Op.BRANCH, src1=0)]

@@ -178,13 +178,6 @@ class TestStreamSnapshot:
         with pytest.raises(Exception):
             s2.restore(s1.snapshot())
 
-    def test_clone_fresh_starts_over(self, two_phase_program):
-        stream = ProgramStream(two_phase_program)
-        stream.next_events(5000)
-        clone = stream.clone_fresh()
-        assert clone.ops_emitted == 0
-        assert not clone.exhausted
-
 
 class TestStreamOnWorkloads:
     def test_workload_stream_matches_nominal_length(self, quick_gzip):

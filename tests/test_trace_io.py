@@ -155,12 +155,6 @@ class TestReplay:
         tail2 = [e.block.bid for e in replay2]
         assert tail1 == tail2
 
-    def test_clone_fresh(self, program, trace):
-        replay = trace.as_stream(program)
-        replay.next_events(5_000)
-        fresh = replay.clone_fresh()
-        assert fresh.ops_emitted == 0
-
 
 class TestNextEvents:
     @given(
