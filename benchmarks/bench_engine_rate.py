@@ -26,6 +26,13 @@ The ``trace`` row times ``collect_reference_trace`` on ``164.gzip``
 against the per-window loop it replaced (``per_window_trace``: one
 DETAIL ``run_segment`` and one BBV drain per window), with a 1.4x floor.
 
+The ``replay`` row times RankedSet's measurement pass on ``164.gzip``
+(``measure_intervals``: FUNC_FAST skips, and detailed timing replayed
+from the outcome record its ranking pass left) against the live pass it
+replaced (``live_measure_intervals``: FUNC_WARM skips on a plain engine),
+with a 1.8x floor.  Its rates are program ops per second of the pass;
+the ranking pass is not timed.
+
 Shared machines drift in effective speed by tens of percent over
 minutes, which is far more than the margins being asserted.  Each
 gated rate is therefore measured as an interleaved best-of-N: the
@@ -49,15 +56,22 @@ from functools import partial
 from pathlib import Path
 
 from repro import BbvTracker, Mode, SimulationEngine, get_workload
+from repro.cpu import OutcomeRecord
 from repro.experiments.formatting import table
+from repro.sampling import RankedSetConfig, RankedSetSampling
 from repro.sampling.full import collect_reference_trace
+from repro.sampling.session import measure_intervals
 
 from conftest import record
 
 # The scalar arm is the test suite's reference loop.  Appended, not
 # prepended, so ``conftest`` above stays this directory's.
 sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
-from scalar_reference import per_window_trace, run_scalar  # noqa: E402
+from scalar_reference import (  # noqa: E402
+    live_measure_intervals,
+    per_window_trace,
+    run_scalar,
+)
 
 #: Calibration workload and op budget (per timed run).
 RATE_BENCHMARK = "164.gzip"
@@ -78,6 +92,10 @@ RATE_REPS_BATCHED = 10
 
 #: Reps per arm of the reference-trace row (interleaved, best-of-N).
 TRACE_REPS = 5
+
+#: Reps per arm of the replayed-measurement row (interleaved, best-of-N).
+#: Each timed pass takes milliseconds, so more reps pin down its peak.
+REPLAY_REPS = 9
 
 #: Modes whose scalar arm is also timed.
 BATCHED_MODES = (Mode.DETAIL, Mode.DETAIL_WARM, Mode.FUNC_FAST, Mode.FUNC_WARM)
@@ -139,6 +157,34 @@ def _best_trace_pair(ctx):
     return best_w, best_p
 
 
+def _replay_rate_once(ctx, program, replayed):
+    """One RankedSet measurement pass, replayed or live, after an untimed
+    ranking pass on a fresh record."""
+    cfg = RankedSetConfig.from_scale(ctx.scale)
+    technique = RankedSetSampling(cfg, machine=ctx.machine)
+    record = OutcomeRecord(program, ctx.machine)
+    targets = technique._select(technique._proxy_pass(record, None), cfg.set_size)
+    args = (targets, cfg.interval_ops, cfg.warmup_ops, cfg.detail_ops)
+    start = time.perf_counter()  # simlint: disable=DET005
+    if replayed:
+        measured, _ = measure_intervals(record, *args)
+    else:
+        measured = live_measure_intervals(program, ctx.machine, *args)
+    elapsed = time.perf_counter() - start  # simlint: disable=DET005
+    assert measured, "the measurement pass took no sample"
+    return record.ops / elapsed if elapsed > 0 else 0.0
+
+
+def _best_replay_pair(ctx):
+    """Interleaved best-of-N rates of the (replayed, live) passes."""
+    program = _program(ctx, RATE_BENCHMARK)
+    best_r = best_l = 0.0
+    for _ in range(REPLAY_REPS):
+        best_r = max(best_r, _replay_rate_once(ctx, program, True))
+        best_l = max(best_l, _replay_rate_once(ctx, program, False))
+    return best_r, best_l
+
+
 def measure(ctx):
     rates = {}
     for mode in Mode:
@@ -160,6 +206,7 @@ def measure(ctx):
                 rates[f"{mode.value}_scalar@{name}"],
             ) = _best_pair(ctx, name, mode, False)
     rates["trace"], rates["trace_per_window"] = _best_trace_pair(ctx)
+    rates["replay"], rates["replay_live"] = _best_replay_pair(ctx)
     speedups = {
         f"{mode.value}{suffix}": (
             rates[f"{mode.value}{suffix}"]
@@ -175,6 +222,7 @@ def measure(ctx):
                 rates[f"{mode.value}@{name}"] / rates[f"{mode.value}_scalar@{name}"]
             )
     speedups["trace"] = rates["trace"] / rates["trace_per_window"]
+    speedups["replay"] = rates["replay"] / rates["replay_live"]
     return {"rates": rates, "speedups": speedups}
 
 
@@ -200,6 +248,7 @@ def format_result(result):
         for name in MISS_PROGRAMS
     ]
     rows.append(_row(result, "trace", "trace_per_window"))
+    rows.append(_row(result, "replay", "replay_live"))
     speedups = result["speedups"]
     header = (
         "Engine throughput — batched engine vs. scalar event loop "
@@ -218,6 +267,8 @@ def format_result(result):
         )
         + f"windowed reference trace: {speedups['trace']:.1f}x the per-window "
         "loop (trace row: its scalar column is that loop)\n"
+        + f"replayed RankedSet measurement pass: {speedups['replay']:.1f}x the "
+        "live pass (replay row: its scalar column is that pass)\n"
         + "\n"
     )
     return header + table(["mode", "batched", "scalar", "speedup"], rows)
@@ -236,6 +287,7 @@ def test_engine_rate(benchmark, ctx, results_dir):
             "batched": RATE_REPS_BATCHED,
             "scalar": RATE_REPS,
             "trace": TRACE_REPS,
+            "replay": REPLAY_REPS,
         },
         "trace_window": ctx.scale.trace_window,
         "scale": ctx.scale.name,
@@ -268,6 +320,9 @@ def test_engine_rate(benchmark, ctx, results_dir):
     assert result["speedups"]["func_warm@adv.footprint_step"] >= 2.0
     # One engine pass per chunk of trace windows, against one per window.
     assert result["speedups"]["trace"] >= 1.4
+    # RankedSet's measurement pass replayed from its ranking pass's
+    # record, against warming the caches again.
+    assert result["speedups"]["replay"] >= 1.8
 
     benchmark.extra_info["speedups"] = {
         k: round(v, 1) for k, v in result["speedups"].items()

@@ -26,11 +26,6 @@ class BranchStats:
     predictions: int = 0
     mispredictions: int = 0
 
-    def reset(self) -> None:
-        """Zero both counters."""
-        self.predictions = 0
-        self.mispredictions = 0
-
 
 class BranchPredictor:
     """Abstract base: predict-and-update with one call per branch."""

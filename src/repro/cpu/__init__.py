@@ -11,16 +11,22 @@ in-order superscalar with a split 4-way 64 KB L1 and a unified 1 MB L2
   (SMARTS/PGSS fast-forwarding);
 * **functional fast-forward** — nothing but op counting (SimPoint-style
   skipping).
+
+An :class:`OutcomeRecord` keeps what one warming pass recorded, so that
+later measurement passes replay their detailed timing from it instead of
+simulating the caches again.
 """
 
 from .pipeline import InOrderPipeline
 from .engine import Mode, ModeAccounting, SimulationEngine
 from .multicore import CoreResult, MultiCoreEngine, MultiCorePgss
+from .record import OutcomeRecord
 
 __all__ = [
     "InOrderPipeline",
     "Mode",
     "ModeAccounting",
+    "OutcomeRecord",
     "SimulationEngine",
     "CoreResult",
     "MultiCoreEngine",

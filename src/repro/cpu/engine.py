@@ -13,12 +13,13 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sampling.session import ModeSegment
+    from .record import OutcomeRecord
 
 from ..branch import BimodalPredictor, BranchPredictor, GsharePredictor
 from ..config import DEFAULT_MACHINE, MachineConfig
@@ -26,7 +27,7 @@ from ..errors import ConfigurationError, SimulationError
 from ..memory import CacheHierarchy
 from ..program import Program, ProgramStream
 from ..program.stream import BlockRun
-from .functional import FunctionalWarmer
+from .functional import FunctionalWarmer, Outcomes
 from .pipeline import InOrderPipeline, WindowMarks
 
 __all__ = ["Mode", "ModeRun", "ModeAccounting", "SimulationEngine"]
@@ -129,10 +130,21 @@ class SimulationEngine:
             execution-driven :class:`~repro.program.ProgramStream` — e.g.
             a :class:`~repro.program.trace_io.TraceStream` for
             trace-driven simulation.  It must provide ``next_events``.
+        outcomes: an :class:`~repro.cpu.record.OutcomeRecord` of this
+            program to replay from.  Such a *replaying* engine simulates
+            no caches: DETAIL_WARM and DETAIL replay the timing of the
+            record's outcomes, FUNC_FAST runs as usual and FUNC_WARM
+            raises :class:`~repro.errors.SimulationError`.  Its
+            ``hierarchy`` is the record's, read for latencies only.
+        recorder: the record this engine's architectural passes write to
+            (:class:`~repro.cpu.record.OutcomeRecord` builds its own
+            *recording* engine with it).  A recording engine cannot run
+            FUNC_FAST, which would leave a gap in the record.
 
     Raises:
-        ConfigurationError: if the stream has no ``next_events`` or the
-            tracker no ``record_batch``.
+        ConfigurationError: if the stream has no ``next_events``, the
+            tracker no ``record_batch``, or both *outcomes* and
+            *recorder* are given.
     """
 
     def __init__(
@@ -143,6 +155,8 @@ class SimulationEngine:
         signal_tracker: Optional[Any] = None,
         hierarchy: Optional[CacheHierarchy] = None,
         stream: Optional[Any] = None,
+        outcomes: Optional["OutcomeRecord"] = None,
+        recorder: Optional["OutcomeRecord"] = None,
     ) -> None:
         self.program = program
         self.machine = machine
@@ -157,6 +171,15 @@ class SimulationEngine:
                 "the signal tracker must provide record_batch() "
                 f"(got {type(signal_tracker).__name__})"
             )
+        if outcomes is not None and recorder is not None:
+            raise ConfigurationError("an engine either records or replays, not both")
+        self.outcomes = outcomes
+        self.recorder = recorder
+        if outcomes is not None and hierarchy is None:
+            # The timing replay reads the hierarchy's latencies only, so
+            # a replaying engine borrows its record's instead of building
+            # caches it would never touch.
+            hierarchy = outcomes.engine.hierarchy
         self.hierarchy = hierarchy if hierarchy is not None else CacheHierarchy(machine)
         self.predictor = _make_predictor(predictor, machine.branch_history_bits)
         self.pipeline = InOrderPipeline(machine, self.hierarchy, self.predictor)
@@ -232,6 +255,15 @@ class SimulationEngine:
         """The execution core of :meth:`run` and :meth:`run_windows`:
         up to *count* batches of *n_ops*, one architectural pass over all
         of them, one window per batch."""
+        if mode is Mode.FUNC_WARM and self.outcomes is not None:
+            raise SimulationError(
+                "a replaying engine holds no cache state to warm"
+            )
+        if mode is Mode.FUNC_FAST and self.recorder is not None:
+            raise SimulationError(
+                "a recording engine cannot skip warming: its record "
+                "would have a gap"
+            )
         # Wall-clock only feeds the rate accounting (Fig. 13), never
         # simulated state.
         start_time = time.perf_counter()  # simlint: disable=DET005
@@ -263,12 +295,12 @@ class SimulationEngine:
             # the ones before it.
             marks = WindowMarks(ends[:-1])
             replay = self.pipeline.replay
-            self.warmer.execute_batch(
-                passed, partial(replay, marks=marks) if marks.ends else replay
+            self._architectural_pass(
+                passed, start_ops, partial(replay, marks=marks) if marks.ends else replay
             )
             cycle_ends = marks.cycles + [self.pipeline.cycle]
         elif passed:
-            self.warmer.execute_batch(passed)
+            self._architectural_pass(passed, start_ops, None)
 
         # Issue-cycle deltas: window boundaries telescope exactly, so
         # per-window cycles over a full run sum to its cycle count.
@@ -287,6 +319,24 @@ class SimulationEngine:
         self.accounting.ops[mode] += ends[-1] if ends else 0
         self.accounting.seconds[mode] += elapsed
         return windows
+
+    def _architectural_pass(
+        self,
+        runs: List[BlockRun],
+        start_op: int,
+        replay: Optional[Callable[[List[BlockRun], Outcomes], None]],
+    ) -> None:
+        """Apply *runs*, a batch from op *start_op*, and hand each slice's
+        outcomes to *replay* (the detailed modes): the warmer's pass,
+        which a recording engine also records, or, on a replaying engine,
+        the record's outcomes."""
+        if self.outcomes is not None:
+            if replay is not None:
+                self.outcomes.replay(runs, start_op, replay)
+        elif self.recorder is not None:
+            self.warmer.execute_batch(runs, self.recorder.recording(start_op, replay))
+        else:
+            self.warmer.execute_batch(runs, replay)
 
     def run_segment(self, segment: "ModeSegment") -> ModeRun:
         """Execute one sampling-plan segment (the session-facing API).

@@ -46,7 +46,7 @@ T = TypeVar("T")
 
 #: Bump when a change invalidates previously cached results (simulator
 #: timing semantics, workload definitions, estimators).
-CACHE_VERSION = 8
+CACHE_VERSION = 9
 
 #: How long a reader waits on another process's claim before giving up
 #: and computing the entry itself (results are deterministic, so a

@@ -10,7 +10,10 @@ Two parts, mirroring the paper's figure:
   two-phase stratified, and ranked-set — for the whole benchmark suite:
   each run's per-mode operation counts (``accounting_ops``), summed over
   the suite and divided by the measured rate of each mode (no
-  checkpointing, as in the paper).
+  checkpointing, as in the paper).  The Stratified and RankedSet rows
+  replay their measurement passes' detailed timing from an outcome
+  record made within the same run (:class:`~repro.cpu.OutcomeRecord`),
+  so each warms the program once, not once per pass.
 
 The paper also notes its fast-forwarding is "only approximately four times
 faster than detailed simulation", which caps the wall-clock advantage of
@@ -223,7 +226,8 @@ def format_result(result: Dict[str, Any]) -> str:
     ]
     header = (
         "Figure 13 — measured simulation rates and total suite times "
-        "(no checkpointing)\n"
+        "(no checkpointing; Stratified and RankedSet replay their "
+        "measurement passes from outcome records made within the run)\n"
         f"functional warming is {result['ff_vs_detail_ratio']:.1f}x faster "
         f"than detail (paper: ~4x); BBV overhead on detail: "
         f"{100 * result['bbv_overhead_detail']:.1f}%\n"

@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..cpu import ModeAccounting
+from ..cpu import ModeAccounting, OutcomeRecord
 from ..errors import ConfigurationError, SamplingError
 from ..events import EventBus
 from ..phase import OnlinePhaseClassifier
@@ -127,15 +127,17 @@ class OnlineSimPoint(SamplingTechnique):
                 for p, i in first_of_phase.items()
             }
         else:
-            measured, accounting = measure_intervals(
-                program,
-                self.machine,
+            record = OutcomeRecord(program, self.machine)
+            measured, measure_accounting = measure_intervals(
+                record,
                 list(first_of_phase.values()),
                 cfg.interval_ops,
                 warmup_ops=0,
                 detail_ops=cfg.interval_ops,
                 bus=bus,
             )
+            accounting.merge(record.engine.accounting)
+            accounting.merge(measure_accounting)
             rep_counts = {
                 p: measured[i]
                 for p, i in first_of_phase.items()

@@ -22,8 +22,11 @@ misprediction *deltas* are folded into a latency-per-op estimate
 
 — the structural cost model, evaluated from warm functional state only.
 
-Both passes are sampling-session plans; the measurement pass is the
-kernel's shared :func:`~repro.sampling.session.interval_sample_plan`.
+Both passes are sampling-session plans.  The ranking pass warms the
+whole program on an :class:`~repro.cpu.record.OutcomeRecord`'s engine,
+and the measurement pass, the kernel's shared
+:func:`~repro.sampling.session.interval_sample_plan`, replays its
+detailed timing from that record instead of warming again.
 The confidence interval comes from repeated subsampling: the measured
 cycle sequence is split round-robin into ``n_subsamples`` interleaved
 replicates, each replicate re-estimated with the same per-rank
@@ -39,7 +42,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..config import ScaleConfig
-from ..cpu import Mode, ModeAccounting, SimulationEngine
+from ..cpu import Mode, ModeAccounting, OutcomeRecord
 from ..errors import ConfigurationError, SamplingError
 from ..events import EventBus
 from ..program import Program
@@ -116,12 +119,13 @@ class RankedSetSampling(SamplingTechnique):
     config: RankedSetConfig
 
     def _proxy_pass(
-        self, program: Program, bus: Optional[EventBus]
-    ) -> Tuple[List[float], SimulationEngine]:
-        """Rank pass: per-interval proxy CPI from FUNC_WARM stat deltas."""
+        self, record: OutcomeRecord, bus: Optional[EventBus]
+    ) -> List[float]:
+        """Rank pass: per-interval proxy CPI from FUNC_WARM stat deltas,
+        on the record's engine (so it records the whole program)."""
         cfg = self.config
         machine = self.machine
-        engine = SimulationEngine(program, machine=machine)
+        engine = record.engine
         session = SamplingSession(engine, bus=bus)
         proxies: List[float] = []
 
@@ -159,7 +163,7 @@ class RankedSetSampling(SamplingTechnique):
                 )
 
         session.execute(plan())
-        return proxies, engine
+        return proxies
 
     @staticmethod
     def _select(proxies: List[float], set_size: int) -> List[int]:
@@ -193,7 +197,8 @@ class RankedSetSampling(SamplingTechnique):
     ) -> SamplingResult:
         """Rank, select, measure, estimate."""
         cfg = self.config
-        proxies, rank_engine = self._proxy_pass(program, bus)
+        record = OutcomeRecord(program, self.machine)
+        proxies = self._proxy_pass(record, bus)
         n_cycles = len(proxies) // cfg.set_size
         if n_cycles == 0:
             raise SamplingError(
@@ -203,8 +208,7 @@ class RankedSetSampling(SamplingTechnique):
         selected = self._select(proxies, cfg.set_size)
 
         measured, measure_accounting = measure_intervals(
-            program,
-            self.machine,
+            record,
             selected,
             cfg.interval_ops,
             cfg.warmup_ops,
@@ -242,7 +246,7 @@ class RankedSetSampling(SamplingTechnique):
         ci = ConfidenceInterval(ipc, half, cfg.confidence, len(per_cycle))
 
         accounting = ModeAccounting()
-        accounting.merge(rank_engine.accounting)
+        accounting.merge(record.engine.accounting)
         accounting.merge(measure_accounting)
         rank_counts = {rank: len(pairs) for rank, pairs in sorted(by_rank.items())}
         return final_result(

@@ -29,7 +29,10 @@ Techniques never call ``engine.run(Mode...)`` directly (simlint HYG005
 enforces this structurally): all mode scheduling flows through
 :meth:`SamplingSession.run_segment` (or, for windowed recorders,
 :meth:`SamplingSession.run_windows`), so accounting, event emission,
-and the batched fast-forward dispatch stay uniform across the zoo.
+and the batched fast-forward dispatch stay uniform across the zoo.  The
+one other schedule is :func:`measure_intervals` warming an
+:class:`~repro.cpu.record.OutcomeRecord` ahead of the pass that replays
+from it.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..config import MachineConfig
 from ..cpu.engine import Mode, ModeAccounting, ModeRun, SimulationEngine
+from ..cpu.record import OutcomeRecord
 from ..events import (
     EstimateUpdated,
     EventBus,
@@ -51,7 +54,6 @@ from ..events import (
     SessionEvent,
     ThresholdSelected,
 )
-from ..program import Program
 
 __all__ = [
     "EstimateUpdated",
@@ -350,10 +352,13 @@ def interval_sample_plan(
     """Measure one detailed sample inside each target interval.
 
     The program is viewed as consecutive ``interval_ops``-long intervals.
-    The plan fast-forwards (with functional warming) to each target
-    interval in ascending index order, takes a ``warmup_ops`` +
-    ``detail_ops`` detailed sample inside it, drains the interval's
-    remainder functionally warm, and stops when the program ends.
+    The plan fast-forwards (FUNC_FAST) to each target interval in
+    ascending index order, takes a ``warmup_ops`` + ``detail_ops``
+    detailed sample inside it, fast-forwards over the interval's
+    remainder, and stops when the program ends.  Its detailed segments
+    find warm state only on an engine that replays from an
+    :class:`~repro.cpu.record.OutcomeRecord`: run it through
+    :func:`measure_intervals`.
     Callers recover which interval a sample belongs to as
     ``sample.op_offset // interval_ops``: callers keep
     ``warmup_ops + detail_ops <= interval_ops``, so the sample never
@@ -381,7 +386,7 @@ def interval_sample_plan(
     for count, target in enumerate(sorted(set(targets))):
         while interval < target:
             out = yield ModeSegment(
-                Mode.FUNC_WARM, interval_ops, role=SegmentRole.FAST_FORWARD
+                Mode.FUNC_FAST, interval_ops, role=SegmentRole.FAST_FORWARD
             )
             interval += 1
             if out.exhausted:
@@ -392,7 +397,7 @@ def interval_sample_plan(
             offset = int(slack * position)
         if offset:
             out = yield ModeSegment(
-                Mode.FUNC_WARM, offset, role=SegmentRole.FAST_FORWARD
+                Mode.FUNC_FAST, offset, role=SegmentRole.FAST_FORWARD
             )
             if out.exhausted:
                 return
@@ -411,36 +416,65 @@ def interval_sample_plan(
         interval += 1
         if remainder > 0:
             out = yield ModeSegment(
-                Mode.FUNC_WARM, remainder, role=SegmentRole.FAST_FORWARD
+                Mode.FUNC_FAST, remainder, role=SegmentRole.FAST_FORWARD
             )
             if out.exhausted:
                 return
 
 
 def measure_intervals(
-    program: Program,
-    machine: MachineConfig,
+    record: OutcomeRecord,
     targets: Sequence[int],
     interval_ops: int,
     warmup_ops: int,
     detail_ops: int,
     bus: Optional[EventBus] = None,
 ) -> Tuple[Dict[int, Tuple[int, int]], ModeAccounting]:
-    """Run :func:`interval_sample_plan` over *targets* on a fresh engine.
+    """Run :func:`interval_sample_plan` over *targets* on a fresh engine
+    that replays its detailed timing from *record*.
+
+    Before each detailed segment the record's engine warms (FUNC_WARM) up
+    to the op the segment will end at, if it is not there yet: both
+    streams stop at the first event boundary at or past the same op.  So a
+    record that some pass already warmed to the end costs nothing more,
+    and one shared by several calls warms each op once.
 
     Returns interval index -> measured ``(ops, cycles)`` (intervals the
-    program ended before are absent) and the engine's accounting.
+    program ended before are absent) and the replaying engine's
+    accounting; the record's own accounting is its creator's to merge.
     """
-    engine = SimulationEngine(program, machine=machine)
+    engine = SimulationEngine(record.program, machine=record.machine, outcomes=record)
     session = SamplingSession(engine, bus=bus)
     session.execute(
-        interval_sample_plan(targets, interval_ops, warmup_ops, detail_ops)
+        _warm_record_ahead(
+            interval_sample_plan(targets, interval_ops, warmup_ops, detail_ops),
+            record,
+            engine,
+        )
     )
     counts = {
         sample.op_offset // interval_ops: (sample.ops, sample.cycles)
         for sample in session.samples
     }
     return counts, engine.accounting
+
+
+def _warm_record_ahead(
+    plan: SegmentPlan, record: OutcomeRecord, engine: SimulationEngine
+) -> SegmentPlan:
+    """*plan* on *engine*, which replays from *record*, with the record
+    warmed before each detailed segment up to where that segment ends."""
+    outcome = None
+    while True:
+        try:
+            item = plan.send(outcome)
+        except StopIteration:
+            return
+        if isinstance(item, ModeSegment) and item.mode.is_detailed:
+            short = engine.ops_completed + item.ops - record.engine.ops_completed
+            if short > 0 and not record.engine.exhausted:
+                record.engine.run(Mode.FUNC_WARM, short)
+        outcome = yield item
 
 
 def run_to_end_plan(

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..signals import BbvTracker, ReducedBbvHash
 from ..clustering import KMeansResult, choose_k, kmeans
-from ..cpu import Mode, ModeAccounting, SimulationEngine
+from ..cpu import Mode, ModeAccounting, OutcomeRecord, SimulationEngine
 from ..errors import ConfigurationError, SamplingError
 from ..events import EventBus
 from ..program import Program
@@ -184,17 +184,19 @@ class SimPoint(SamplingTechnique):
                 if reps[c] >= 0
             }
         else:
-            # Each representative runs whole in DETAIL, after functional
-            # warming up to it.
-            rep_counts, accounting = measure_intervals(
-                program,
-                self.machine,
+            # Each representative runs whole in DETAIL, replayed from a
+            # record warmed up to its end.
+            record = OutcomeRecord(program, self.machine)
+            rep_counts, measure_accounting = measure_intervals(
+                record,
                 [int(r) for r in reps if r >= 0],
                 cfg.interval_ops,
                 warmup_ops=0,
                 detail_ops=cfg.interval_ops,
                 bus=bus,
             )
+            accounting.merge(record.engine.accounting)
+            accounting.merge(measure_accounting)
 
         # SimPoint combines per-cluster CPI weighted by cluster size; with
         # equal-length intervals this is the exact ratio estimator.

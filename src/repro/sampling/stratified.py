@@ -22,7 +22,10 @@ attribution, with a stratified-mean confidence interval
 
 All three passes are sampling-session plans: the profile pass mirrors
 SimPoint's, and both measurement passes are the kernel's shared
-:func:`~repro.sampling.session.interval_sample_plan`.
+:func:`~repro.sampling.session.interval_sample_plan`.  The two
+measurement passes share one :class:`~repro.cpu.record.OutcomeRecord`:
+its engine warms each op once, and both replay their detailed timing
+from it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..config import ScaleConfig
-from ..cpu import Mode, ModeAccounting, SimulationEngine
+from ..cpu import Mode, ModeAccounting, OutcomeRecord, SimulationEngine
 from ..errors import ConfigurationError, SamplingError
 from ..events import EventBus
 from ..phase import OnlinePhaseClassifier
@@ -210,13 +213,12 @@ class TwoPhaseStratified(SamplingTechnique):
         return phase_ids, ops_list, engine
 
     def _measure(
-        self, program: Program, targets: List[int], bus: Optional[EventBus]
+        self, record: OutcomeRecord, targets: List[int], bus: Optional[EventBus]
     ) -> Tuple[Dict[int, Tuple[int, int]], ModeAccounting]:
         """One measurement pass: interval index -> measured (ops, cycles)."""
         cfg = self.config
         return measure_intervals(
-            program,
-            self.machine,
+            record,
             targets,
             cfg.interval_ops,
             cfg.warmup_ops,
@@ -247,7 +249,8 @@ class TwoPhaseStratified(SamplingTechnique):
         all_pilots = sorted(
             index for picks in pilot_targets.values() for index in picks
         )
-        pilot_counts, pilot_accounting = self._measure(program, all_pilots, bus)
+        record = OutcomeRecord(program, self.machine)
+        pilot_counts, pilot_accounting = self._measure(record, all_pilots, bus)
 
         sizes = [len(occurrences[pid]) for pid in strata]
         stds: List[float] = []
@@ -285,7 +288,7 @@ class TwoPhaseStratified(SamplingTechnique):
         stage2_accounting = ModeAccounting()
         if stage2_targets:
             stage2_counts, stage2_accounting = self._measure(
-                program, stage2_targets, bus
+                record, stage2_targets, bus
             )
 
         # Per-stratum estimator inputs from the stage-1 attribution.
@@ -322,6 +325,7 @@ class TwoPhaseStratified(SamplingTechnique):
 
         accounting = ModeAccounting()
         accounting.merge(profile_engine.accounting)
+        accounting.merge(record.engine.accounting)
         accounting.merge(pilot_accounting)
         accounting.merge(stage2_accounting)
         return final_result(

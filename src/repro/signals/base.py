@@ -56,10 +56,6 @@ class SignalTracker(Protocol):
         """Compile the register file into a vector and reset it."""
         ...
 
-    def peek_vector(self) -> np.ndarray:
-        """Current raw register contents, without reset."""
-        ...
-
     def reset(self) -> None:
         """Clear all accumulated state."""
         ...

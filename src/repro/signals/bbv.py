@@ -171,10 +171,6 @@ class BbvTracker:
                 vec /= norm
         return vec
 
-    def peek_vector(self) -> np.ndarray:
-        """Current raw (unnormalised) register contents, without reset."""
-        return np.array(self._registers, dtype=np.float64)
-
     def reset(self) -> None:
         """Clear registers, run counter and op total."""
         self._registers = [0.0] * self.n_buckets

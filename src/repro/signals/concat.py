@@ -85,10 +85,6 @@ class ConcatenatedSignal:
             vec /= norm
         return vec
 
-    def peek_vector(self) -> np.ndarray:
-        """Concatenated raw register contents, without reset."""
-        return np.concatenate([t.peek_vector() for t in self.trackers])
-
     def reset(self) -> None:
         """Reset every child tracker."""
         for tracker in self.trackers:

@@ -135,10 +135,6 @@ class MavTracker:
                 vec /= norm
         return vec
 
-    def peek_vector(self) -> np.ndarray:
-        """Current raw (unnormalised) register contents, without reset."""
-        return self._registers.copy()
-
     def reset(self) -> None:
         """Clear registers (in place) and both counters."""
         self._registers.fill(0.0)

@@ -20,10 +20,14 @@ batching replaced, one dynamic basic block at a time:
 * :func:`contains` / :func:`resident_lines` — read-only views of one
   :class:`~repro.memory.Cache`'s tag store, and :func:`stats_summary` —
   a hierarchy's per-level counters;
-* :func:`recorder` / :func:`record` — one event into a signal tracker;
+* :func:`recorder` / :func:`record` — one event into a signal tracker,
+  and :func:`registers` — a tracker's raw register file, left as it is;
 * :func:`per_window_trace` — the windowed recorders
   (``collect_reference_trace``, ``SimPoint.profile_intervals``) as one
   ``run_segment`` per window, each followed by a raw BBV drain;
+* :func:`live_measure_intervals` — ``measure_intervals`` as a live pass
+  that warms its own caches (FUNC_WARM skips) instead of replaying an
+  outcome record;
 * :func:`assert_same_machine` — the comparison the suites apply: cache
   and predictor state and every counter the modes touch.
 
@@ -34,9 +38,9 @@ bench's scalar arm compare against it.  It imports only ``repro``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +50,15 @@ from repro.errors import SimulationError
 from repro.events import EventBus
 from repro.memory import Cache, CacheHierarchy
 from repro.sampling.full import ReferenceTrace
-from repro.sampling.session import ModeSegment, SamplingSession, SegmentRole
+from repro.config import MachineConfig
+from repro.program import Program
+from repro.sampling.session import (
+    ModeSegment,
+    SamplingSession,
+    SegmentPlan,
+    SegmentRole,
+    interval_sample_plan,
+)
 from repro.program.block import BasicBlock
 from repro.program.stream import BlockEvent
 
@@ -60,9 +72,11 @@ __all__ = [
     "data_latency",
     "detail_event",
     "inst_latency",
+    "live_measure_intervals",
     "per_window_trace",
     "record",
     "recorder",
+    "registers",
     "resident_lines",
     "run_scalar",
     "stats_summary",
@@ -280,6 +294,14 @@ def record(tracker: Any, block: BasicBlock, taken: bool, k: int = 0) -> None:
     recorder(tracker)(block, taken, k)
 
 
+def registers(tracker: Any) -> np.ndarray:
+    """*tracker*'s raw (unnormalised) registers, without a reset; a
+    :class:`~repro.ConcatenatedSignal`'s are its children's, in order."""
+    if isinstance(tracker, ConcatenatedSignal):
+        return np.concatenate([registers(child) for child in tracker.trackers])
+    return np.array(tracker._registers, dtype=np.float64)
+
+
 def run_scalar(engine: SimulationEngine, mode: Mode, n_ops: int) -> ModeRun:
     """``engine.run(mode, n_ops)`` as the scalar event loop.
 
@@ -354,6 +376,40 @@ def per_window_trace(
         np.array(cycles, dtype=np.int64),
         np.array(bbvs, dtype=np.float64),
     )
+
+
+def live_measure_intervals(
+    program: Program,
+    machine: MachineConfig,
+    targets: Sequence[int],
+    interval_ops: int,
+    warmup_ops: int,
+    detail_ops: int,
+) -> Dict[int, Tuple[int, int]]:
+    """``measure_intervals`` without an outcome record: the measurement
+    pass on a plain engine, skipping to each sample in FUNC_WARM so that
+    its own caches and predictor are warm there.  Returns interval index
+    -> measured ``(ops, cycles)``."""
+
+    def warming(plan: SegmentPlan) -> SegmentPlan:
+        outcome = None
+        while True:
+            try:
+                item = plan.send(outcome)
+            except StopIteration:
+                return
+            if isinstance(item, ModeSegment) and item.mode is Mode.FUNC_FAST:
+                item = replace(item, mode=Mode.FUNC_WARM)
+            outcome = yield item
+
+    session = SamplingSession(SimulationEngine(program, machine=machine))
+    session.execute(
+        warming(interval_sample_plan(targets, interval_ops, warmup_ops, detail_ops))
+    )
+    return {
+        sample.op_offset // interval_ops: (sample.ops, sample.cycles)
+        for sample in session.samples
+    }
 
 
 class ScalarEngine(SimulationEngine):

@@ -270,9 +270,9 @@ class TestFuncWarmEquivalence:
         execute_batch = batched.warmer.execute_batch
         seen = []
 
-        def spy(runs):
+        def spy(runs, replay=None):
             seen.extend(run for run in runs if run.takens is not None and run.n > 1)
-            execute_batch(runs)
+            execute_batch(runs, replay)
 
         batched.warmer.execute_batch = spy
         _warm_to_end(scalar, batched, seed=3)

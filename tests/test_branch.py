@@ -51,12 +51,6 @@ class TestCommonBehaviour:
         assert predictor.stats.predictions == 10
         assert 0 <= predictor.stats.mispredictions <= 10
 
-    def test_stats_reset(self, predictor):
-        predictor.predict_update(0x100, True)
-        predictor.stats.reset()
-        assert predictor.stats.predictions == 0
-        assert predictor.stats.mispredictions == 0
-
     def test_snapshot_restore_equivalence(self, predictor):
         rng = random.Random(3)
         history = [(rng.randrange(1 << 14) * 4, rng.random() < 0.7) for _ in range(500)]

@@ -294,7 +294,7 @@ class TestOracleFlow:
         "rule, call",
         [
             (OracleIntoPlanRule, "interval_sample_plan([0, n], n, 0, 1000)"),
-            (OracleIntoPlanRule, "measure_intervals(program, None, [0], n, 0, 1)"),
+            (OracleIntoPlanRule, "measure_intervals(program, [0], n, 0, 1)"),
             (OracleIntoThresholdRule, "TwoPhaseStratifiedConfig(n)"),
             (OracleIntoThresholdRule, "RankedSetConfig(n)"),
             (OracleIntoThresholdRule, "PgssConfig(spread_ops=n)"),

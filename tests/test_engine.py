@@ -11,6 +11,8 @@ from repro import (
 )
 from repro.cpu.engine import ModeAccounting
 
+from scalar_reference import registers
+
 
 class TestModes:
     def test_detail_produces_cycles(self, two_phase_program):
@@ -165,10 +167,10 @@ class TestCheckpointing:
         engine.run(Mode.FUNC_FAST, 10_000)
         snap = engine.snapshot()
         assert "bbv" in snap
-        vec1 = tracker.peek_vector().copy()
+        vec1 = registers(tracker).copy()
         engine.run(Mode.FUNC_FAST, 10_000)
         engine.restore(snap)
-        assert (tracker.peek_vector() == vec1).all()
+        assert (registers(tracker) == vec1).all()
 
     def test_livepoint_acceleration(self, two_phase_program):
         """Snapshots let samples be measured out of order, each in a fresh
@@ -261,7 +263,7 @@ class TestBatchedDispatch:
         live_tracker = BbvTracker()
         live = SimulationEngine(two_phase_program, signal_tracker=live_tracker)
         live.run(Mode.FUNC_FAST, 10_000)
-        assert tracker.peek_vector().tolist() == live_tracker.peek_vector().tolist()
+        assert registers(tracker).tolist() == registers(live_tracker).tolist()
 
     def test_batched_func_fast_touches_nothing(self, two_phase_program):
         engine = SimulationEngine(two_phase_program)

@@ -4,6 +4,7 @@ import pytest
 
 from repro import Scale
 from repro.config import DEFAULT_MACHINE
+from repro.cpu import OutcomeRecord
 from repro.errors import ConfigurationError, SamplingError
 from repro.program import get_workload
 from repro.sampling import (
@@ -91,17 +92,14 @@ class TestSimPoint:
         intervals = technique.profile_intervals(get_workload(name, Scale.QUICK))
         _, reps = technique.simulation_points(intervals)
         wanted = sorted({int(r) for r in reps if r >= 0})
+        record = OutcomeRecord(get_workload(name, Scale.QUICK), DEFAULT_MACHINE)
         measured, accounting = measure_intervals(
-            get_workload(name, Scale.QUICK),
-            DEFAULT_MACHINE,
-            wanted,
-            interval,
-            warmup_ops=0,
-            detail_ops=interval,
+            record, wanted, interval, warmup_ops=0, detail_ops=interval
         )
         assert sorted(measured) == wanted
         for index, (ops, _cycles) in measured.items():
             assert ops == intervals.ops[index]
+        accounting.merge(record.engine.accounting)
         result = technique.run(get_workload(name, Scale.QUICK))
         assert result.n_samples == len(wanted)
         assert result.accounting.ops == accounting.ops

@@ -53,7 +53,7 @@ from repro.program.stream import BlockRun
 from repro.sampling.session import ModeSegment, SamplingSession, SegmentRole
 from repro.signals import PHASE_SIGNALS
 from conftest import make_two_phase_program, record_event
-from scalar_reference import ScalarEngine, recorder
+from scalar_reference import ScalarEngine, recorder, registers
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +231,7 @@ class TestMavTracker:
             record_event(tracker, block, True, k=k)
         assert tracker.total_ops == 5 * block.n_ops
         assert tracker.total_accesses == 5 * len(block.mem_patterns)
-        raw = tracker.peek_vector()
+        raw = registers(tracker)
         assert raw.shape == (16,)
         # One line-count and one page-count per dynamic access.
         assert raw[:8].sum() == tracker.total_accesses
@@ -242,7 +242,7 @@ class TestMavTracker:
         record_event(tracker, self._block(), True, k=0)
         vec = tracker.take_vector(normalize=True)
         assert math.isclose(float(np.linalg.norm(vec)), 1.0)
-        assert not tracker.peek_vector().any()
+        assert not registers(tracker).any()
         # Empty period: the zero vector comes back unscaled.
         assert not tracker.take_vector(normalize=True).any()
 
@@ -253,7 +253,7 @@ class TestMavTracker:
         record_event(tracker, block, False, k=4)
         assert tracker.total_ops == block.n_ops
         assert tracker.total_accesses == 0
-        assert not tracker.peek_vector().any()
+        assert not registers(tracker).any()
 
     def test_snapshot_is_compact_and_round_trips(self):
         tracker = MavTracker(n_buckets=8)
@@ -264,7 +264,7 @@ class TestMavTracker:
         assert len(snap["registers"]) == 16 * 8  # raw float64 buffer
         other = MavTracker(n_buckets=8)
         other.restore(snap)
-        assert np.array_equal(other.peek_vector(), tracker.peek_vector())
+        assert np.array_equal(registers(other), registers(tracker))
         assert other.total_ops == tracker.total_ops
         assert other.total_accesses == tracker.total_accesses
 
@@ -277,7 +277,7 @@ class TestMavTracker:
             "total_accesses": 7,
         }
         tracker.restore(legacy)
-        assert tracker.peek_vector().tolist() == [float(i) for i in range(8)]
+        assert registers(tracker).tolist() == [float(i) for i in range(8)]
         assert tracker.total_ops == 123
 
     def test_restore_rejects_wrong_width_and_bad_payload(self):
@@ -302,10 +302,10 @@ class TestMavTracker:
         snap = tracker.snapshot()
         assert isinstance(snap["registers"], bytes)
         assert len(snap["registers"]) == tracker.n_buckets * 8
-        legacy = dict(snap, registers=list(tracker.peek_vector()))
+        legacy = dict(snap, registers=list(registers(tracker)))
         other = BbvTracker()
         other.restore(legacy)
-        assert np.array_equal(other.peek_vector(), tracker.peek_vector())
+        assert np.array_equal(registers(other), registers(tracker))
 
 
 # ----------------------------------------------------------------------
@@ -332,7 +332,7 @@ class TestMavBatchedEquivalence:
         for event in stream_a:
             scalar_record(event.block, event.taken, event.k)
         batched.record_batch(stream_b.next_events(10**9))
-        assert np.array_equal(scalar.peek_vector(), batched.peek_vector())
+        assert np.array_equal(registers(scalar), registers(batched))
         assert scalar.total_ops == batched.total_ops
         assert scalar.total_accesses == batched.total_accesses
 
@@ -361,7 +361,7 @@ class TestMavBatchedEquivalence:
                 got += event.block.n_ops
             batched.record_batch(stream_b.next_events(max_ops))
             assert np.array_equal(
-                scalar.peek_vector(), batched.peek_vector()
+                registers(scalar), registers(batched)
             )
             assert scalar.total_ops == batched.total_ops
 
@@ -432,7 +432,7 @@ class TestConcatenatedSignal:
         snap = combined.snapshot()
         other = self._concat()
         other.restore(snap)
-        assert np.array_equal(other.peek_vector(), combined.peek_vector())
+        assert np.array_equal(registers(other), registers(combined))
         with pytest.raises(ConfigurationError):
             ConcatenatedSignal([MavTracker()]).restore(snap)
 
@@ -451,9 +451,9 @@ class TestMakeSignalTracker:
 
     def test_wide_bbv_and_mav_width_knobs(self):
         wide = make_signal_tracker("bbv", wide_bbv_buckets=128)
-        assert wide.peek_vector().shape == (128,)
+        assert registers(wide).shape == (128,)
         mav = make_signal_tracker("mav", mav_buckets=16)
-        assert mav.peek_vector().shape == (32,)
+        assert registers(mav).shape == (32,)
 
     def test_unknown_signal_raises(self):
         with pytest.raises(ConfigurationError):
