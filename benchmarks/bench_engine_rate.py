@@ -33,6 +33,12 @@ replaced (``live_measure_intervals``: FUNC_WARM skips on a plain engine),
 with a 1.8x floor.  Its rates are program ops per second of the pass;
 the ranking pass is not timed.
 
+The ``shared`` row times a whole PGSS run on ``164.gzip`` at the bench
+scale replaying a complete outcome record, as a fleet worker's technique
+cells replay the record it keeps (``RecordSlot``), against a live run
+that warms its own caches, with a 1.4x floor.  Its rates are program
+ops per second of the run; the record is built once, untimed.
+
 Shared machines drift in effective speed by tens of percent over
 minutes, which is far more than the margins being asserted.  Each
 gated rate is therefore measured as an interleaved best-of-N: the
@@ -58,7 +64,8 @@ from pathlib import Path
 from repro import BbvTracker, Mode, SimulationEngine, get_workload
 from repro.cpu import OutcomeRecord
 from repro.experiments.formatting import table
-from repro.sampling import RankedSetConfig, RankedSetSampling
+from repro.experiments.runner import RecordSlot
+from repro.sampling import Pgss, PgssConfig, RankedSetConfig, RankedSetSampling
 from repro.sampling.full import collect_reference_trace
 from repro.sampling.session import measure_intervals
 
@@ -96,6 +103,9 @@ TRACE_REPS = 5
 #: Reps per arm of the replayed-measurement row (interleaved, best-of-N).
 #: Each timed pass takes milliseconds, so more reps pin down its peak.
 REPLAY_REPS = 9
+
+#: Reps per arm of the shared-record row (interleaved, best-of-N).
+SHARED_REPS = 9
 
 #: Modes whose scalar arm is also timed.
 BATCHED_MODES = (Mode.DETAIL, Mode.DETAIL_WARM, Mode.FUNC_FAST, Mode.FUNC_WARM)
@@ -185,6 +195,27 @@ def _best_replay_pair(ctx):
     return best_r, best_l
 
 
+def _shared_rate_once(ctx, program, record):
+    """One PGSS run on *program*, replaying *record* (live when None)."""
+    technique = Pgss(PgssConfig.from_scale(ctx.scale), machine=ctx.machine)
+    start = time.perf_counter()  # simlint: disable=DET005
+    result = technique.run(program, outcomes=record)
+    elapsed = time.perf_counter() - start  # simlint: disable=DET005
+    assert result.n_samples, "the PGSS run took no sample"
+    return result.total_ops / elapsed if elapsed > 0 else 0.0
+
+
+def _best_shared_pair(ctx):
+    """Interleaved best-of-N rates of the (replaying, live) PGSS runs."""
+    program = get_workload(RATE_BENCHMARK, ctx.scale)
+    record = RecordSlot().get(program, ctx.machine)
+    best_r = best_l = 0.0
+    for _ in range(SHARED_REPS):
+        best_r = max(best_r, _shared_rate_once(ctx, program, record))
+        best_l = max(best_l, _shared_rate_once(ctx, program, None))
+    return best_r, best_l
+
+
 def measure(ctx):
     rates = {}
     for mode in Mode:
@@ -207,6 +238,7 @@ def measure(ctx):
             ) = _best_pair(ctx, name, mode, False)
     rates["trace"], rates["trace_per_window"] = _best_trace_pair(ctx)
     rates["replay"], rates["replay_live"] = _best_replay_pair(ctx)
+    rates["shared"], rates["shared_live"] = _best_shared_pair(ctx)
     speedups = {
         f"{mode.value}{suffix}": (
             rates[f"{mode.value}{suffix}"]
@@ -223,6 +255,7 @@ def measure(ctx):
             )
     speedups["trace"] = rates["trace"] / rates["trace_per_window"]
     speedups["replay"] = rates["replay"] / rates["replay_live"]
+    speedups["shared"] = rates["shared"] / rates["shared_live"]
     return {"rates": rates, "speedups": speedups}
 
 
@@ -249,6 +282,7 @@ def format_result(result):
     ]
     rows.append(_row(result, "trace", "trace_per_window"))
     rows.append(_row(result, "replay", "replay_live"))
+    rows.append(_row(result, "shared", "shared_live"))
     speedups = result["speedups"]
     header = (
         "Engine throughput — batched engine vs. scalar event loop "
@@ -269,6 +303,8 @@ def format_result(result):
         "loop (trace row: its scalar column is that loop)\n"
         + f"replayed RankedSet measurement pass: {speedups['replay']:.1f}x the "
         "live pass (replay row: its scalar column is that pass)\n"
+        + f"PGSS replaying a shared outcome record: {speedups['shared']:.1f}x the "
+        "live run (shared row: its scalar column is that run)\n"
         + "\n"
     )
     return header + table(["mode", "batched", "scalar", "speedup"], rows)
@@ -288,6 +324,7 @@ def test_engine_rate(benchmark, ctx, results_dir):
             "scalar": RATE_REPS,
             "trace": TRACE_REPS,
             "replay": REPLAY_REPS,
+            "shared": SHARED_REPS,
         },
         "trace_window": ctx.scale.trace_window,
         "scale": ctx.scale.name,
@@ -323,6 +360,9 @@ def test_engine_rate(benchmark, ctx, results_dir):
     # RankedSet's measurement pass replayed from its ranking pass's
     # record, against warming the caches again.
     assert result["speedups"]["replay"] >= 1.8
+    # A PGSS run replaying a worker's shared record, against a run that
+    # warms its own caches.
+    assert result["speedups"]["shared"] >= 1.4
 
     benchmark.extra_info["speedups"] = {
         k: round(v, 1) for k, v in result["speedups"].items()

@@ -133,9 +133,13 @@ class SimulationEngine:
         outcomes: an :class:`~repro.cpu.record.OutcomeRecord` of this
             program to replay from.  Such a *replaying* engine simulates
             no caches: DETAIL_WARM and DETAIL replay the timing of the
-            record's outcomes, FUNC_FAST runs as usual and FUNC_WARM
-            raises :class:`~repro.errors.SimulationError`.  Its
-            ``hierarchy`` is the record's, read for latencies only.
+            record's outcomes, FUNC_WARM only advances the stream and
+            the tracker (the record holds the warm state), and FUNC_FAST
+            runs as usual.  Each FUNC_WARM and detailed batch is checked
+            against the record before the tracker takes it: a batch past
+            the record's end, or of another stream, raises
+            :class:`~repro.errors.SimulationError`.  Its ``hierarchy``
+            is the record's, read for latencies only.
         recorder: the record this engine's architectural passes write to
             (:class:`~repro.cpu.record.OutcomeRecord` builds its own
             *recording* engine with it).  A recording engine cannot run
@@ -143,8 +147,10 @@ class SimulationEngine:
 
     Raises:
         ConfigurationError: if the stream has no ``next_events``, the
-            tracker no ``record_batch``, or both *outcomes* and
-            *recorder* are given.
+            tracker no ``record_batch``, both *outcomes* and *recorder*
+            are given, or *outcomes* was recorded of another program
+            (name, seed or op budget), on another machine or with
+            another predictor.
     """
 
     def __init__(
@@ -173,6 +179,14 @@ class SimulationEngine:
             )
         if outcomes is not None and recorder is not None:
             raise ConfigurationError("an engine either records or replays, not both")
+        if outcomes is not None and not outcomes.matches(program, machine):
+            recorded = outcomes.program
+            raise ConfigurationError(
+                f"a record of {recorded.name} (seed {recorded.seed}, "
+                f"{recorded.total_ops} ops) cannot replay "
+                f"{program.name} (seed {program.seed}, {program.total_ops} ops)"
+                + ("" if machine == outcomes.machine else " on another machine")
+            )
         self.outcomes = outcomes
         self.recorder = recorder
         if outcomes is not None and hierarchy is None:
@@ -182,6 +196,13 @@ class SimulationEngine:
             hierarchy = outcomes.engine.hierarchy
         self.hierarchy = hierarchy if hierarchy is not None else CacheHierarchy(machine)
         self.predictor = _make_predictor(predictor, machine.branch_history_bits)
+        if outcomes is not None and type(self.predictor) is not type(
+            outcomes.engine.predictor
+        ):
+            raise ConfigurationError(
+                f"a record made with a {type(outcomes.engine.predictor).__name__} "
+                f"cannot replay a {type(self.predictor).__name__}"
+            )
         self.pipeline = InOrderPipeline(machine, self.hierarchy, self.predictor)
         self.warmer = FunctionalWarmer(self.hierarchy, self.predictor)
         self.signal_tracker = signal_tracker
@@ -255,10 +276,6 @@ class SimulationEngine:
         """The execution core of :meth:`run` and :meth:`run_windows`:
         up to *count* batches of *n_ops*, one architectural pass over all
         of them, one window per batch."""
-        if mode is Mode.FUNC_WARM and self.outcomes is not None:
-            raise SimulationError(
-                "a replaying engine holds no cache state to warm"
-            )
         if mode is Mode.FUNC_FAST and self.recorder is not None:
             raise SimulationError(
                 "a recording engine cannot skip warming: its record "
@@ -270,13 +287,19 @@ class SimulationEngine:
         stream = self.stream
         tracker = self.signal_tracker
         start_ops = stream.ops_emitted
+        # A replaying engine checks every batch it does not skip against
+        # its record before the tracker sees it.
+        check = self.outcomes.locate if self.outcomes is not None else None
         ends: List[int] = []  # op offset of each window's end
         vectors: List[Optional[np.ndarray]] = []
         passed: List[BlockRun] = []  # what the architectural pass takes
         for _ in range(count):
+            batch_start = stream.ops_emitted
             runs = stream.next_events(n_ops)
             if not runs:
                 break
+            if check is not None and mode is not Mode.FUNC_FAST:
+                check(runs, batch_start)
             ends.append(stream.ops_emitted - start_ops)
             if tracker is not None:
                 tracker.record_batch(runs)
@@ -329,7 +352,8 @@ class SimulationEngine:
         """Apply *runs*, a batch from op *start_op*, and hand each slice's
         outcomes to *replay* (the detailed modes): the warmer's pass,
         which a recording engine also records, or, on a replaying engine,
-        the record's outcomes."""
+        the record's outcomes (none in FUNC_WARM: the record is the warm
+        state)."""
         if self.outcomes is not None:
             if replay is not None:
                 self.outcomes.replay(runs, start_op, replay)

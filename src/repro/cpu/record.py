@@ -12,15 +12,17 @@ engine's architectural pass takes, FUNC_WARM included, leaves its
 outcomes in the record, slice by slice, each slice with its global op,
 iteration and access offsets.  A *replaying* engine
 (``SimulationEngine(..., outcomes=record)``) runs no cache simulation of
-its own: it fast-forwards in FUNC_FAST and serves DETAIL_WARM and DETAIL
-by handing the record's outcomes for its runs to
+its own: it fast-forwards in FUNC_FAST, serves FUNC_WARM by advancing
+its stream and tracker only, and serves DETAIL_WARM and DETAIL by
+handing the record's outcomes for its runs to
 :meth:`~repro.cpu.pipeline.InOrderPipeline.replay`, which is a pure
 function of the runs, their outcomes and the timing state.  Its cycles
 are those a live engine would count at the same ops, byte for byte
 (DESIGN.md §19).
 
-A record lives for one technique run: it holds every slice's runs, and
-there is no process-wide memo of records.
+A record lives for one technique run, or, complete, for one experiment
+worker (:class:`~repro.experiments.runner.RecordSlot`): it holds every
+slice's runs, and there is no process-wide memo of records.
 """
 
 from __future__ import annotations
@@ -38,6 +40,13 @@ from .engine import SimulationEngine
 from .functional import Outcomes
 
 __all__ = ["OutcomeRecord"]
+
+
+def _identity(program: Program, machine: MachineConfig) -> Tuple[object, ...]:
+    """What a record's outcomes depend on besides the op: the program's
+    name, seed and op budget, and the machine."""
+    return (program.name, program.seed, program.total_ops, machine)
+
 
 #: A timing replay of one slice (:meth:`InOrderPipeline.replay`, maybe
 #: with window marks bound).
@@ -64,6 +73,9 @@ class OutcomeRecord:
     ) -> None:
         self.program = program
         self.machine = machine
+        # What the recording stream was made of; the seed is read now
+        # because a Program's seed can be reassigned afterwards.
+        self._identity = _identity(program, machine)
         #: First op of every recorded slice (ascending, for bisection).
         self._op_starts: List[int] = []
         #: First iteration of every recorded slice.
@@ -84,6 +96,11 @@ class OutcomeRecord:
     def ops(self) -> int:
         """Ops recorded so far, from the program's first."""
         return self._ops
+
+    def matches(self, program: Program, machine: MachineConfig) -> bool:
+        """True when *program* on *machine* is what this record was made
+        of: the same name, seed and op budget, on the same machine."""
+        return _identity(program, machine) == self._identity
 
     def recording(self, start_op: int, replay: Optional[Replay]) -> Replay:
         """The callback the recording engine hands its architectural pass
@@ -108,10 +125,9 @@ class OutcomeRecord:
 
         return take
 
-    def replay(self, runs: Sequence[BlockRun], start_op: int, replay: Replay) -> None:
-        """Hand *replay* the recorded outcomes of *runs*, a batch that
-        starts at op *start_op*, one :func:`~repro.program.mem_patterns.
-        batch_slices` slice at a time, re-based to each slice.
+    def locate(self, runs: Sequence[BlockRun], start_op: int) -> Tuple[int, int]:
+        """The global iteration and access at which *runs*, a batch that
+        starts at op *start_op*, begin in the record.
 
         Raises:
             SimulationError: if the record does not reach the batch's
@@ -124,7 +140,17 @@ class OutcomeRecord:
                 f"the record of {self.program.name} ends at op {self._ops}, "
                 f"short of op {end}"
             )
-        iteration, access = self._locate(start_op, runs[0])
+        return self._locate(start_op, runs[0])
+
+    def replay(self, runs: Sequence[BlockRun], start_op: int, replay: Replay) -> None:
+        """Hand *replay* the recorded outcomes of *runs*, a batch that
+        starts at op *start_op*, one :func:`~repro.program.mem_patterns.
+        batch_slices` slice at a time, re-based to each slice.
+
+        Raises:
+            SimulationError: as :meth:`locate`.
+        """
+        iteration, access = self.locate(runs, start_op)
         for part in batch_slices(runs):
             iterations = accesses = 0
             for run in part:

@@ -211,6 +211,12 @@ def enumerate_cells(
 ) -> List[ExperimentCell]:
     """All cells of the selected figure modules, deduplicated in order.
 
+    The technique cells then take their places in benchmark order (each
+    benchmark's cells in their own order), because a worker keeps one
+    outcome record between its cells, of the benchmark it last ran
+    (:class:`~repro.experiments.runner.RecordSlot`): benchmark by
+    benchmark, it warms each program once instead of once per cell.
+
     Args:
         ctx: experiment context (supplies the benchmark list and scale).
         figures: experiments module basenames; defaults to every module
@@ -231,4 +237,11 @@ def enumerate_cells(
             if cell not in seen:
                 seen.add(cell)
                 out.append(cell)
+    slots = [i for i, cell in enumerate(out) if cell.figure == TECHNIQUE_FIGURE]
+    first: Dict[str, int] = {}
+    for i in slots:
+        first.setdefault(out[i].benchmark, i)
+    grouped = sorted((out[i] for i in slots), key=lambda cell: first[cell.benchmark])
+    for i, cell in zip(slots, grouped):
+        out[i] = cell
     return out

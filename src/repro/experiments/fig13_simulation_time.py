@@ -57,46 +57,53 @@ def measure_rates(ctx: ExperimentContext) -> Dict[str, float]:
 
     The rate program is built long enough for the warm-up plus
     ``RATE_OPS`` at any scale, so every timed run covers the full op
-    budget.  One timed run repeats that budget, each time on a fresh
-    engine, until ``RATE_MIN_SECONDS`` have passed, and its rate is all
-    the ops over all that time: ``RATE_OPS`` alone is about a millisecond
-    of FUNC_FAST, too short to time on a shared host.
+    budget.  One rep of a mode times ``RATE_OPS`` runs on fresh engines,
+    untracked and with BBV tracking in turn, until each of the two has
+    run for ``RATE_MIN_SECONDS``; its rates are all the ops over all
+    that time.  ``RATE_OPS`` alone is about a millisecond of FUNC_FAST,
+    too short to time on a shared host, and alternating the two puts
+    any drift of the host's speed into both alike, so what their ratio
+    shows is the tracker's cost.
     """
     scale = ctx.scale
     if scale.benchmark_ops < WARMUP_OPS + RATE_OPS:
         scale = replace(scale, benchmark_ops=WARMUP_OPS + RATE_OPS)
     program = get_workload(RATE_BENCHMARK, scale)
 
-    def one(mode: Mode, with_bbv: bool) -> float:
-        ops = 0
-        elapsed = 0.0
-        while elapsed < RATE_MIN_SECONDS:
-            tracker = BbvTracker() if with_bbv else None
-            engine = SimulationEngine(
-                program, machine=ctx.machine, signal_tracker=tracker
-            )
-            # Warm the interpreter and caches briefly before timing.
-            engine.run(mode, WARMUP_OPS)
-            # Timing measures simulator throughput for the figure; it
-            # never influences simulated state.
-            start = time.perf_counter()  # simlint: disable=DET005
-            run = engine.run(mode, RATE_OPS)
-            elapsed += time.perf_counter() - start  # simlint: disable=DET005
-            assert run.ops >= RATE_OPS, f"{mode.value} ended inside the timed run"
-            ops += run.ops
-        return ops / elapsed
+    def timed(mode: Mode, with_bbv: bool) -> Tuple[int, float]:
+        tracker = BbvTracker() if with_bbv else None
+        engine = SimulationEngine(program, machine=ctx.machine, signal_tracker=tracker)
+        # Warm the interpreter and caches briefly before timing.
+        engine.run(mode, WARMUP_OPS)
+        # Timing measures simulator throughput for the figure; it never
+        # influences simulated state.
+        start = time.perf_counter()  # simlint: disable=DET005
+        run = engine.run(mode, RATE_OPS)
+        elapsed = time.perf_counter() - start  # simlint: disable=DET005
+        assert run.ops >= RATE_OPS, f"{mode.value} ended inside the timed run"
+        return run.ops, elapsed
 
-    runs = {
-        f"{mode.value}{'+bbv' if with_bbv else ''}": (mode, with_bbv)
-        for mode in RATE_MODES
-        for with_bbv in (False, True)
+    def rep(mode: Mode) -> Tuple[float, float]:
+        """One rep's (untracked, +bbv) rates of *mode*."""
+        ops = [0, 0]
+        elapsed = [0.0, 0.0]
+        while min(elapsed) < RATE_MIN_SECONDS:
+            for arm, with_bbv in enumerate((False, True)):
+                run_ops, seconds = timed(mode, with_bbv)
+                ops[arm] += run_ops
+                elapsed[arm] += seconds
+        return ops[0] / elapsed[0], ops[1] / elapsed[1]
+
+    # Best of RATE_REPS reps per key, interleaved across the modes, so a
+    # slow stretch of the host costs each key one rep, not one key all.
+    rates = {
+        f"{mode.value}{suffix}": 0.0 for mode in RATE_MODES for suffix in ("", "+bbv")
     }
-    # Best of RATE_REPS runs per key, interleaved across the keys, so a
-    # slow stretch of the host costs each key one run, not one key all.
-    rates = dict.fromkeys(runs, 0.0)
     for _ in range(RATE_REPS):
-        for key, (mode, with_bbv) in runs.items():
-            rates[key] = max(rates[key], one(mode, with_bbv))
+        for mode in RATE_MODES:
+            plain, tracked = rep(mode)
+            rates[mode.value] = max(rates[mode.value], plain)
+            rates[f"{mode.value}+bbv"] = max(rates[f"{mode.value}+bbv"], tracked)
     return rates
 
 
@@ -112,7 +119,7 @@ def _cached_rates(ctx: ExperimentContext) -> Dict[str, float]:
     # a mode's rate changes, or a warm cache keeps serving stale rates.
     return ctx.cache.json(
         {"kind": "rates", "scale": ctx.scale.name, "ops": RATE_OPS,
-         "engine": "address-windows-min-50ms", "machine": asdict(ctx.machine)},
+         "engine": "bbv-alternating-min-50ms", "machine": asdict(ctx.machine)},
         lambda: measure_rates(ctx),
     )
 

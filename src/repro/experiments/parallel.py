@@ -28,7 +28,7 @@ from typing import Any, Dict, Optional
 
 from ..errors import OrchestrationError
 from .cells import ExperimentCell, run_cell
-from .runner import ExperimentContext
+from .runner import ExperimentContext, RecordSlot
 
 __all__ = ["DEFAULT_RETRIES", "DEFAULT_TIMEOUT_S"]
 
@@ -53,17 +53,19 @@ def _execute_cell(
     timeout_s: Optional[float],
     checkpoint_dir: Optional[Path] = None,
     checkpoint_windows: int = 0,
+    records: Optional[RecordSlot] = None,
 ) -> Dict[str, Any]:
     """Run one cell in a context rebuilt from *doc*.
 
     *doc* is an :meth:`ExperimentContext.to_doc` document; the checkpoint
-    settings are the executing worker's own.  Returns a small status
-    record; results stay in the on-disk cache.  The timeout is enforced
-    with ``SIGALRM``, so a hung cell cannot hold its worker forever.
+    settings and the record slot are the executing worker's own.  Returns
+    a small status record; results stay in the on-disk cache.  The
+    timeout is enforced with ``SIGALRM``, so a hung cell cannot hold its
+    worker forever.
     :func:`run_cell` is looked up at call time, so a wrapper installed
     on this module sees every cell.
     """
-    ctx = ExperimentContext.from_doc(doc, checkpoint_dir, checkpoint_windows)
+    ctx = ExperimentContext.from_doc(doc, checkpoint_dir, checkpoint_windows, records)
     # SIGALRM can only be armed on the main thread; a worker driven from
     # a helper thread (tests, embedders) runs without the in-process
     # timeout and relies on the queue's lease expiry instead.

@@ -19,6 +19,11 @@ the lease expires otherwise — and retries the cell.  Fleet workers
 checkpoint long DETAIL cells periodically, so the retry resumes
 mid-cell (DESIGN.md §17); local workers run with
 ``checkpoint_windows=0`` and restart the cell.
+
+A worker keeps one complete outcome record, of the benchmark it last
+simulated, in a :class:`~repro.experiments.runner.RecordSlot` that
+every cell's context shares: its technique cells on that benchmark
+replay the record instead of warming the program again (DESIGN.md §19).
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from typing import Any, Callable, Dict, Optional
 
 from ..errors import FleetError
 from ..experiments.parallel import DEFAULT_TIMEOUT_S, _execute_cell
+from ..experiments.runner import RecordSlot
 from .queue import DEFAULT_LEASE_S, ClaimedTask, JobQueue
 
 __all__ = ["DEFAULT_CHECKPOINT_WINDOWS", "DEFAULT_POLL_S", "Worker", "run_worker"]
@@ -85,6 +91,7 @@ class Worker:
         self.checkpoint_windows = int(checkpoint_windows)
         self.progress = progress
         self.executed = 0
+        self.records = RecordSlot()
 
     def _emit(self, line: str) -> None:
         if self.progress:
@@ -128,6 +135,7 @@ class Worker:
                 self.timeout_s,
                 task.checkpoint_dir,
                 self.checkpoint_windows,
+                self.records,
             )
         except Exception as exc:  # _execute_cell is defensive; belt+braces
             record = {

@@ -197,6 +197,16 @@ class SamplingTechnique(abc.ABC):
         self.config = config
         self.machine = machine
 
+    @property
+    def replays_outcomes(self) -> bool:
+        """``run`` takes ``outcomes=``, a complete
+        :class:`~repro.cpu.OutcomeRecord` of the program on
+        :attr:`machine`, and replays its architectural pass instead of
+        warming caches of its own, with a byte-identical result.  The
+        experiment harness passes its worker's shared record exactly
+        when this is set (DESIGN.md §19)."""
+        return False
+
     @abc.abstractmethod
     def run(self, program: Program, **kwargs: Any) -> SamplingResult:
         """Apply the technique to *program* and return its result."""

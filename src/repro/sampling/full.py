@@ -19,7 +19,7 @@ import numpy as np
 
 from ..signals import BbvTracker, ReducedBbvHash
 from ..config import DEFAULT_MACHINE, MachineConfig
-from ..cpu import Mode, SimulationEngine
+from ..cpu import Mode, OutcomeRecord, SimulationEngine
 from ..cpu.checkpoints import CheckpointFile
 from ..errors import SamplingError
 from ..events import EventBus
@@ -269,11 +269,21 @@ class FullDetail(SamplingTechnique):
     def __init__(self, machine: MachineConfig = DEFAULT_MACHINE) -> None:
         super().__init__(None, machine)
 
+    @property
+    def replays_outcomes(self) -> bool:
+        """Always: the whole program is one detailed replay."""
+        return True
+
     def run(
-        self, program: Program, bus: Optional[EventBus] = None, **kwargs: Any
+        self,
+        program: Program,
+        bus: Optional[EventBus] = None,
+        outcomes: Optional[OutcomeRecord] = None,
+        **kwargs: Any,
     ) -> SamplingResult:
-        """Simulate every operation cycle-accurately; exact IPC, max cost."""
-        engine = SimulationEngine(program, machine=self.machine)
+        """Simulate every operation cycle-accurately; exact IPC, max cost
+        (replaying *outcomes* when given)."""
+        engine = SimulationEngine(program, machine=self.machine, outcomes=outcomes)
         session = SamplingSession(engine, bus=bus)
         session.execute(run_to_end_plan(Mode.DETAIL, measure=True))
         total_ops = sum(s.ops for s in session.samples)

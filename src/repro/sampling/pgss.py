@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional, Tuple
 
 from ..config import ScaleConfig
-from ..cpu import Mode, SimulationEngine
+from ..cpu import Mode, OutcomeRecord, SimulationEngine
 from ..errors import ConfigurationError, SamplingError
 from ..events import EventBus
 from ..phase import OnlinePhaseClassifier, PhaseProfile
@@ -171,12 +171,25 @@ class Pgss(SamplingTechnique):
             mav_buckets=cfg.mav_buckets,
         )
 
+    @property
+    def replays_outcomes(self) -> bool:
+        """Always: the Fig. 5 loop only warms and samples."""
+        return True
+
     def run(
-        self, program: Program, bus: Optional[EventBus] = None, **kwargs: Any
+        self,
+        program: Program,
+        bus: Optional[EventBus] = None,
+        outcomes: Optional[OutcomeRecord] = None,
+        **kwargs: Any,
     ) -> SamplingResult:
-        """Execute the Fig. 5 loop over *program*."""
+        """Execute the Fig. 5 loop over *program* (replaying *outcomes*
+        when given)."""
         engine = SimulationEngine(
-            program, machine=self.machine, signal_tracker=self._make_tracker()
+            program,
+            machine=self.machine,
+            signal_tracker=self._make_tracker(),
+            outcomes=outcomes,
         )
         controller = PgssController(engine, self.config, bus=bus)
         controller.run()

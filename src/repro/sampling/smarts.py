@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from ..config import ScaleConfig
-from ..cpu import Mode, ModeAccounting, SimulationEngine
+from ..cpu import Mode, ModeAccounting, OutcomeRecord, SimulationEngine
 from ..errors import ConfigurationError, SamplingError
 from ..events import EventBus
 from ..program import Program
@@ -82,16 +82,30 @@ class Smarts(SamplingTechnique):
     name = "SMARTS"
     config: SmartsConfig
 
+    @property
+    def replays_outcomes(self) -> bool:
+        """Only with functional warming: a cold FUNC_FAST skip must leave
+        the caches cold, and a replaying engine's state is always warm."""
+        return self.config.functional_warming
+
     def collect_samples(
-        self, program: Program, bus: Optional[EventBus] = None
+        self,
+        program: Program,
+        bus: Optional[EventBus] = None,
+        outcomes: Optional[OutcomeRecord] = None,
     ) -> Tuple[List[SessionSample], ModeAccounting]:
         """One warmed pass over *program*; returns (samples, accounting).
 
         Shared with :class:`~repro.sampling.TurboSmarts`, which replays the
-        same sample universe in random order.
+        same sample universe in random order.  With *outcomes* (and
+        functional warming) the pass replays that record.
         """
         cfg = self.config
-        engine = SimulationEngine(program, machine=self.machine)
+        engine = SimulationEngine(
+            program,
+            machine=self.machine,
+            outcomes=outcomes if self.replays_outcomes else None,
+        )
         session = SamplingSession(engine, bus=bus)
         ff_ops = cfg.period_ops - cfg.warmup_ops - cfg.detail_ops
         ff_mode = Mode.FUNC_WARM if cfg.functional_warming else Mode.FUNC_FAST
@@ -101,7 +115,11 @@ class Smarts(SamplingTechnique):
         return session.samples, engine.accounting
 
     def run(
-        self, program: Program, bus: Optional[EventBus] = None, **kwargs: Any
+        self,
+        program: Program,
+        bus: Optional[EventBus] = None,
+        outcomes: Optional[OutcomeRecord] = None,
+        **kwargs: Any,
     ) -> SamplingResult:
         """Estimate IPC from evenly spaced small samples.
 
@@ -109,7 +127,7 @@ class Smarts(SamplingTechnique):
             SamplingError: when the program is too short for even one
                 sample at the configured period.
         """
-        samples, accounting = self.collect_samples(program, bus=bus)
+        samples, accounting = self.collect_samples(program, bus=bus, outcomes=outcomes)
         if not samples:
             raise SamplingError(
                 f"{program.name} ended before the first sample; shrink "

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional
 
 from ..config import ScaleConfig
+from ..cpu import OutcomeRecord
 from ..errors import ConfigurationError, SamplingError
 from ..events import EstimateUpdated, EventBus
 from ..program import Program
@@ -76,14 +77,25 @@ class TurboSmarts(SamplingTechnique):
     name = "TurboSMARTS"
     config: TurboSmartsConfig
 
+    @property
+    def replays_outcomes(self) -> bool:
+        """As the underlying SMARTS pass (:attr:`Smarts.replays_outcomes`)."""
+        return self.config.smarts.functional_warming
+
     def run(
-        self, program: Program, bus: Optional[EventBus] = None, **kwargs: Any
+        self,
+        program: Program,
+        bus: Optional[EventBus] = None,
+        outcomes: Optional[OutcomeRecord] = None,
+        **kwargs: Any,
     ) -> SamplingResult:
         """Consume the SMARTS sample universe in random order until the
         CI half-width is inside the relative-error target."""
         cfg = self.config
         collector = Smarts(cfg.smarts, machine=self.machine)
-        samples, accounting = collector.collect_samples(program, bus=bus)
+        samples, accounting = collector.collect_samples(
+            program, bus=bus, outcomes=outcomes
+        )
         if not samples:
             raise SamplingError(
                 f"{program.name} ended before the first sample; shrink "

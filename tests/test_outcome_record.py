@@ -7,18 +7,21 @@ suite holds ``measure_intervals`` over a record to the live measurement
 pass it replaced (``scalar_reference.live_measure_intervals``).
 """
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Scale
+from repro import BbvTracker, Scale
 from repro.config import DEFAULT_MACHINE
 from repro.cpu import Mode, OutcomeRecord, SimulationEngine
 from repro.errors import ConfigurationError, SimulationError
-from repro.program import get_workload
+from repro.program import ProgramStream, get_workload
 from repro.sampling.session import measure_intervals
 
-from scalar_reference import assert_same_machine, live_measure_intervals
+from scalar_reference import assert_same_machine, live_measure_intervals, stats_summary
 
 #: A few QUICK programs: regular, many random branches, L1D-miss heavy,
 #: and one whose footprint steps through the L2.
@@ -102,12 +105,43 @@ class TestReplayMatchesLive:
 
 
 class TestEngineRoles:
-    def test_replaying_engine_refuses_func_warm(self):
+    def test_replaying_engine_serves_func_warm_from_the_record(self):
+        """FUNC_WARM on a replaying engine advances the stream and the
+        tracker and accounts its ops as a live engine does, touches no
+        cache or predictor state, and leaves the detailed replay after it
+        equal to the live one; past the record's end, or on another
+        stream, it raises."""
         record = OutcomeRecord(_program("164.gzip"), DEFAULT_MACHINE)
-        engine = SimulationEngine(_program("164.gzip"), outcomes=record)
-        with pytest.raises(SimulationError, match="no cache state"):
-            engine.run(Mode.FUNC_WARM, 1_000)
-        assert engine.ops_completed == 0
+        record.engine.run(Mode.FUNC_WARM, 60_000)
+        hierarchy = record.engine.hierarchy.snapshot()
+        counters = stats_summary(record.engine.hierarchy)
+        live = SimulationEngine(_program("164.gzip"), signal_tracker=BbvTracker())
+        replaying = SimulationEngine(
+            _program("164.gzip"), signal_tracker=BbvTracker(), outcomes=record
+        )
+        cold = replaying.predictor.snapshot()
+        assert replaying.run(Mode.FUNC_WARM, 40_000) == live.run(Mode.FUNC_WARM, 40_000)
+        assert replaying.stream.snapshot() == live.stream.snapshot()
+        assert replaying.accounting.ops == live.accounting.ops
+        assert (
+            replaying.signal_tracker.take_vector(normalize=False).tolist()
+            == live.signal_tracker.take_vector(normalize=False).tolist()
+        )
+        assert record.engine.hierarchy.snapshot() == hierarchy
+        assert stats_summary(record.engine.hierarchy) == counters
+        assert replaying.predictor.snapshot() == cold
+        assert replaying.run(Mode.DETAIL, 4_000) == live.run(Mode.DETAIL, 4_000)
+
+        with pytest.raises(SimulationError, match="short of"):
+            replaying.run(Mode.FUNC_WARM, 40_000)
+        other = SimulationEngine(
+            _program("164.gzip"),
+            stream=ProgramStream(_program("300.twolf")),
+            outcomes=record,
+        )
+        other.run(Mode.FUNC_FAST, 10_000)
+        with pytest.raises(SimulationError, match="another stream"):
+            other.run(Mode.FUNC_WARM, 1_000)
 
     def test_recording_engine_refuses_func_fast(self):
         record = OutcomeRecord(_program("164.gzip"), DEFAULT_MACHINE)
@@ -126,10 +160,38 @@ class TestEngineRoles:
     def test_replay_of_another_stream_raises(self):
         record = OutcomeRecord(_program("164.gzip"), DEFAULT_MACHINE)
         record.engine.run(Mode.FUNC_WARM, 50_000)
-        engine = SimulationEngine(_program("300.twolf"), outcomes=record)
+        engine = SimulationEngine(
+            _program("164.gzip"),
+            stream=ProgramStream(_program("300.twolf")),
+            outcomes=record,
+        )
         engine.run(Mode.FUNC_FAST, 10_000)
         with pytest.raises(SimulationError, match="another stream"):
             engine.run(Mode.DETAIL, 1_000)
+
+    def test_record_of_another_workload_is_refused(self):
+        """A re-seeded copy of the recorded program (as the ledger's
+        seeded workloads make) starts with the same block, so only the
+        identity check at construction tells it apart."""
+        record = OutcomeRecord(_program("164.gzip"), DEFAULT_MACHINE)
+        record.engine.run(Mode.FUNC_WARM, 50_000)
+        reseeded = _program("164.gzip")
+        reseeded.seed = int.from_bytes(
+            hashlib.sha256(b"7:164.gzip").digest()[:4], "big"
+        )
+        with pytest.raises(ConfigurationError, match="cannot replay"):
+            SimulationEngine(reseeded, outcomes=record)
+        longer = get_workload("164.gzip", replace(Scale.QUICK, benchmark_ops=400_000))
+        with pytest.raises(ConfigurationError, match="cannot replay"):
+            SimulationEngine(longer, outcomes=record)
+        with pytest.raises(ConfigurationError, match="cannot replay"):
+            SimulationEngine(_program("300.twolf"), outcomes=record)
+        other_machine = replace(DEFAULT_MACHINE, branch_history_bits=10)
+        with pytest.raises(ConfigurationError, match="another machine"):
+            SimulationEngine(_program("164.gzip"), other_machine, outcomes=record)
+        with pytest.raises(ConfigurationError, match="BimodalPredictor"):
+            SimulationEngine(_program("164.gzip"), predictor="bimodal", outcomes=record)
+        assert record.matches(_program("164.gzip"), DEFAULT_MACHINE)
 
     def test_an_engine_cannot_both_record_and_replay(self):
         record = OutcomeRecord(_program("164.gzip"), DEFAULT_MACHINE)
